@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 a checked inequality was violated, 2 usage or
 input error. stdout carries data (when --out is absent); diagnostics go
 to stderr. JSON output is key-sorted with a fixed layout, so repeated
-runs with the same inputs are byte-identical; the thread count is
-reported on stderr only and never changes numeric output.
+runs with the same inputs are byte-identical. --threads is accepted and
+reported on stderr only; it changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -238,6 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-preserve-connectivity",
         dest="preserve_connectivity",
         action="store_false",
+        help="echoed in the trace only; rewired graphs always stay connected",
     )
     p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
     p.add_argument("--out-graph")

@@ -8,8 +8,6 @@ at depth 3: any p in N_u reaches any q in N_v through p-u-v-q.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,30 +92,26 @@ def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
         raise NotAnEdge(f"({u},{v}) is not an edge")
     mu, mv = local_measure(g, u), local_measure(g, v)
     w1 = wasserstein1(g, mu, mv, depth_limit=3).cost
-    nu, _ = neighborhoods(g, u)
-    nv, _ = neighborhoods(g, v)
+    sets = bottleneck_sets(g, u, v)
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),
         kappa=1 - w1,
         w1=w1,
         deg_u=g.degree(min(u, v)),
         deg_v=g.degree(max(u, v)),
-        common_neighbors=len(nu & nv),
-        sets=bottleneck_sets(g, u, v),
+        common_neighbors=sets.n0,
+        sets=sets,
     )
 
 
 def curvature_profile(g: Graph, threads: int = 1) -> CurvatureProfile:
-    """One report per edge in canonical order. Thread count never changes the
-    result; edges are independent and collected by index."""
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1 or len(g.edges) < 2:
-        reports = [edge_report(g, u, v) for u, v in g.edges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda e: edge_report(g, *e), g.edges))
-    return CurvatureProfile(reports=tuple(reports))
+    """One report per edge in canonical order.
+
+    threads is accepted for compatibility and does not change the work:
+    edges are computed one after another. The per-edge work holds the GIL,
+    so a thread pool measured no faster than a single thread.
+    """
+    return CurvatureProfile(reports=tuple(edge_report(g, u, v) for u, v in g.edges))
 
 
 def shared_neighbor_bound(report: EdgeCurvatureReport) -> tuple[bool, Fraction]:

@@ -27,7 +27,7 @@ from .curvature import (
     ricci_curvature,
 )
 from .graphs import Graph, bfs_distances, corpus as default_corpus, neighborhoods
-from .mpnn import LayerSpec, MpnnSpec, Update, alpha_beta, forward, identity_spec
+from .mpnn import AlphaBeta, LayerSpec, MpnnSpec, Update, _alpha_beta, alpha_beta, forward
 
 TOLERANCE = 1e-9
 
@@ -267,22 +267,18 @@ def verify_jacobian_ratio(
     neighborhood, all in exact rationals.
     """
     u, v = edge
-    ab = alpha_beta(g, spec, u, v, k)
-    alpha_check = _exact(
-        "jacobian_ratio",
-        graph_name,
-        f"edge=({u},{v}) k={k} side=alpha",
-        ab.alpha,
-        ab.alpha_proof_rhs,
+    return _jacobian_checks(graph_name, edge, k, alpha_beta(g, spec, u, v, k))
+
+
+def _jacobian_checks(
+    graph_name: str, edge: tuple[int, int], k: int, ab: AlphaBeta
+) -> tuple[BoundCheck, BoundCheck]:
+    u, v = edge
+    context = f"edge=({u},{v}) k={k} side="
+    return (
+        _exact("jacobian_ratio", graph_name, context + "alpha", ab.alpha, ab.alpha_proof_rhs),
+        _exact("jacobian_ratio", graph_name, context + "beta", ab.beta, ab.beta_proof_rhs),
     )
-    beta_check = _exact(
-        "jacobian_ratio",
-        graph_name,
-        f"edge=({u},{v}) k={k} side=beta",
-        ab.beta,
-        ab.beta_proof_rhs,
-    )
-    return alpha_check, beta_check
 
 
 def verify_diameter(
@@ -443,7 +439,6 @@ def run_suite(
         if fail_fast and check.violated:
             raise _Abort
 
-    jacobian_spec = identity_spec(1, 2, "sum")
     try:
         profiles = [curvature_profile(g, threads=threads) for _, g in entries]
         positive_edges: list[list[EdgeCurvatureReport]] = [
@@ -460,7 +455,9 @@ def run_suite(
                         if check.name in want:
                             emit(check)
                 if "jacobian_ratio" in want:
-                    for check in verify_jacobian_ratio(g, jacobian_spec, r.edge, 0, name):
+                    # the identity two-layer sum spec, fed the report's kappa and |S|
+                    ab = _alpha_beta(g, *r.edge, r.kappa, len(r.sets.s_statement))
+                    for check in _jacobian_checks(name, r.edge, 0, ab):
                         emit(check)
             if "diameter" in want:
                 try:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import NotAnEdge, bottleneck_sets, ricci_curvature
+from .curvature import NotAnEdge, edge_report
 from .graphs import Graph, neighborhoods
 
 
@@ -376,22 +376,26 @@ def alpha_beta(g: Graph, spec: MpnnSpec, u: int, v: int, k: int = 0) -> AlphaBet
     if len(spec.layers) < k + 2:
         raise SpecError(f"need at least {k + 2} layers, spec has {len(spec.layers)}")
     _require_linear_sum(spec, k + 2)
+    report = edge_report(g, u, v)
+    return _alpha_beta(g, u, v, report.kappa, len(report.sets.s_statement))
 
-    counts2 = walk_counts(g, 2)
-    row_u, row_v = counts2[u], counts2[v]
-    denom_u, denom_v = sum(row_u), sum(row_v)
+
+def _alpha_beta(g: Graph, u: int, v: int, kappa: Fraction, s_size: int) -> AlphaBeta:
+    """AlphaBeta for an edge whose curvature and |S| are already known.
+
+    The two needed rows of (A+I)^2 come straight from neighborhoods: entry
+    (a, b) counts the walks a-t-b with t in N~_a and N~_b, i.e.
+    |N~_a cap N~_b|, and row a sums to sum over t in N~_a of (deg t + 1).
+    """
     _, nt_u = neighborhoods(g, u)
     _, nt_v = neighborhoods(g, v)
+    denom_u = sum(g.degree(t) + 1 for t in nt_u)
+    denom_v = sum(g.degree(t) + 1 for t in nt_v)
+    alpha = Fraction(max(len(nt_u & neighborhoods(g, q)[1]) for q in nt_v - {u}), denom_u)
+    beta = Fraction(max(len(nt_v & neighborhoods(g, p)[1]) for p in nt_u - {v}), denom_v)
 
-    alpha = max(Fraction(row_u[q], denom_u) for q in sorted(nt_v - {u}))
-    beta = max(Fraction(row_v[p], denom_v) for p in sorted(nt_u - {v}))
-
-    sets = bottleneck_sets(g, u, v)
-    s_size = len(sets.s_statement)
-    kappa = ricci_curvature(g, u, v)
     n = max(g.degree(u), g.degree(v))
     kappa_form = n * (kappa + 2) + 4
-
     alpha_structural = Fraction(s_size + 2, denom_u)
     beta_structural = Fraction(s_size + 2, denom_v)
     alpha_proof = kappa_form / (2 * denom_u)

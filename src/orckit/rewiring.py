@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import CurvatureProfile, bottleneck_sets, curvature_profile
-from .graphs import Graph, GraphInvalid, UNREACHABLE, from_edges, neighborhoods
+from .graphs import Graph, GraphInvalid, from_edges, neighborhoods
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
 
@@ -26,6 +26,13 @@ class NoActionPossible(Exception):
 
 @dataclass(frozen=True)
 class RewireConfig:
+    """Rewiring thresholds and per-step budgets.
+
+    preserve_connectivity is echoed in the trace but changes nothing: the
+    Graph type always enforces connectivity, so a removal that would
+    disconnect the graph is skipped either way.
+    """
+
     tau_neg: float = -0.5
     tau_pos: float = 0.99
     max_iterations: int = 10
@@ -112,23 +119,6 @@ def out_of_band_count(profile: CurvatureProfile, cfg: RewireConfig) -> int:
     return sum(1 for r in profile.reports if r.kappa < cfg.tau_neg or r.kappa > cfg.tau_pos)
 
 
-def _connected_without(g: Graph, drop: tuple[int, int]) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if (u, w) in (drop, drop[::-1]):
-                continue
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
-
-
 def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     """Best absent edge bridging the exclusive neighborhoods of (u, v).
 
@@ -167,7 +157,7 @@ def rewire_step(
 
     Raises NoActionPossible when no edge crosses either threshold. The
     returned graph may equal the input when every action was skipped
-    (connectivity guard, no absent support pair).
+    (a removal that would disconnect the graph, no absent support pair).
     """
     too_pos = [r for r in profile.reports if r.kappa > cfg.tau_pos]
     too_neg = [r for r in profile.reports if r.kappa < cfg.tau_neg]
@@ -186,14 +176,11 @@ def rewire_step(
     removed: list[tuple[int, int]] = []
     too_pos.sort(key=lambda r: (-r.kappa, r.edge))
     for r in too_pos[: cfg.removals_per_step]:
-        if cfg.preserve_connectivity and not _connected_without(work, r.edge):
-            continue
         kept = [e for e in work.edges if e != r.edge]
         try:
             work = from_edges(work.vertex_count, kept)
         except GraphInvalid:
-            # the graph type itself requires connectivity, so a
-            # disconnecting removal is skipped even with the guard off
+            # the graph type requires connectivity: skip a disconnecting removal
             continue
         removed.append(r.edge)
 

@@ -37,6 +37,7 @@ from orckit.mpnn import (
     influence_distribution,
     linear_jacobians,
     smoothing_demo,
+    walk_counts,
 )
 from orckit.rewiring import RewireConfig, rewire_loop
 from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
@@ -169,12 +170,16 @@ def test_criterion_07_bottleneck_bounds(corpus_entries, corpus_profiles):
     report("07", f"strong bound on {strong} edges; statement bound on {statement} eligible edges")
 
 
-def test_criterion_08_jacobian_ratios_and_blocks(corpus_entries):
+def test_criterion_08_jacobian_ratios_and_blocks(corpus_entries, walk_count_ratios):
     spec = identity_spec(1, 2, "sum")
     edges = 0
     for name, g in corpus_entries:
+        counts = walk_counts(g, 2)
         for u, v in g.edges:
-            assert alpha_beta(g, spec, u, v).bound_ok, f"{name} edge ({u},{v})"
+            ab = alpha_beta(g, spec, u, v)
+            assert ab.bound_ok, f"{name} edge ({u},{v})"
+            # the closed form agrees with rows of the dense (A+I)^2
+            assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v), f"{name} ({u},{v})"
             edges += 1
 
     pool = [

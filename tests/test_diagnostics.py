@@ -152,6 +152,21 @@ class TestJacobianRatio:
         alpha, _ = verify_jacobian_ratio(g, identity_spec(1, 2, "sum"), (0, 1))
         assert alpha.holds and alpha.slack > 0
 
+    def test_suite_matches_per_edge_checks(self, corpus_entries):
+        # run_suite feeds alpha/beta from its curvature reports; the public
+        # per-edge check recomputes them and must agree check for check
+        entries = list(corpus_entries)
+        entries += [(f"er{s}", generate("erdos_renyi", n=15, p=0.3, seed=s)) for s in range(3)]
+        report = run_suite(corpus=entries, trials=0, suite="jacobian_ratio")
+        spec = identity_spec(1, 2, "sum")
+        expected = [
+            check
+            for name, g in entries
+            for edge in g.edges
+            for check in verify_jacobian_ratio(g, spec, edge, 0, name)
+        ]
+        assert list(report.checks) == expected
+
 
 class TestDiameter:
     def test_triangle(self):

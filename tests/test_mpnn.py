@@ -372,11 +372,17 @@ class TestAlphaBeta:
         ab = alpha_beta(g, identity_spec(1, 2, "sum"), 0, 1)
         assert ab.alpha == ab.beta
 
-    def test_bounds_hold_on_denser_graphs(self):
-        for g in (generate("cocktail_party", m=3), generate("erdos_renyi", n=12, p=0.4, seed=9)):
-            spec = identity_spec(1, 2, "sum")
+    def test_bounds_hold_on_denser_graphs(self, walk_count_ratios):
+        graphs = [generate("cocktail_party", m=3), generate("erdos_renyi", n=12, p=0.4, seed=9)]
+        graphs += [generate("erdos_renyi", n=15, p=0.3, seed=s) for s in range(3)]
+        spec = identity_spec(1, 2, "sum")
+        for g in graphs:
+            counts = walk_counts(g, 2)
             for u, v in g.edges:
-                assert alpha_beta(g, spec, u, v).bound_ok
+                ab = alpha_beta(g, spec, u, v)
+                assert ab.bound_ok
+                # the closed form agrees with rows of the dense (A+I)^2
+                assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v)
 
     def test_structural_bound_uses_the_connecting_set(self):
         g = generate("path", n=3)
