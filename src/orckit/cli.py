@@ -80,7 +80,7 @@ def _cmd_generate(args) -> int:
 def _cmd_curvature(args) -> int:
     g = _read_graph(args.graph, args.format)
     threads = _resolve_threads(args.threads)
-    profile = curvature_profile(g, threads=threads)
+    profile = curvature_profile(g)
     print(f"threads used: {threads}", file=sys.stderr)
     obj = profile_to_json_obj(profile)
     if g.id_map is not None:
@@ -96,7 +96,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         suite=args.suite,
-        threads=threads,
         fail_fast=args.fail_fast,
     )
     print(f"threads used: {threads}", file=sys.stderr)

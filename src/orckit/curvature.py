@@ -104,13 +104,8 @@ def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
     )
 
 
-def curvature_profile(g: Graph, threads: int = 1) -> CurvatureProfile:
-    """One report per edge in canonical order.
-
-    threads is accepted for compatibility and does not change the work:
-    edges are computed one after another. The per-edge work holds the GIL,
-    so a thread pool measured no faster than a single thread.
-    """
+def curvature_profile(g: Graph) -> CurvatureProfile:
+    """One report per edge in canonical order."""
     return CurvatureProfile(reports=tuple(edge_report(g, u, v) for u, v in g.edges))
 
 

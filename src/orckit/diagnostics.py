@@ -10,7 +10,6 @@ in exact rational arithmetic. Feature gaps use the Euclidean norm.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +20,9 @@ import numpy as np
 from .curvature import (
     CurvatureProfile,
     EdgeCurvatureReport,
-    NotAnEdge,
     curvature_profile,
+    edge_report,
     frac_str,
-    ricci_curvature,
 )
 from .graphs import Graph, bfs_distances, corpus as default_corpus, neighborhoods
 from .mpnn import AlphaBeta, LayerSpec, MpnnSpec, Update, _alpha_beta, alpha_beta, forward
@@ -164,41 +162,47 @@ def verify_one_layer(
     x: np.ndarray,
     edge: tuple[int, int],
     graph_name: str = "graph",
-    kappa: Fraction | None = None,
 ) -> BoundCheck:
     """Check the positive-curvature one-layer gap bound on one edge.
 
     Runs the first layer of spec, measures the realized gap across the
     edge, and compares against (1 - kappa) * h(kappa) with L, M certified
     by the spec and C measured from the realized features over the two
-    endpoint neighborhoods. kappa may be supplied when already computed.
+    endpoint neighborhoods.
     """
     u, v = edge
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not an edge")
-    if kappa is None:
-        kappa = ricci_curvature(g, u, v)
+    kappa = edge_report(g, u, v).kappa
     if kappa <= 0:
         raise HypothesisNotMet(f"kappa({u},{v}) = {frac_str(kappa)} is not positive")
-    layer = spec.layers[0]
-    name = "one_layer_sum" if layer.aggregator == "sum" else "one_layer_mean"
-    trajectory = forward(g, np.asarray(x, dtype=float), MpnnSpec((layer,)))
-    gap = float(np.linalg.norm(trajectory[1][u] - trajectory[1][v]))
+    return _one_layer_checks(g, spec.layers[0], x, [(edge, kappa)], graph_name)[0]
 
-    nb_u, _ = neighborhoods(g, u)
-    nb_v, _ = neighborhoods(g, v)
-    x0 = trajectory[0]
-    big_c = max(float(np.linalg.norm(x0[p])) for p in sorted(nb_u | nb_v))
-    rhs = _one_layer_rhs(
-        layer.aggregator,
-        kappa,
-        max(g.degree(u), g.degree(v)),
-        layer.update.lipschitz(),
-        big_c,
-        layer.operator_bound(),
-    )
-    context = f"edge=({u},{v}) kappa={frac_str(kappa)}"
-    return _approx(name, graph_name, context, gap, rhs)
+
+def _one_layer_checks(
+    g: Graph,
+    layer: LayerSpec,
+    x: np.ndarray,
+    edges: Sequence[tuple[tuple[int, int], Fraction]],
+    graph_name: str,
+    prefix: str = "",
+) -> list[BoundCheck]:
+    """The one-layer gap check on each (edge, kappa) with kappa > 0, from
+    one pass of layer over x; every context starts with prefix."""
+    name = "one_layer_sum" if layer.aggregator == "sum" else "one_layer_mean"
+    x0, x1 = forward(g, x, MpnnSpec((layer,)))
+    big_l = layer.update.lipschitz()
+    big_m = layer.operator_bound()
+    checks = []
+    for (u, v), kappa in edges:
+        gap = float(np.linalg.norm(x1[u] - x1[v]))
+        nb_u, _ = neighborhoods(g, u)
+        nb_v, _ = neighborhoods(g, v)
+        big_c = max(float(np.linalg.norm(x0[p])) for p in sorted(nb_u | nb_v))
+        rhs = _one_layer_rhs(
+            layer.aggregator, kappa, max(g.degree(u), g.degree(v)), big_l, big_c, big_m
+        )
+        context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
+        checks.append(_approx(name, graph_name, context, gap, rhs))
+    return checks
 
 
 def verify_multilayer(
@@ -415,7 +419,6 @@ def run_suite(
     trials: int = 200,
     seed: int = 1,
     suite: str = "all",
-    threads: int = 1,
     fail_fast: bool = False,
 ) -> SuiteReport:
     """Evaluate every applicable bound over a corpus of named graphs.
@@ -424,9 +427,8 @@ def run_suite(
     diameter) run once per graph or edge. The one-layer bounds run
     `trials` seeded random draws per aggregator, cycling through the
     corpus; the multilayer bound runs one seeded draw per eligible graph.
-    Results are deterministic for a fixed (corpus, trials, seed) and do
-    not depend on threads; with fail_fast the report is truncated at the
-    first violation.
+    Results are deterministic for a fixed (corpus, trials, seed); with
+    fail_fast the report is truncated at the first violation.
     """
     if suite != "all" and suite not in CHECK_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -440,9 +442,9 @@ def run_suite(
             raise _Abort
 
     try:
-        profiles = [curvature_profile(g, threads=threads) for _, g in entries]
-        positive_edges: list[list[EdgeCurvatureReport]] = [
-            [r for r in profile.reports if r.kappa > 0] for profile in profiles
+        profiles = [curvature_profile(g) for _, g in entries]
+        positive_edges = [
+            [(r.edge, r.kappa) for r in profile.reports if r.kappa > 0] for profile in profiles
         ]
 
         for gi, (name, g) in enumerate(entries):
@@ -488,9 +490,10 @@ def run_suite(
                     if not positive_edges[gi]:
                         emit(_skip(name, graph_name, f"trial={t}", "no positively curved edge"))
                         continue
-                    for r in positive_edges[gi]:
-                        check = verify_one_layer(g, spec, x, r.edge, graph_name, kappa=r.kappa)
-                        emit(dataclasses.replace(check, context=f"trial={t} " + check.context))
+                    for check in _one_layer_checks(
+                        g, spec.layers[0], x, positive_edges[gi], graph_name, f"trial={t} "
+                    ):
+                        emit(check)
     except _Abort:
         pass
     return SuiteReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

@@ -63,9 +63,16 @@ class Graph:
 
 
 def _build(vertex_count: int, edge_pairs, id_map=None) -> Graph:
+    pairs = list(edge_pairs)
+    # a connected graph has at least n - 1 edges; checking that first keeps
+    # a huge declared n from allocating adjacency it can never fill
+    if vertex_count > len(pairs) + 1:
+        raise GraphInvalid(
+            f"graph is disconnected ({vertex_count} vertices but only {len(pairs)} edges)"
+        )
     seen = set()
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edge_pairs:
+    for u, v in pairs:
         if u == v:
             raise GraphInvalid(f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):

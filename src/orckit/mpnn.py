@@ -173,10 +173,14 @@ def _parse_update(obj: dict) -> Update:
     raise SpecError(f"unknown update kind {kind!r}")
 
 
+def _reject_constant(name: str):
+    raise SpecError(f"non-finite number {name} in spec JSON")
+
+
 def parse_spec(text: str) -> MpnnSpec:
     """Parse the layer-spec JSON: {"layers": [{"aggregator", "message", "update"}]}."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
@@ -208,10 +212,13 @@ def _check_features(g: Graph, x: np.ndarray) -> np.ndarray:
 
 
 def forward(g: Graph, x: np.ndarray, spec: MpnnSpec) -> list[np.ndarray]:
-    """Run every layer; returns [X^0, X^1, ..., X^K]."""
+    """Run every layer; returns [X^0, X^1, ..., X^K].
+
+    Raises ValueError when a layer's output is not finite (an overflow).
+    """
     x = _check_features(g, x)
     out = [x]
-    for layer in spec.layers:
+    for k, layer in enumerate(spec.layers, start=1):
         if layer.message.shape[1] != x.shape[1]:
             raise DimensionMismatch(
                 f"message matrix expects {layer.message.shape[1]} channels, "
@@ -225,6 +232,8 @@ def forward(g: Graph, x: np.ndarray, spec: MpnnSpec) -> list[np.ndarray]:
             s = block.sum(axis=0)
             agg[u] = s / (g.degree(u) + 1) if layer.aggregator == "mean" else s
         x = layer.update.apply(agg)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"layer {k} output is not finite")
         out.append(x)
     return out
 

@@ -172,7 +172,7 @@ def rewire_step(
         histogram_before=kappa_histogram(profile),
     )
 
-    work = from_edges(g.vertex_count, g.edges)
+    work = g
     removed: list[tuple[int, int]] = []
     too_pos.sort(key=lambda r: (-r.kappa, r.edge))
     for r in too_pos[: cfg.removals_per_step]:

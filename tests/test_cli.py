@@ -127,6 +127,13 @@ class TestCurvature:
         assert a[1] == b[1]
         assert "threads" in b[2]  # the note goes to stderr, not the report
 
+    def test_impossible_vertex_count(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 3000000, "edges": [[0, 1]]}')
+        code, out, err = run_cli("curvature", str(path))
+        assert code == 2
+        assert out == "" and "disconnected" in err
+
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
@@ -204,6 +211,18 @@ class TestSimulate:
         spec.write_text('{"layers": [{"aggregator": "mean", "message": [[1.0]]}]}')
         code, out, err = run_cli("simulate", str(graph), "--features", str(feats), "--spec", str(spec))
         assert code == 2 and err != ""
+
+    @pytest.mark.parametrize("message", ["[[NaN]]", "[[1e308]]"], ids=["nan_spec", "overflow"])
+    def test_non_finite_is_an_input_error(self, tmp_path, message):
+        graph = tmp_path / "p3.txt"
+        graph.write_text("0 1\n1 2\n")
+        feats = tmp_path / "x.csv"
+        feats.write_text("1\n2\n3\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"layers": [{"aggregator": "sum", "message": %s}]}' % message)
+        code, out, err = run_cli("simulate", str(graph), "--features", str(feats), "--spec", str(spec))
+        assert code == 2
+        assert out == "" and "error:" in err
 
     def test_demo_mode(self):
         code, out, _ = run_cli("simulate", "--demo-smoothing")

@@ -192,10 +192,6 @@ class TestCurvatureProfile:
         profile = curvature_profile(g)
         assert tuple(r.edge for r in profile.reports) == g.edges
 
-    def test_threads_do_not_change_results(self):
-        g = generate("erdos_renyi", n=15, p=0.3, seed=2)
-        assert curvature_profile(g, threads=3) == curvature_profile(g, threads=1)
-
     def test_summary(self):
         s = curvature_profile(generate("barbell", k=3)).summary()
         assert s["edge_count"] == 7

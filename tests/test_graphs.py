@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -97,6 +98,18 @@ class TestParseGraphJson:
     def test_edge_out_of_range(self):
         with pytest.raises(GraphInvalid):
             parse_graph_json('{"n": 2, "edges": [[0, 5]]}')
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        # n = 3,000,000 with one edge cannot be connected; adjacency for it
+        # would take hundreds of MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphInvalid, match="disconnected"):
+                parse_graph_json('{"n": 3000000, "edges": [[0, 1]]}')
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGenerators:

@@ -108,6 +108,8 @@ class TestParseSpec:
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "leaky", "slope": 2}}]}',
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear"}}]}',
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "composition", "parts": []}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[NaN]]}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[-Infinity]]}]}',
         ],
     )
     def test_rejects(self, text):
@@ -165,6 +167,12 @@ class TestForward:
         )
         with pytest.raises(DimensionMismatch):
             forward(g, np.zeros((3, 1)), spec)
+
+    def test_overflow_is_rejected(self):
+        g = generate("path", n=3)
+        spec = parse_spec('{"layers": [{"aggregator": "sum", "message": [[1e308]]}]}')
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            forward(g, np.array([[1.0], [2.0], [3.0]]), spec)
 
     def test_popular_layer_shapes_instantiate(self):
         # mean-normalized convolution, mean sampler, and a sum MLP stack
