@@ -2,17 +2,20 @@
 bottleneck inequalities.
 
 kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout. For
-adjacent pairs the support-to-support distances are computed with BFS capped
-at depth 3: any p in N_u reaches any q in N_v through p-u-v-q.
+adjacent pairs W1 comes from the local edge kernel
+(`transport.edge_wasserstein1`): every support distance is 0-3 and follows
+from adjacency, because any p in N_u reaches any q in N_v through p-u-v-q.
+Other pairs take the general BFS path (`transport.wasserstein1`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, bfs_distances, neighborhoods
-from .transport import local_measure, wasserstein1
+from .transport import edge_wasserstein1, local_measure, wasserstein1
 
 
 class SameVertex(Exception):
@@ -78,20 +81,17 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
     general definition with the distance in the denominator."""
     if u == v:
         raise SameVertex(f"curvature needs two distinct vertices, got {u} twice")
-    mu, mv = local_measure(g, u), local_measure(g, v)
     if g.has_edge(u, v):
-        w1 = wasserstein1(g, mu, mv, depth_limit=3).cost
-        return 1 - w1
+        return 1 - edge_wasserstein1(g, u, v)
     d = bfs_distances(g, u).dist[v]
-    w1 = wasserstein1(g, mu, mv).cost
+    w1 = wasserstein1(g, local_measure(g, u), local_measure(g, v)).cost
     return 1 - Fraction(w1, d)
 
 
 def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    mu, mv = local_measure(g, u), local_measure(g, v)
-    w1 = wasserstein1(g, mu, mv, depth_limit=3).cost
+    w1 = edge_wasserstein1(g, u, v)
     sets = bottleneck_sets(g, u, v)
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),
@@ -150,11 +150,10 @@ def bottleneck_sets(g: Graph, u: int, v: int) -> BottleneckSets:
 
     side_u = nt_u - {hv}
     side_v = nt_v - {hu}
-    s_statement = tuple(
-        e
-        for e in g.edges
-        if (e[0] in side_u and e[1] in side_v) or (e[1] in side_u and e[0] in side_v)
-    )
+    # every edge with one end in side_u and the other in side_v, in g.edges
+    # order; the tuples are g.edges' own, so reports hold no copies
+    found = {(a, b) if a < b else (b, a) for a in side_u for b in g.adjacency[a] if b in side_v}
+    s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
 
     n0 = len(n_u & n_v)
     excl_u = sorted(n_u - {hv} - n_v)

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(Exception):
@@ -46,6 +47,11 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     id_map: tuple[int, ...] | None = field(default=None, compare=False)
+
+    @cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """adjacency as sets, built once per graph for membership tests."""
+        return tuple(frozenset(a) for a in self.adjacency)
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -197,7 +203,7 @@ def bfs_distances(g: Graph, source: int, depth_limit: int | None = None) -> Dist
 
 def neighborhoods(g: Graph, u: int) -> tuple[frozenset[int], frozenset[int]]:
     """Return (N_u, N_u with u itself added)."""
-    n = frozenset(g.adjacency[u])
+    n = g.neighbor_sets[u]
     return n, n | {u}
 
 

@@ -1,10 +1,14 @@
 """Exact discrete Wasserstein-1 between local measures.
 
 Two independent solvers: the production path scales both measures to a
-common integer grid and runs successive shortest augmenting paths with
-Dijkstra potentials; the oracle solves the same integer transportation
-problem with the classical simplex (northwest-corner start + MODI pivots).
-Every number in either path is an int or a Fraction; no floats anywhere.
+common integer grid and runs a primal-dual min-cost flow (one Dijkstra per
+phase for potentials, then augmentations along zero-reduced-cost paths);
+the oracle solves the same integer transportation problem with the
+classical simplex (northwest-corner start + MODI pivots). Every number in
+either path is an int or a Fraction; no floats anywhere.
+
+Support distances come from BFS in the general `wasserstein1`. For an
+edge, `edge_wasserstein1` reads them from adjacency alone (each is 0-3).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, UNREACHABLE, bfs_distances
+from .graphs import Graph, bfs_distances
 
 
 class TooLarge(Exception):
@@ -59,21 +63,32 @@ def local_measure(g: Graph, u: int) -> LocalMeasure:
     return LocalMeasure(support=g.adjacency[u], mass=(w,) * deg)
 
 
-def _support_distances(
-    g: Graph, rows: tuple[int, ...], cols: tuple[int, ...], depth_limit: int | None
-) -> list[list[int]]:
+def _support_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[list[int]]:
+    """Hop distances between two arbitrary supports, one BFS per row vertex."""
     out = []
     for p in rows:
-        dist = bfs_distances(g, p, depth_limit).dist
-        row = []
-        for q in cols:
-            if dist[q] == UNREACHABLE:
-                raise ValueError(
-                    f"distance {p}->{q} exceeds depth limit {depth_limit}; "
-                    "supports are farther apart than the caller assumed"
-                )
-            row.append(dist[q])
-        out.append(row)
+        dist = bfs_distances(g, p).dist
+        out.append([dist[q] for q in cols])
+    return out
+
+
+def _edge_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[list[int]]:
+    """Hop distances between N_u and N_v for an edge (u, v), from adjacency alone.
+
+    Any p in N_u reaches any q in N_v along p-u-v-q, so d(p, q) <= 3, and the
+    shorter cases are local: 0 if p == q, 1 if p and q are adjacent, 2 if
+    they share a neighbour.
+    """
+    sets = g.neighbor_sets
+    out = []
+    for p in rows:
+        near = sets[p]
+        out.append(
+            [
+                0 if q == p else 1 if q in near else 3 if near.isdisjoint(sets[q]) else 2
+                for q in cols
+            ]
+        )
     return out
 
 
@@ -85,17 +100,17 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
     return T, supplies, demands
 
 
-def wasserstein1(
-    g: Graph, mu: LocalMeasure, mv: LocalMeasure, depth_limit: int | None = None
-) -> TransportPlan:
+def wasserstein1(g: Graph, mu: LocalMeasure, mv: LocalMeasure) -> TransportPlan:
     """Optimal transport between mu and mv with hop-count ground distance.
 
-    Returns one optimal plan; entries are reported for explainability but the
-    plan is just one optimizer among possibly many. Cost is contractual.
+    Works for any two measures; support distances come from BFS. Returns one
+    optimal plan; entries are reported for explainability but the plan is
+    just one optimizer among possibly many. Cost is contractual.
     """
-    cost_m = _support_distances(g, mu.support, mv.support, depth_limit)
+    cost_m = _support_distances(g, mu.support, mv.support)
     T, supplies, demands = _integer_problem(mu, mv)
-    flow = _min_cost_flow_ssp(supplies, demands, cost_m)
+    flow = _min_cost_flow(supplies, demands, cost_m)
+    _check_marginals(flow, supplies, demands)
 
     entries = []
     total = 0
@@ -105,111 +120,199 @@ def wasserstein1(
             if f:
                 entries.append((p, q, Fraction(f, T)))
                 total += f * cost_m[i][j]
-    plan = TransportPlan(entries=tuple(entries), cost=Fraction(total, T))
-    _check_marginals(mu, mv, plan)
-    return plan
+    return TransportPlan(entries=tuple(entries), cost=Fraction(total, T))
 
 
-def _check_marginals(mu: LocalMeasure, mv: LocalMeasure, plan: TransportPlan) -> None:
-    row: dict[int, Fraction] = {p: Fraction(0) for p in mu.support}
-    col: dict[int, Fraction] = {q: Fraction(0) for q in mv.support}
-    for p, q, m in plan.entries:
-        row[p] += m
-        col[q] += m
-    if row != mu.as_dict() or col != mv.as_dict():
+def edge_wasserstein1(g: Graph, u: int, v: int) -> Fraction:
+    """W1 between the uniform measures on N_u and N_v, for an edge (u, v).
+
+    Adjacency is what makes the support distances the closed-form 0-3 of
+    `_edge_distances`; the integer problem is built directly on the scale
+    T = lcm(deg u, deg v).
+    """
+    if v not in g.neighbor_sets[u]:
+        raise ValueError(f"({u},{v}) is not an edge; use wasserstein1")
+    rows, cols = g.adjacency[u], g.adjacency[v]
+    du, dv = len(rows), len(cols)
+    T = lcm(du, dv)
+    supplies = [T // du] * du
+    demands = [T // dv] * dv
+    cost_m = _edge_distances(g, rows, cols)
+    flow = _min_cost_flow(supplies, demands, cost_m)
+    _check_marginals(flow, supplies, demands)
+    total = sum(f * c for frow, crow in zip(flow, cost_m) for f, c in zip(frow, crow))
+    return Fraction(total, T)
+
+
+def _check_marginals(flow: list[list[int]], supplies: list[int], demands: list[int]) -> None:
+    rows = [sum(r) for r in flow]
+    cols = [sum(c) for c in zip(*flow)]
+    if rows != supplies or cols != demands or any(f < 0 for r in flow for f in r):
         raise RuntimeError("transport plan marginals do not match the measures")
 
 
 # ---------------------------------------------------------------------------
-# Production solver: successive shortest augmenting paths with potentials.
+# Production solver: primal-dual min-cost flow on the transportation network.
 # Node layout: 0..m-1 sources, m..m+n-1 sinks. All arcs integer.
 
 
-def _min_cost_flow_ssp(
+def _min_cost_flow(
     supplies: list[int], demands: list[int], cost: list[list[int]]
 ) -> list[list[int]]:
+    """Min-cost transportation flow for non-negative integer costs.
+
+    Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
+    arc j -> i carries flow[i][j] back at cost -c_ij. Potentials keep every
+    residual reduced cost c_ij + pot_i - pot_j non-negative. Each phase runs
+    one Dijkstra (`_raise_potentials`) and then augments along paths of
+    zero reduced cost until none is left: one-arc paths first, straight from
+    the phase's zero-reduced-cost cells, then the rest by search
+    (`_admissible_path`).
+
+    At most C + 1 phases run, C = max c_ij, so at most four for an edge's
+    0-3 distances:
+    - Sources with supply left are Dijkstra roots, so their potential stays
+      0; sinks with demand left all gain the same D per phase, so they share
+      one potential P. A zero-reduced-cost path from one to the other
+      therefore costs exactly P, and P is the cost of a cheapest augmenting
+      path.
+    - A phase ends only when no zero-reduced-cost path is left. Reduced
+      costs are non-negative integers, so the next phase has D >= 1: the
+      augmenting-path cost P rises by at least 1 per phase.
+    - P >= 0 in the first phase, and P <= C in every phase, because the
+      direct arc i -> j from any source with supply left to any sink with
+      demand left is uncapacitated and always in the residual network.
+    """
     m, n = len(supplies), len(demands)
+    left = sum(supplies)
+    if left != sum(demands):
+        raise RuntimeError("unbalanced transportation problem")
     flow = [[0] * n for _ in range(m)]
-    remaining_supply = list(supplies)
-    remaining_demand = list(demands)
-    # potentials keep reduced costs non-negative; costs are >= 0 initially
+    if left == 0:
+        return flow
+    supply = list(supplies)
+    demand = list(demands)
     pot = [0] * (m + n)
-    total_left = sum(supplies)
+    far = 1 + max(map(max, cost))
 
-    while total_left > 0:
-        # Dijkstra over the residual bipartite graph from all sources with
-        # remaining supply (implicit super-source at distance 0)
-        INF = None
-        dist: list[int | None] = [INF] * (m + n)
-        prev: list[int] = [-1] * (m + n)
-        pq: list[tuple[int, int]] = []
-        for i in range(m):
-            if remaining_supply[i] > 0:
-                dist[i] = 0
-                heapq.heappush(pq, (0, i))
-        while pq:
-            d, node = heapq.heappop(pq)
-            if dist[node] is not None and d > dist[node]:
+    for _ in range(far):  # the C + 1 phases argued above
+        _raise_potentials(supply, demand, cost, flow, pot, far)
+        # cells of zero reduced cost; fixed for the phase, as pot is
+        sink_pot = pot[m:]
+        tight = [
+            [j for j, c, pj in zip(range(n), cost[i], sink_pot) if pj - c == pot[i]]
+            for i in range(m)
+        ]
+        tight_cols: list[list[int]] = [[] for _ in range(n)]
+        for i, js in enumerate(tight):
+            for j in js:
+                tight_cols[j].append(i)
+        # one-arc paths need no search
+        for i, js in enumerate(tight):
+            for j in js:
+                if supply[i] == 0:
+                    break
+                if demand[j] > 0:
+                    amount = min(supply[i], demand[j])
+                    flow[i][j] += amount
+                    supply[i] -= amount
+                    demand[j] -= amount
+                    left -= amount
+        while left > 0:
+            cells = _admissible_path(supply, demand, flow, tight, tight_cols)
+            if cells is None:
+                break
+            start, sink = cells[-1][0], cells[0][1]
+            amount = min(supply[start], demand[sink], *(flow[i][j] for i, j in cells[1::2]))
+            for k, (i, j) in enumerate(cells):
+                flow[i][j] += amount if k % 2 == 0 else -amount
+            supply[start] -= amount
+            demand[sink] -= amount
+            left -= amount
+        if left == 0:
+            return flow
+    raise RuntimeError("min-cost flow ran past its phase bound")
+
+
+def _raise_potentials(supply, demand, cost, flow, pot, far) -> None:
+    """One Dijkstra over reduced costs from every source with supply left.
+
+    It stops at the first sink with demand left, at distance D, and raises
+    each potential by min(distance, D): vertices not settled by then are at
+    least D away. Arcs on shortest paths to that sink get reduced cost 0,
+    and no reduced cost turns negative. D <= max c_ij (see `_min_cost_flow`),
+    so `far` = max c_ij + 1 stands for "not reached".
+    """
+    m, n = len(supply), len(demand)
+    dist = [far] * (m + n)
+    done = [False] * (m + n)
+    pq = [(0, i) for i in range(m) if supply[i] > 0]  # sorted, hence a heap
+    for _, i in pq:
+        dist[i] = 0
+    sink_pot = pot[m:]
+    while pq:
+        d, node = heapq.heappop(pq)
+        if done[node]:
+            continue
+        done[node] = True
+        # a settled node is never relaxed again: reduced costs are >= 0
+        if node < m:
+            base = d + pot[node]
+            for k, c, pk in zip(range(m, m + n), cost[node], sink_pot):
+                nd = base + c - pk
+                if nd < dist[k]:
+                    dist[k] = nd
+                    heapq.heappush(pq, (nd, k))
+        elif demand[node - m] > 0:
+            for k in range(m + n):
+                pot[k] += dist[k] if done[k] else d
+            return
+        else:
+            j = node - m
+            base = d + pot[node]
+            for i in range(m):
+                if flow[i][j] > 0:
+                    nd = base - cost[i][j] - pot[i]
+                    if nd < dist[i]:
+                        dist[i] = nd
+                        heapq.heappush(pq, (nd, i))
+    raise RuntimeError("unbalanced transportation problem")
+
+
+def _admissible_path(supply, demand, flow, tight, tight_cols) -> list[tuple[int, int]] | None:
+    """Search over zero-reduced-cost residual arcs from every source with
+    supply left to a sink with demand left.
+
+    Returns the path's cells from that sink back to its source: even
+    positions are arcs i -> j (they gain flow), odd ones residual arcs
+    j -> i (they lose it). None when no such sink is reachable.
+    """
+    m, n = len(supply), len(demand)
+    via_sink = [-1] * n  # the source each reached sink was reached from
+    via_source: list[int | None] = [None] * m  # likewise; -1 marks a root
+    stack = [i for i in range(m) if supply[i] > 0]
+    for i in stack:
+        via_source[i] = -1
+    while stack:
+        i = stack.pop()
+        for j in tight[i]:
+            if via_sink[j] >= 0:
                 continue
-            if node < m:
-                i = node
-                for j in range(n):
-                    rc = cost[i][j] + pot[i] - pot[m + j]
-                    nd = d + rc
-                    if dist[m + j] is None or nd < dist[m + j]:
-                        dist[m + j] = nd
-                        prev[m + j] = i
-                        heapq.heappush(pq, (nd, m + j))
-            else:
-                j = node - m
-                for i in range(m):
-                    if flow[i][j] > 0:
-                        rc = -cost[i][j] + pot[m + j] - pot[i]
-                        nd = d + rc
-                        if dist[i] is None or nd < dist[i]:
-                            dist[i] = nd
-                            prev[i] = m + j
-                            heapq.heappush(pq, (nd, i))
-
-        # pick the reachable sink with remaining demand at minimum distance
-        best_j = -1
-        for j in range(n):
-            if remaining_demand[j] > 0 and dist[m + j] is not None:
-                if best_j < 0 or dist[m + j] < dist[m + best_j]:
-                    best_j = j
-        if best_j < 0:
-            raise RuntimeError("unbalanced transportation problem")
-        dist_t = dist[m + best_j]
-
-        # walk the path back, finding the bottleneck
-        path = []
-        node = m + best_j
-        while prev[node] != -1:
-            path.append((prev[node], node))
-            node = prev[node]
-        start = node
-        bottleneck = min(remaining_supply[start], remaining_demand[best_j])
-        for a, b in path:
-            if a < m:
-                pass  # forward arc, uncapacitated
-            else:
-                bottleneck = min(bottleneck, flow[b][a - m])
-        for a, b in path:
-            if a < m:
-                flow[a][b - m] += bottleneck
-            else:
-                flow[b][a - m] -= bottleneck
-        remaining_supply[start] -= bottleneck
-        remaining_demand[best_j] -= bottleneck
-        total_left -= bottleneck
-
-        # cap at the augmenting distance so reduced costs stay non-negative
-        # even for arcs into vertices this Dijkstra pass never reached
-        for node in range(m + n):
-            d = dist[node]
-            pot[node] += dist_t if d is None else min(d, dist_t)
-
-    return flow
+            via_sink[j] = i
+            if demand[j] > 0:
+                cells = []
+                while j >= 0:
+                    i = via_sink[j]
+                    cells.append((i, j))
+                    j = via_source[i]
+                    if j >= 0:
+                        cells.append((i, j))
+                return cells
+            for k in tight_cols[j]:
+                if via_source[k] is None and flow[k][j] > 0:
+                    via_source[k] = j
+                    stack.append(k)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +329,7 @@ def wasserstein1_oracle(
         raise TooLarge(
             f"support product {len(mu.support)}x{len(mv.support)} exceeds cap {cap}"
         )
-    cost_m = _support_distances(g, mu.support, mv.support, None)
+    cost_m = _support_distances(g, mu.support, mv.support)
     T, supplies, demands = _integer_problem(mu, mv)
     total = _transportation_simplex(supplies, demands, cost_m)
     return Fraction(total, T)

@@ -145,6 +145,31 @@ class TestBottleneckSets:
         with pytest.raises(NotAnEdge):
             bottleneck_sets(generate("path", n=4), 0, 3)
 
+    def test_statement_set_matches_edge_scan(self, corpus_entries):
+        graphs = [g for _, g in corpus_entries]
+        graphs += [generate("erdos_renyi", n=40, p=0.15, seed=s) for s in range(3)]
+        for g in graphs:
+            for u, v in g.edges:
+                expected = s_statement_by_edge_scan(g, u, v)
+                assert bottleneck_sets(g, u, v).s_statement == expected
+                assert bottleneck_sets(g, v, u).s_statement == expected
+
+
+def s_statement_by_edge_scan(g, u, v):
+    """Reference S_statement: every edge of g, in g.edges order, with one end
+    in the extended neighbourhood of the higher-degree endpoint (minus the
+    other endpoint) and the other end in that of the lower-degree one."""
+    hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
+    side_u = set(g.adjacency[hu]) | {hu}
+    side_u.discard(hv)
+    side_v = set(g.adjacency[hv]) | {hv}
+    side_v.discard(hu)
+    return tuple(
+        e
+        for e in g.edges
+        if (e[0] in side_u and e[1] in side_v) or (e[1] in side_u and e[0] in side_v)
+    )
+
 
 class TestBottleneckBound:
     def test_double_star(self):

@@ -1,12 +1,17 @@
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from orckit import transport
 from orckit.graphs import bfs_distances, generate
 from orckit.transport import (
     LocalMeasure,
     TooLarge,
+    _edge_distances,
+    _support_distances,
+    edge_wasserstein1,
     local_measure,
     wasserstein1,
     wasserstein1_oracle,
@@ -139,17 +144,88 @@ class TestWasserstein:
                 total += mass * bfs_distances(g, p).dist[q]
             assert total == plan.cost
 
-    def test_depth_limited_distances_change_nothing(self):
-        # supports of adjacent vertices are never more than 3 hops apart
-        for g in (
-            generate("barbell", k=4),
-            generate("cycle", n=10),
-            generate("erdos_renyi", n=15, p=0.25, seed=7),
-        ):
+    def test_closed_form_distances_match_bfs(self, corpus_entries):
+        # every support distance of an edge follows from adjacency alone
+        graphs = [g for _, g in corpus_entries]
+        graphs += [generate("erdos_renyi", n=60, p=0.1, seed=s) for s in range(3)]
+        for g in graphs:
             for u, v in g.edges:
-                mu, mv = local_measure(g, u), local_measure(g, v)
-                limited = wasserstein1(g, mu, mv, depth_limit=3)
-                assert limited.cost == wasserstein1(g, mu, mv).cost
+                rows, cols = g.adjacency[u], g.adjacency[v]
+                assert _edge_distances(g, rows, cols) == _support_distances(g, rows, cols)
+                assert _edge_distances(g, cols, rows) == _support_distances(g, cols, rows)
+
+    def test_edge_kernel_matches_bfs_path(self, corpus_entries):
+        for _, g in corpus_entries:
+            for u, v in g.edges:
+                bfs = wasserstein1(g, local_measure(g, u), local_measure(g, v)).cost
+                assert edge_wasserstein1(g, u, v) == bfs
+                assert edge_wasserstein1(g, v, u) == bfs
+
+    def test_edge_kernel_rejects_non_adjacent_pairs(self):
+        with pytest.raises(ValueError):
+            edge_wasserstein1(generate("path", n=4), 0, 2)
+
+    def test_edge_kernel_matches_oracle_on_er100(self):
+        g = generate("erdos_renyi", n=100, p=0.08, seed=4)
+        for u, v in random.Random(4).sample(g.edges, 40):
+            mu, mv = local_measure(g, u), local_measure(g, v)
+            assert edge_wasserstein1(g, u, v) == wasserstein1_oracle(g, mu, mv, cap=4096)
+
+
+def random_problem(rng, max_cost):
+    """A balanced integer transportation problem with m, n <= 7."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    total = rng.randint(max(m, n), 40)
+
+    def split(parts):
+        cuts = sorted(rng.sample(range(1, total), parts - 1))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+    cost = [[rng.randint(0, max_cost) for _ in range(n)] for _ in range(m)]
+    return split(m), split(n), cost
+
+
+class TestMinCostFlow:
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Counts the solver's Dijkstra phases."""
+        calls = [0]
+        original = transport._raise_potentials
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(transport, "_raise_potentials", counted)
+        return calls
+
+    def check(self, supplies, demands, cost, phases):
+        phases[0] = 0
+        flow = transport._min_cost_flow(supplies, demands, cost)
+        assert [sum(row) for row in flow] == supplies
+        assert [sum(col) for col in zip(*flow)] == demands
+        assert all(f >= 0 for row in flow for f in row)
+        total = sum(f * c for frow, crow in zip(flow, cost) for f, c in zip(frow, crow))
+        assert total == transport._transportation_simplex(supplies, demands, cost)
+        # the docstring's bound: at most max cost + 1 phases
+        assert phases[0] <= max(map(max, cost)) + 1
+
+    @pytest.mark.parametrize("max_cost", [3, 10])
+    def test_matches_simplex_on_random_problems(self, max_cost, phases):
+        rng = random.Random(max_cost)
+        for _ in range(300):
+            self.check(*random_problem(rng, max_cost), phases)
+
+    def test_degenerate_problems(self, phases):
+        self.check([5], [5], [[3]], phases)
+        self.check([1], [1], [[0]], phases)
+        self.check([2, 3, 1], [4, 2], [[0, 0], [0, 0], [0, 0]], phases)
+        self.check([3, 3], [2, 2, 2], [[0] * 3] * 2, phases)
+        self.check([1, 1, 1], [1, 1, 1], [[3, 3, 3]] * 3, phases)
+
+    def test_unbalanced_problem_is_rejected(self):
+        with pytest.raises(RuntimeError):
+            transport._min_cost_flow([2, 1], [2], [[1], [1]])
 
 
 class TestOracle:
