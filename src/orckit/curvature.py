@@ -83,7 +83,7 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
         raise SameVertex(f"curvature needs two distinct vertices, got {u} twice")
     if g.has_edge(u, v):
         return 1 - edge_wasserstein1(g, u, v)
-    d = bfs_distances(g, u).dist[v]
+    d = bfs_distances(g, u)[v]
     w1 = wasserstein1(g, local_measure(g, u), local_measure(g, v)).cost
     return 1 - Fraction(w1, d)
 
@@ -107,16 +107,6 @@ def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
 def curvature_profile(g: Graph) -> CurvatureProfile:
     """One report per edge in canonical order."""
     return CurvatureProfile(reports=tuple(edge_report(g, u, v) for u, v in g.edges))
-
-
-def shared_neighbor_bound(report: EdgeCurvatureReport) -> tuple[bool, Fraction]:
-    """Common-neighbor lower bound: |N_u cap N_v| / max(deg) >= kappa.
-
-    Returns (holds, slack) with slack = lhs - kappa, both exact.
-    """
-    lhs = Fraction(report.common_neighbors, max(report.deg_u, report.deg_v))
-    slack = lhs - report.kappa
-    return slack >= 0, slack
 
 
 def _max_bipartite_matching(left: list[int], adj: dict[int, list[int]]) -> int:
@@ -169,39 +159,6 @@ def bottleneck_sets(g: Graph, u: int, v: int) -> BottleneckSets:
     hypothesis = all(c <= limit for c in participation.values())
     return BottleneckSets(
         s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis
-    )
-
-
-@dataclass(frozen=True)
-class BottleneckBounds:
-    """statement_holds is None when the per-vertex hypothesis fails (the
-    statement inequality is then not claimed, so it is skipped, not passed)."""
-
-    statement_holds: bool | None
-    statement_lhs: int
-    statement_rhs: Fraction
-    strong_holds: bool
-    strong_lhs: int
-    strong_rhs: Fraction
-
-
-def bottleneck_bound(g: Graph, u: int, v: int, kappa: Fraction) -> BottleneckBounds:
-    sets = bottleneck_sets(g, u, v)
-    n = max(g.degree(u), g.degree(v))
-    statement_lhs = len(sets.s_statement)
-    statement_rhs = n * (kappa + 2) / 2
-    strong_lhs = 3 * sets.n0 + 2 * sets.n1
-    strong_rhs = n * (kappa + 2)
-    statement_holds = None
-    if sets.hypothesis_holds:
-        statement_holds = statement_lhs <= statement_rhs
-    return BottleneckBounds(
-        statement_holds=statement_holds,
-        statement_lhs=statement_lhs,
-        statement_rhs=statement_rhs,
-        strong_holds=strong_lhs <= strong_rhs,
-        strong_lhs=strong_lhs,
-        strong_rhs=strong_rhs,
     )
 
 

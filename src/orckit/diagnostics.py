@@ -1,11 +1,12 @@
 """Machine checks for the smoothing and squashing bounds.
 
-Every inequality the library claims gets re-evaluated here on concrete
-graphs and features. Checks whose hypotheses fail on an input are recorded
-as skipped with a reason, never as passes. Inequalities that mix exact
-curvature with floating-point feature norms carry an additive 1e-9
-tolerance on the bound side; purely structural inequalities are checked
-in exact rational arithmetic. Feature gaps use the Euclidean norm.
+This module is the one place that states each inequality the library
+claims; every check re-evaluates one on concrete graphs and features.
+Checks whose hypotheses fail on an input are recorded as skipped with a
+reason, never as passes. Inequalities that mix exact curvature with
+floating-point feature norms carry an additive 1e-9 tolerance on the bound
+side; purely structural inequalities are checked in exact rational
+arithmetic. Feature gaps use the Euclidean norm.
 """
 
 from __future__ import annotations
@@ -142,18 +143,15 @@ def smoothing_metrics(g: Graph, trajectory: Sequence[np.ndarray]) -> SmoothingRe
 
 
 def _one_layer_rhs(aggregator: str, kappa: Fraction, n: int, L: float, C: float, M: float) -> float:
-    """(1 - kappa) * h(kappa) with the aggregator's explicit h."""
+    """(1 - kappa) * h(kappa) with the aggregator's explicit h:
+    h = 2 L C M n for sum, h = L C M ((n + 1)/(kappa n) + 2n/(n kappa + 1))
+    for mean, which falls to 0 as kappa -> 1."""
     kf = float(kappa)
     if aggregator == "sum":
         h = 2.0 * L * C * M * n
     else:
         h = L * C * M * ((n + 1) / (kf * n) + 2.0 * n / (n * kf + 1.0))
     return (1.0 - kf) * h
-
-
-def mean_case_rhs(x: float, n: int, L: float = 1.0, C: float = 1.0, M: float = 1.0) -> float:
-    """(1 - x) * h(x) for the mean aggregator; decreasing to 0 as x -> 1."""
-    return (1.0 - x) * L * C * M * ((n + 1) / (x * n) + 2.0 * n / (n * x + 1.0))
 
 
 def verify_one_layer(
@@ -205,6 +203,17 @@ def _one_layer_checks(
     return checks
 
 
+def _positive_delta(g: Graph, profile: CurvatureProfile | None) -> Fraction:
+    """delta = the minimum edge curvature, the hypothesis delta > 0 of the
+    multilayer and diameter bounds; raises HypothesisNotMet otherwise."""
+    if profile is None:
+        profile = curvature_profile(g)
+    delta = min(r.kappa for r in profile.reports)
+    if delta <= 0:
+        raise HypothesisNotMet(f"minimum curvature {frac_str(delta)} is not positive")
+    return delta
+
+
 def verify_multilayer(
     g: Graph,
     spec: MpnnSpec,
@@ -226,11 +235,7 @@ def verify_multilayer(
     if len(degrees) != 1:
         raise HypothesisNotMet(f"graph is not regular (degrees {sorted(degrees)})")
     n = degrees.pop()
-    if profile is None:
-        profile = curvature_profile(g)
-    delta = min(r.kappa for r in profile.reports)
-    if delta <= 0:
-        raise HypothesisNotMet(f"minimum curvature {frac_str(delta)} is not positive")
+    delta = _positive_delta(g, profile)
     if any(layer.aggregator != "mean" for layer in spec.layers):
         raise HypothesisNotMet("every layer must use the mean aggregator")
 
@@ -289,51 +294,41 @@ def verify_diameter(
     g: Graph, graph_name: str = "graph", profile: CurvatureProfile | None = None
 ) -> BoundCheck:
     """diameter <= floor(2 / delta) whenever delta = min edge curvature > 0."""
-    if profile is None:
-        profile = curvature_profile(g)
-    delta = min(r.kappa for r in profile.reports)
-    if delta <= 0:
-        raise HypothesisNotMet(f"minimum curvature {frac_str(delta)} is not positive")
+    delta = _positive_delta(g, profile)
     diameter = 0
     for s in range(g.vertex_count):
-        diameter = max(diameter, max(bfs_distances(g, s).dist))
+        diameter = max(diameter, max(bfs_distances(g, s)))
     bound = math.floor(Fraction(2) / delta)
     context = f"delta={frac_str(delta)}"
     return _exact("diameter", graph_name, context, Fraction(diameter), Fraction(bound))
 
 
-def _shared_neighbor_check(graph_name: str, r: EdgeCurvatureReport) -> BoundCheck:
+def verify_shared_neighbor(r: EdgeCurvatureReport, graph_name: str = "graph") -> BoundCheck:
+    """Shared-neighbour bound: kappa(u,v) <= |N_u cap N_v| / max(deg u, deg v)."""
     rhs = Fraction(r.common_neighbors, max(r.deg_u, r.deg_v))
     context = f"edge=({r.edge[0]},{r.edge[1]})"
     return _exact("shared_neighbor", graph_name, context, r.kappa, rhs)
 
 
-def _bottleneck_checks(graph_name: str, r: EdgeCurvatureReport) -> list[BoundCheck]:
+def verify_bottleneck(
+    r: EdgeCurvatureReport, graph_name: str = "graph"
+) -> tuple[BoundCheck, BoundCheck]:
+    """The (statement, strong) bottleneck bounds, n = max(deg u, deg v):
+
+    statement: |S_statement| <= n (kappa + 2) / 2, claimed only when the
+    per-vertex participation hypothesis holds (skipped otherwise);
+    strong: 3 n0 + 2 n1 <= n (kappa + 2), with n0 mutual neighbours and n1
+    vertex-disjoint connecting edges.
+    """
     n = max(r.deg_u, r.deg_v)
     context = f"edge=({r.edge[0]},{r.edge[1]})"
-    strong = _exact(
-        "bottleneck_strong",
-        graph_name,
-        context,
-        Fraction(3 * r.sets.n0 + 2 * r.sets.n1),
-        n * (r.kappa + 2),
-    )
-    if r.sets.hypothesis_holds:
-        statement = _exact(
-            "bottleneck_statement",
-            graph_name,
-            context,
-            Fraction(len(r.sets.s_statement)),
-            n * (r.kappa + 2) / 2,
-        )
-    else:
-        statement = _skip(
-            "bottleneck_statement",
-            graph_name,
-            context,
-            "per-vertex participation hypothesis fails",
-        )
-    return [statement, strong]
+    strong_lhs = 3 * r.sets.n0 + 2 * r.sets.n1
+    strong = _exact("bottleneck_strong", graph_name, context, strong_lhs, n * (r.kappa + 2))
+    if not r.sets.hypothesis_holds:
+        reason = "per-vertex participation hypothesis fails"
+        return _skip("bottleneck_statement", graph_name, context, reason), strong
+    s_size, rhs = len(r.sets.s_statement), n * (r.kappa + 2) / 2
+    return _exact("bottleneck_statement", graph_name, context, s_size, rhs), strong
 
 
 # updates drawn for one-layer trials; all certified 1-Lipschitz
@@ -451,9 +446,9 @@ def run_suite(
             profile = profiles[gi]
             for r in profile.reports:
                 if "shared_neighbor" in want:
-                    emit(_shared_neighbor_check(name, r))
+                    emit(verify_shared_neighbor(r, name))
                 if {"bottleneck_statement", "bottleneck_strong"} & want:
-                    for check in _bottleneck_checks(name, r):
+                    for check in verify_bottleneck(r, name):
                         if check.name in want:
                             emit(check)
                 if "jacobian_ratio" in want:

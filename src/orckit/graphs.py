@@ -104,7 +104,7 @@ def _check_connected(g: Graph) -> None:
         raise GraphInvalid("empty graph")
     if g.vertex_count == 1:
         return
-    dist = bfs_distances(g, 0).dist
+    dist = bfs_distances(g, 0)
     bad = [v for v in range(g.vertex_count) if dist[v] == UNREACHABLE]
     if bad:
         raise GraphInvalid(f"graph is disconnected ({len(bad)} vertices unreachable from 0)")
@@ -174,22 +174,15 @@ def parse_graph_json(text: str) -> Graph:
     return _build(n, pairs)
 
 
-@dataclass(frozen=True)
-class DistanceOracle:
-    """Hop distances from one source vertex; UNREACHABLE marks cut-off vertices."""
-
-    source: int
-    dist: tuple[int, ...]
-
-
-def bfs_distances(g: Graph, source: int, depth_limit: int | None = None) -> DistanceOracle:
+def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
+    """Hop distances from source to every vertex; UNREACHABLE marks the rest."""
     if not (0 <= source < g.vertex_count):
         raise ValueError(f"source {source} out of range")
     dist = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
     frontier = [source]
     d = 0
-    while frontier and (depth_limit is None or d < depth_limit):
+    while frontier:
         d += 1
         nxt = []
         for u in frontier:
@@ -198,7 +191,7 @@ def bfs_distances(g: Graph, source: int, depth_limit: int | None = None) -> Dist
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    return DistanceOracle(source=source, dist=tuple(dist))
+    return tuple(dist)
 
 
 def neighborhoods(g: Graph, u: int) -> tuple[frozenset[int], frozenset[int]]:

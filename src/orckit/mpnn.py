@@ -10,6 +10,7 @@ deg(u)+1. Features are float64; walk counts and ratio arithmetic are exact
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,12 +133,6 @@ class LayerSpec:
 class MpnnSpec:
     layers: tuple[LayerSpec, ...]
 
-    def is_linear(self) -> bool:
-        return all(
-            layer.update.linear_matrix(layer.message.shape[0]) is not None
-            for layer in self.layers
-        )
-
 
 def identity_spec(channels: int, layers: int, aggregator: str) -> MpnnSpec:
     """Pure message passing: identity psi and phi at every layer."""
@@ -239,10 +234,9 @@ def forward(g: Graph, x: np.ndarray, spec: MpnnSpec) -> list[np.ndarray]:
 
 
 def dirichlet_energy(g: Graph, x: np.ndarray) -> float:
-    """Sum over edges of the Euclidean gap |X_u - X_v|."""
-    return float(
-        sum(np.linalg.norm(x[u] - x[v]) for u, v in g.edges)
-    )
+    """Sum over edges of the Euclidean gap |X_u - X_v|, summed exactly as
+    `diagnostics.smoothing_metrics` sums it."""
+    return math.fsum(np.linalg.norm(x[u] - x[v]) for u, v in g.edges)
 
 
 def smoothing_demo(
@@ -323,20 +317,33 @@ def _require_linear_sum(spec: MpnnSpec, depth: int) -> list[np.ndarray]:
     return mats
 
 
-def linear_jacobians(g: Graph, spec: MpnnSpec, depth: int) -> JacobianStack:
-    """For a linear sum-aggregation spec the Jacobian of X^depth w.r.t. X^0
-    factors exactly: block(u, w) = walk_counts[u][w] * (M_{depth-1} ... M_0)
-    with M_k = J_phi_k @ J_psi_k."""
+def _layer_product(spec: MpnnSpec, depth: int) -> np.ndarray:
+    """M_{depth-1} ... M_0 with M_k = J_phi_k @ J_psi_k for a linear sum spec."""
     mats = _require_linear_sum(spec, depth)
     product = np.eye(spec.layers[0].message.shape[1] if spec.layers else 1)
     for m in mats:
         product = m @ product
-    counts = walk_counts(g, depth)
-    return JacobianStack(
-        depth=depth,
-        walk_counts=tuple(tuple(row) for row in counts),
-        layer_product=product,
-    )
+    return product
+
+
+def linear_jacobians(g: Graph, spec: MpnnSpec, depth: int) -> JacobianStack:
+    """For a linear sum-aggregation spec the Jacobian of X^depth w.r.t. X^0
+    factors exactly: block(u, w) = walk_counts[u][w] * (M_{depth-1} ... M_0)
+    with M_k = J_phi_k @ J_psi_k."""
+    product = _layer_product(spec, depth)
+    counts = tuple(tuple(row) for row in walk_counts(g, depth))
+    return JacobianStack(depth=depth, walk_counts=counts, layer_product=product)
+
+
+def _walk_row(g: Graph, depth: int, u: int) -> list[int]:
+    """Row u of walk_counts(g, depth) without the dense matrix: A+I is
+    symmetric, so the row is (A+I)^depth e_u, and each of the depth steps
+    adds to every vertex its neighbours' entries."""
+    row = [0] * g.vertex_count
+    row[u] = 1
+    for _ in range(depth):
+        row = [row[a] + sum(row[b] for b in g.adjacency[a]) for a in range(g.vertex_count)]
+    return row
 
 
 def influence_distribution(
@@ -345,14 +352,11 @@ def influence_distribution(
     """I_u(v) = entrywise sum of the (u,v) Jacobian block over the total across
     all source vertices. For the factored linear case the per-block matrix sum
     cancels, leaving exact walk-count ratios."""
-    stack = linear_jacobians(g, spec, depth)
-    t = float(stack.layer_product.sum())
-    if t == 0.0:
+    if float(_layer_product(spec, depth).sum()) == 0.0:
         raise DegenerateNormalizer("layer product entries sum to zero")
-    row = stack.walk_counts[u]
+    row = _walk_row(g, depth, u)
+    # (A+I)^depth has a positive diagonal, so total >= 1
     total = sum(row)
-    if total == 0:
-        raise DegenerateNormalizer("all walk counts are zero")
     return [Fraction(c, total) for c in row]
 
 
@@ -362,9 +366,8 @@ class AlphaBeta:
 
     alpha pairs vertex u with senders q near v; beta symmetrically. The
     *_proof_rhs bounds use the denominator over N~ of the receiving vertex
-    (the pairing the derivation actually supports); the *_statement_rhs
-    values swap in the other endpoint's denominator and are reported without
-    being asserted.
+    (the pairing the derivation actually supports); the paper's statement
+    pairing, with the other endpoint's denominator, is not asserted.
     """
 
     alpha: Fraction
@@ -373,8 +376,6 @@ class AlphaBeta:
     beta_structural_rhs: Fraction
     alpha_proof_rhs: Fraction
     beta_proof_rhs: Fraction
-    alpha_statement_rhs: Fraction
-    beta_statement_rhs: Fraction
     bound_ok: bool
 
 
@@ -409,8 +410,6 @@ def _alpha_beta(g: Graph, u: int, v: int, kappa: Fraction, s_size: int) -> Alpha
     beta_structural = Fraction(s_size + 2, denom_v)
     alpha_proof = kappa_form / (2 * denom_u)
     beta_proof = kappa_form / (2 * denom_v)
-    alpha_statement = kappa_form / (2 * denom_v)
-    beta_statement = kappa_form / (2 * denom_u)
 
     return AlphaBeta(
         alpha=alpha,
@@ -419,8 +418,6 @@ def _alpha_beta(g: Graph, u: int, v: int, kappa: Fraction, s_size: int) -> Alpha
         beta_structural_rhs=beta_structural,
         alpha_proof_rhs=alpha_proof,
         beta_proof_rhs=beta_proof,
-        alpha_statement_rhs=alpha_statement,
-        beta_statement_rhs=beta_statement,
         bound_ok=(
             alpha <= alpha_structural
             and beta <= beta_structural

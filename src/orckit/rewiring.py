@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curvature import CurvatureProfile, bottleneck_sets, curvature_profile
 from .graphs import Graph, GraphInvalid, from_edges, neighborhoods

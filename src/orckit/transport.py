@@ -67,7 +67,7 @@ def _support_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -
     """Hop distances between two arbitrary supports, one BFS per row vertex."""
     out = []
     for p in rows:
-        dist = bfs_distances(g, p).dist
+        dist = bfs_distances(g, p)
         out.append([dist[q] for q in cols])
     return out
 

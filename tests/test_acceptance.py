@@ -19,11 +19,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orckit.curvature import (
-    bottleneck_bound,
-    shared_neighbor_bound,
+from orckit.diagnostics import (
+    TOLERANCE,
+    run_suite,
+    verify_bottleneck,
+    verify_diameter,
+    verify_multilayer,
+    verify_shared_neighbor,
 )
-from orckit.diagnostics import TOLERANCE, run_suite, verify_diameter, verify_multilayer
 from orckit.graphs import generate
 from orckit.mpnn import (
     LayerSpec,
@@ -31,7 +34,6 @@ from orckit.mpnn import (
     Update,
     alpha_beta,
     demo_instance,
-    dirichlet_energy,
     forward,
     identity_spec,
     influence_distribution,
@@ -98,11 +100,11 @@ def test_criterion_04_shared_neighbor_bound(corpus_profiles):
     edges = 0
     for name, profile in corpus_profiles.items():
         for r in profile.reports:
-            holds, slack = shared_neighbor_bound(r)
-            assert holds and slack >= 0, f"{name} edge {r.edge}"
+            check = verify_shared_neighbor(r, name)
+            assert check.holds and check.slack >= 0, f"{name} edge {r.edge}"
             edges += 1
     for tight in ("complete_3", "cycle_4"):
-        slacks = [shared_neighbor_bound(r)[1] for r in corpus_profiles[tight].reports]
+        slacks = [verify_shared_neighbor(r).slack for r in corpus_profiles[tight].reports]
         assert all(s == 0 for s in slacks), tight
     report("04", f"zero violations on {edges} edges; tight on complete_3 and cycle_4")
 
@@ -155,16 +157,16 @@ def test_criterion_06_multilayer_gap_bound():
     report("06", f"{checks} layer-gap checks over K4..K8 and cocktail parties, 0 violations")
 
 
-def test_criterion_07_bottleneck_bounds(corpus_entries, corpus_profiles):
+def test_criterion_07_bottleneck_bounds(corpus_profiles):
     strong = 0
     statement = 0
-    for name, g in corpus_entries:
-        for r in corpus_profiles[name].reports:
-            b = bottleneck_bound(g, *r.edge, r.kappa)
-            assert b.strong_holds, f"{name} edge {r.edge}"
+    for name, profile in corpus_profiles.items():
+        for r in profile.reports:
+            statement_check, strong_check = verify_bottleneck(r, name)
+            assert strong_check.holds, f"{name} edge {r.edge}"
             strong += 1
-            if b.statement_holds is not None:
-                assert b.statement_holds, f"{name} edge {r.edge}"
+            if not statement_check.skipped:
+                assert statement_check.holds, f"{name} edge {r.edge}"
                 statement += 1
     assert statement > 0
     report("07", f"strong bound on {strong} edges; statement bound on {statement} eligible edges")

@@ -7,16 +7,14 @@ import pytest
 from orckit.curvature import (
     NotAnEdge,
     SameVertex,
-    bottleneck_bound,
     bottleneck_sets,
     curvature_profile,
     edge_report,
     frac_str,
     profile_to_json_obj,
     ricci_curvature,
-    shared_neighbor_bound,
 )
-from orckit.graphs import corpus, enumerate_connected_five_vertex, generate
+from orckit.graphs import enumerate_connected_five_vertex, generate
 from pathlib import Path
 
 F = Fraction
@@ -102,21 +100,6 @@ class TestEdgeReport:
             edge_report(generate("path", n=3), 0, 2)
 
 
-class TestSharedNeighborBound:
-    def test_tight_on_triangle(self):
-        holds, slack = shared_neighbor_bound(edge_report(generate("complete", n=3), 0, 1))
-        assert holds and slack == 0
-
-    def test_tight_on_four_cycle(self):
-        holds, slack = shared_neighbor_bound(edge_report(generate("cycle", n=4), 0, 1))
-        assert holds and slack == 0
-
-    def test_slack_on_double_star(self):
-        g = generate("double_star", a=3, b=3)
-        holds, slack = shared_neighbor_bound(edge_report(g, 0, 1))
-        assert holds and slack == F(2, 3)
-
-
 class TestBottleneckSets:
     def test_double_star_centers(self):
         s = bottleneck_sets(generate("double_star", a=3, b=3), 0, 1)
@@ -169,28 +152,6 @@ def s_statement_by_edge_scan(g, u, v):
         for e in g.edges
         if (e[0] in side_u and e[1] in side_v) or (e[1] in side_u and e[0] in side_v)
     )
-
-
-class TestBottleneckBound:
-    def test_double_star(self):
-        g = generate("double_star", a=3, b=3)
-        b = bottleneck_bound(g, 0, 1, F(-2, 3))
-        assert b.statement_holds is True
-        assert (b.statement_lhs, b.statement_rhs) == (1, F(2))
-        assert b.strong_holds
-        assert (b.strong_lhs, b.strong_rhs) == (0, F(4))
-
-    def test_triangle_statement_is_skipped(self):
-        b = bottleneck_bound(generate("complete", n=3), 0, 1, F(1, 2))
-        assert b.statement_holds is None
-        assert b.strong_holds
-        assert (b.strong_lhs, b.strong_rhs) == (3, F(5))
-
-    def test_four_cycle_statement_is_tight(self):
-        b = bottleneck_bound(generate("cycle", n=4), 0, 1, F(0))
-        assert b.statement_holds is True
-        assert b.statement_lhs == b.statement_rhs == 2
-        assert (b.strong_lhs, b.strong_rhs) == (2, F(4))
 
 
 class TestCurvatureProfile:

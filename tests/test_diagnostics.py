@@ -4,19 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orckit.curvature import NotAnEdge
+from orckit.curvature import NotAnEdge, edge_report
 from orckit.diagnostics import (
     CHECK_NAMES,
     HypothesisNotMet,
     _draw_one_layer,
+    _one_layer_rhs,
     _skip,
-    mean_case_rhs,
     run_suite,
     smoothing_metrics,
+    verify_bottleneck,
     verify_diameter,
     verify_jacobian_ratio,
     verify_multilayer,
     verify_one_layer,
+    verify_shared_neighbor,
 )
 from orckit.graphs import generate
 from orckit.mpnn import LayerSpec, MpnnSpec, Update, forward, identity_spec
@@ -210,10 +212,55 @@ class TestDiameter:
 
 
 def test_mean_case_rhs_decreases_toward_one():
+    def rhs(kappa, n):
+        return _one_layer_rhs("mean", kappa, n, 1.0, 1.0, 1.0)
+
     for n in (2, 3, 5):
-        grid = [mean_case_rhs(x, n) for x in (0.9, 0.99, 0.999)]
+        grid = [rhs(F(x, 1000), n) for x in (900, 990, 999)]
         assert grid[0] > grid[1] > grid[2] > 0
-    assert mean_case_rhs(0.999999, 3) < 1e-4
+    assert rhs(F(999999, 1000000), 3) < 1e-4
+
+
+class TestSharedNeighborBound:
+    def test_tight_on_triangle(self):
+        check = verify_shared_neighbor(edge_report(generate("complete", n=3), 0, 1))
+        assert check.holds and check.slack == 0
+
+    def test_tight_on_four_cycle(self):
+        check = verify_shared_neighbor(edge_report(generate("cycle", n=4), 0, 1))
+        assert check.holds and check.slack == 0
+
+    def test_slack_on_double_star(self):
+        g = generate("double_star", a=3, b=3)
+        check = verify_shared_neighbor(edge_report(g, 0, 1))
+        assert check.holds and check.slack == F(2, 3)
+
+
+class TestBottleneckBound:
+    def test_double_star(self):
+        r = edge_report(generate("double_star", a=3, b=3), 0, 1)
+        assert r.kappa == F(-2, 3)
+        statement, strong = verify_bottleneck(r)
+        assert statement.holds is True
+        assert (statement.lhs, statement.rhs) == (1, F(2))
+        assert strong.holds
+        assert (strong.lhs, strong.rhs) == (0, F(4))
+
+    def test_triangle_statement_is_skipped(self):
+        r = edge_report(generate("complete", n=3), 0, 1)
+        assert r.kappa == F(1, 2)
+        statement, strong = verify_bottleneck(r)
+        assert statement.skipped
+        assert strong.holds
+        assert (strong.lhs, strong.rhs) == (3, F(5))
+
+    def test_four_cycle_statement_is_tight(self):
+        r = edge_report(generate("cycle", n=4), 0, 1)
+        assert r.kappa == 0
+        statement, strong = verify_bottleneck(r)
+        assert statement.holds is True
+        assert statement.lhs == statement.rhs == 2
+        assert (strong.lhs, strong.rhs) == (2, F(4))
 
 
 class TestBoundCheckShape:

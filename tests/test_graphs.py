@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from orckit.graphs import (
-    UNREACHABLE,
     GraphInvalid,
     ParseError,
     Unsatisfiable,
@@ -212,12 +211,7 @@ def test_corpus_is_stable_across_calls():
 class TestBfs:
     def test_barbell_distances(self):
         g = generate("barbell", k=3)
-        assert bfs_distances(g, 0).dist == (0, 1, 1, 2, 3, 3)
-
-    def test_depth_limit_cuts_off(self):
-        g = generate("barbell", k=3)
-        d = bfs_distances(g, 0, depth_limit=1).dist
-        assert d == (0, 1, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE)
+        assert bfs_distances(g, 0) == (0, 1, 1, 2, 3, 3)
 
     def test_source_out_of_range(self):
         g = generate("path", n=3)

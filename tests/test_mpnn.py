@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orckit.curvature import bottleneck_sets
+from orckit.diagnostics import smoothing_metrics
 from orckit.graphs import generate
 from orckit.mpnn import (
     DegenerateNormalizer,
@@ -15,6 +16,7 @@ from orckit.mpnn import (
     NotLinear,
     SpecError,
     Update,
+    _walk_row,
     alpha_beta,
     demo_instance,
     dirichlet_energy,
@@ -248,6 +250,12 @@ class TestSmoothingDemo:
         assert energies[0] == 3.0
         assert energies[1] == pytest.approx(4.5)
 
+    def test_energies_equal_smoothing_metrics_on_corpus(self, corpus_entries):
+        for name, g in corpus_entries:
+            x = np.random.default_rng((215, g.vertex_count)).standard_normal((g.vertex_count, 3))
+            traj, energies = smoothing_demo(g, x, 5)
+            assert energies == list(smoothing_metrics(g, traj).dirichlet), name
+
 
 class TestWalkCounts:
     def test_path_depth_two(self):
@@ -342,6 +350,17 @@ class TestInfluence:
         for depth in range(5):
             for u in range(g.vertex_count):
                 assert sum(influence_distribution(g, spec, depth, u)) == 1
+
+    def test_sparse_rows_match_dense_walk_counts(self, corpus_entries):
+        spec = identity_spec(1, 4, "sum")
+        for name, g in corpus_entries:
+            for depth in range(5):
+                dense = walk_counts(g, depth)
+                for u in range(g.vertex_count):
+                    assert _walk_row(g, depth, u) == dense[u], f"{name} depth {depth} u={u}"
+                    total = sum(dense[u])
+                    expected = [F(c, total) for c in dense[u]]
+                    assert influence_distribution(g, spec, depth, u) == expected
 
     def test_zero_message_degenerates(self):
         g = generate("path", n=3)

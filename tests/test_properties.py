@@ -1,5 +1,6 @@
-"""Property-based checks of the edge kernel against the general BFS path and
-the simplex oracle, on random connected graphs of at most 12 vertices.
+"""Property-based checks on random connected graphs of at most 12 vertices:
+the edge kernel against the general BFS path and the simplex oracle, and
+every structural bound of `run_suite` beyond the fixed corpus.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
@@ -8,6 +9,7 @@ these tests are as deterministic as the rest of the suite.
 from hypothesis import given, settings, strategies as st
 
 from orckit.curvature import ricci_curvature
+from orckit.diagnostics import run_suite
 from orckit.graphs import from_edges
 from orckit.transport import (
     _edge_distances,
@@ -51,3 +53,11 @@ def test_closed_form_distances_match_bfs(g):
     for u, v in g.edges:
         rows, cols = g.adjacency[u], g.adjacency[v]
         assert _edge_distances(g, rows, cols) == _support_distances(g, rows, cols)
+
+
+@PROPERTY
+@given(connected_graphs())
+def test_structural_bounds_hold_beyond_the_corpus(g):
+    # every structural check is exact, so a violation here is a counterexample
+    report = run_suite(corpus=[("g", g)], trials=0)
+    assert report.violations == (), [c.to_json_obj() for c in report.violations]

@@ -31,7 +31,7 @@ def brute_force_w1(g, mu, mv):
     cols = [int(m * scale) for m in mv.mass]
     dist = {}
     for p in mu.support:
-        d = bfs_distances(g, p).dist
+        d = bfs_distances(g, p)
         for q in mv.support:
             dist[(p, q)] = d[q]
 
@@ -141,7 +141,7 @@ class TestWasserstein:
             plan = wasserstein1(g, local_measure(g, u), local_measure(g, v))
             total = F(0)
             for p, q, mass in plan.entries:
-                total += mass * bfs_distances(g, p).dist[q]
+                total += mass * bfs_distances(g, p)[q]
             assert total == plan.cost
 
     def test_closed_form_distances_match_bfs(self, corpus_entries):
