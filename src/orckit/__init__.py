@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .curvature import curvature_profile, edge_report, ricci_curvature
 from .graphs import Graph, from_edges, generate, parse_edge_list, parse_graph_json
 from .mpnn import MpnnSpec, forward, parse_spec
-from .transport import local_measure, wasserstein1
+from .transport import wasserstein1
 
 __all__ = [
     "Graph",
@@ -17,7 +17,6 @@ __all__ = [
     "forward",
     "from_edges",
     "generate",
-    "local_measure",
     "parse_edge_list",
     "parse_graph_json",
     "parse_spec",

@@ -161,8 +161,6 @@ def _cmd_rewire(args) -> int:
         max_iterations=args.iterations,
         additions_per_step=args.additions,
         removals_per_step=args.removals,
-        seed=args.seed,
-        preserve_connectivity=args.preserve_connectivity,
     )
     rewired, trace = rewire_loop(g, cfg)
     wrote = False
@@ -232,13 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--additions", type=int, default=1)
     p.add_argument("--removals", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--no-preserve-connectivity",
-        dest="preserve_connectivity",
-        action="store_false",
-        help="echoed in the trace only; rewired graphs always stay connected",
-    )
     p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
     p.add_argument("--out-graph")
     p.add_argument("--out-trace")

@@ -1,11 +1,10 @@
 """Ollivier-Ricci curvature per edge plus the structural sets behind the
 bottleneck inequalities.
 
-kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout. For
-adjacent pairs W1 comes from the local edge kernel
-(`transport.edge_wasserstein1`): every support distance is 0-3 and follows
-from adjacency, because any p in N_u reaches any q in N_v through p-u-v-q.
-Other pairs take the general BFS path (`transport.wasserstein1`).
+kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout, with W1
+from `transport.wasserstein1`. For adjacent pairs that solve is local: every
+support distance is 0-3 and follows from adjacency, because any p in N_u
+reaches any q in N_v through p-u-v-q.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, bfs_distances, neighborhoods
-from .transport import edge_wasserstein1, local_measure, wasserstein1
+from .transport import wasserstein1
 
 
 class SameVertex(Exception):
@@ -81,17 +80,14 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
     general definition with the distance in the denominator."""
     if u == v:
         raise SameVertex(f"curvature needs two distinct vertices, got {u} twice")
-    if g.has_edge(u, v):
-        return 1 - edge_wasserstein1(g, u, v)
-    d = bfs_distances(g, u)[v]
-    w1 = wasserstein1(g, local_measure(g, u), local_measure(g, v)).cost
-    return 1 - Fraction(w1, d)
+    d = 1 if g.has_edge(u, v) else bfs_distances(g, u)[v]
+    return 1 - wasserstein1(g, u, v) / d
 
 
 def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    w1 = edge_wasserstein1(g, u, v)
+    w1 = wasserstein1(g, u, v)
     sets = bottleneck_sets(g, u, v)
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),

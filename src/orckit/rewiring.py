@@ -27,9 +27,10 @@ class NoActionPossible(Exception):
 class RewireConfig:
     """Rewiring thresholds and per-step budgets.
 
-    preserve_connectivity is echoed in the trace but changes nothing: the
-    Graph type always enforces connectivity, so a removal that would
-    disconnect the graph is skipped either way.
+    The trace's config keeps two keys with fixed values: "seed" is 0 because
+    rewiring draws no random numbers, and "preserve_connectivity" is true
+    because the Graph type always enforces connectivity, so a removal that
+    would disconnect the graph is skipped.
     """
 
     tau_neg: float = -0.5
@@ -37,8 +38,6 @@ class RewireConfig:
     max_iterations: int = 10
     additions_per_step: int = 1
     removals_per_step: int = 1
-    seed: int = 0
-    preserve_connectivity: bool = True
 
     def __post_init__(self):
         if not self.tau_neg < self.tau_pos:
@@ -55,8 +54,8 @@ class RewireConfig:
             "max_iterations": self.max_iterations,
             "additions_per_step": self.additions_per_step,
             "removals_per_step": self.removals_per_step,
-            "seed": self.seed,
-            "preserve_connectivity": self.preserve_connectivity,
+            "seed": 0,
+            "preserve_connectivity": True,
         }
 
 

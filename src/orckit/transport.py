@@ -7,8 +7,10 @@ the oracle solves the same integer transportation problem with the
 classical simplex (northwest-corner start + MODI pivots). Every number in
 either path is an int or a Fraction; no floats anywhere.
 
-Support distances come from BFS in the general `wasserstein1`. For an
-edge, `edge_wasserstein1` reads them from adjacency alone (each is 0-3).
+`wasserstein1(g, u, v)` is the production W1 between the uniform measures
+on N_u and N_v. For an edge it reads the support distances from adjacency
+alone (each is 0-3); for any other pair it takes them from BFS. The oracle
+takes arbitrary measures, so tests can pose problems of their own.
 """
 
 from __future__ import annotations
@@ -44,14 +46,6 @@ class LocalMeasure:
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.mass))
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A coupling between two local measures together with its exact cost."""
-
-    entries: tuple[tuple[int, int, Fraction], ...]
-    cost: Fraction
 
 
 def local_measure(g: Graph, u: int) -> LocalMeasure:
@@ -100,44 +94,20 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
     return T, supplies, demands
 
 
-def wasserstein1(g: Graph, mu: LocalMeasure, mv: LocalMeasure) -> TransportPlan:
-    """Optimal transport between mu and mv with hop-count ground distance.
+def wasserstein1(g: Graph, u: int, v: int) -> Fraction:
+    """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
-    Works for any two measures; support distances come from BFS. Returns one
-    optimal plan; entries are reported for explainability but the plan is
-    just one optimizer among possibly many. Cost is contractual.
+    The integer problem is built directly on the scale T = lcm(deg u, deg v).
+    For an edge (u, v) the support distances are the closed-form 0-3 of
+    `_edge_distances`; any other pair takes them from BFS.
     """
-    cost_m = _support_distances(g, mu.support, mv.support)
-    T, supplies, demands = _integer_problem(mu, mv)
-    flow = _min_cost_flow(supplies, demands, cost_m)
-    _check_marginals(flow, supplies, demands)
-
-    entries = []
-    total = 0
-    for i, p in enumerate(mu.support):
-        for j, q in enumerate(mv.support):
-            f = flow[i][j]
-            if f:
-                entries.append((p, q, Fraction(f, T)))
-                total += f * cost_m[i][j]
-    return TransportPlan(entries=tuple(entries), cost=Fraction(total, T))
-
-
-def edge_wasserstein1(g: Graph, u: int, v: int) -> Fraction:
-    """W1 between the uniform measures on N_u and N_v, for an edge (u, v).
-
-    Adjacency is what makes the support distances the closed-form 0-3 of
-    `_edge_distances`; the integer problem is built directly on the scale
-    T = lcm(deg u, deg v).
-    """
-    if v not in g.neighbor_sets[u]:
-        raise ValueError(f"({u},{v}) is not an edge; use wasserstein1")
     rows, cols = g.adjacency[u], g.adjacency[v]
     du, dv = len(rows), len(cols)
     T = lcm(du, dv)
     supplies = [T // du] * du
     demands = [T // dv] * dv
-    cost_m = _edge_distances(g, rows, cols)
+    distances = _edge_distances if v in g.neighbor_sets[u] else _support_distances
+    cost_m = distances(g, rows, cols)
     flow = _min_cost_flow(supplies, demands, cost_m)
     _check_marginals(flow, supplies, demands)
     total = sum(f * c for frow, crow in zip(flow, cost_m) for f, c in zip(frow, crow))

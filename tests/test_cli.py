@@ -82,6 +82,14 @@ class TestGenerate:
         assert out == ""
         assert target.read_text().strip().splitlines() == ["0 1", "1 2"]
 
+    def test_package_runs_as_module(self):
+        args = ("generate", "--family", "path", "--n", "3")
+        proc = subprocess.run(
+            [sys.executable, "-m", "orckit", *args], capture_output=True, text=True, timeout=300
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*args)
+        assert proc.stdout == "0 1\n1 2\n"
+
 
 class TestCurvature:
     def test_barbell_bridge(self, barbell_file):

@@ -1,6 +1,7 @@
 """Property-based checks on random connected graphs of at most 12 vertices:
-the edge kernel against the general BFS path and the simplex oracle, and
-every structural bound of `run_suite` beyond the fixed corpus.
+`wasserstein1` against the simplex oracle on edges and on non-adjacent
+pairs, curvature reports under relabelling, and every structural bound of
+`run_suite` beyond the fixed corpus.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
@@ -8,13 +9,12 @@ these tests are as deterministic as the rest of the suite.
 
 from hypothesis import given, settings, strategies as st
 
-from orckit.curvature import ricci_curvature
+from orckit.curvature import curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite
-from orckit.graphs import from_edges
+from orckit.graphs import bfs_distances, from_edges
 from orckit.transport import (
     _edge_distances,
     _support_distances,
-    edge_wasserstein1,
     local_measure,
     wasserstein1,
     wasserstein1_oracle,
@@ -36,15 +36,28 @@ def connected_graphs(draw, max_vertices=12):
     return from_edges(n, sorted(edges))
 
 
+def _oracle(g, u, v):
+    return wasserstein1_oracle(g, local_measure(g, u), local_measure(g, v), cap=4096)
+
+
 @PROPERTY
-@given(connected_graphs())
-def test_edge_kernel_matches_bfs_path_and_oracle(g):
+@given(connected_graphs(), st.data())
+def test_edge_kernel_matches_bfs_path_and_oracle(g, data):
+    """Edges take the closed-form 0-3 support distances, and up to five drawn
+    non-adjacent pairs the BFS ones; both must equal the oracle."""
     for u, v in g.edges:
-        mu, mv = local_measure(g, u), local_measure(g, v)
-        w1 = edge_wasserstein1(g, u, v)
-        assert w1 == wasserstein1(g, mu, mv).cost
-        assert w1 == wasserstein1_oracle(g, mu, mv, cap=4096)
+        w1 = wasserstein1(g, u, v)
+        assert w1 == _oracle(g, u, v)
         assert ricci_curvature(g, u, v) == 1 - w1
+    n = g.vertex_count
+    apart = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    if not apart:
+        return
+    picked = st.lists(st.sampled_from(apart), min_size=min(5, len(apart)), max_size=5, unique=True)
+    for u, v in data.draw(picked):
+        w1 = wasserstein1(g, u, v)
+        assert w1 == _oracle(g, u, v)
+        assert ricci_curvature(g, u, v) == 1 - w1 / bfs_distances(g, u)[v]
 
 
 @PROPERTY
@@ -53,6 +66,27 @@ def test_closed_form_distances_match_bfs(g):
     for u, v in g.edges:
         rows, cols = g.adjacency[u], g.adjacency[v]
         assert _edge_distances(g, rows, cols) == _support_distances(g, rows, cols)
+
+
+@PROPERTY
+@given(connected_graphs(), st.data())
+def test_reports_are_invariant_under_relabelling(g, data):
+    n = g.vertex_count
+    perm = data.draw(st.permutations(range(n)))
+
+    def image(e):
+        a, b = perm[e[0]], perm[e[1]]
+        return (a, b) if a < b else (b, a)
+
+    h = from_edges(n, [image(e) for e in g.edges])
+    mapped = {r.edge: r for r in curvature_profile(h).reports}
+    for r in curvature_profile(g).reports:
+        s = mapped[image(r.edge)]
+        assert (s.kappa, s.w1, s.common_neighbors) == (r.kappa, r.w1, r.common_neighbors)
+        assert {s.deg_u, s.deg_v} == {r.deg_u, r.deg_v}
+        assert (s.sets.n0, s.sets.n1) == (r.sets.n0, r.sets.n1)
+        assert s.sets.hypothesis_holds == r.sets.hypothesis_holds
+        assert set(s.sets.s_statement) == {image(e) for e in r.sets.s_statement}
 
 
 @PROPERTY
