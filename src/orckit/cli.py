@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a checked inequality was violated, 2 usage or
 input error. stdout carries data (when --out is absent); diagnostics go
 to stderr. JSON output is key-sorted with a fixed layout, so repeated
-runs with the same inputs are byte-identical. --threads is accepted and
-reported on stderr only; it changes neither the work nor the output.
+runs with the same inputs are byte-identical. verify streams its report
+in chunks (`SuiteReport.write_json`) with the same bytes as the one-string
+rendering the other commands use. --threads is accepted and reported on
+stderr only; it changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ def _cmd_verify(args) -> int:
         fail_fast=args.fail_fast,
     )
     print(f"threads used: {threads}", file=sys.stderr)
-    _emit(_dump_json(report.to_json_obj()), args.out)
+    if args.out:
+        with open(args.out, "w") as f:
+            report.write_json(f.write)
+    else:
+        report.write_json(sys.stdout.write)
     violations = report.violations
     if violations:
         print(f"{len(violations)} bound violation(s)", file=sys.stderr)

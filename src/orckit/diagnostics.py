@@ -11,10 +11,12 @@ arithmetic. Feature gaps use the Euclidean norm.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,6 +96,51 @@ def _value_obj(x: Fraction | float | None) -> dict | None:
     if isinstance(x, Fraction):
         return {"exact": frac_str(x), "float": float(x)}
     return {"exact": None, "float": float(x)}
+
+
+def _json_float(x: float) -> str:
+    """json's float rule: repr, with NaN and the infinities spelled as
+    JavaScript constants."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _value_json(x: Fraction | float | None) -> str:
+    """_value_obj(x) as json.dumps(indent=2) renders it at a check's key depth."""
+    if x is None:
+        return "null"
+    exact = f'"{frac_str(x)}"' if isinstance(x, Fraction) else "null"
+    return f'{{\n        "exact": {exact},\n        "float": {_json_float(float(x))}\n      }}'
+
+
+# checks rendered per write call: fewer, larger writes are faster than one
+# per check, and a batch stays a few hundred kB
+_WRITE_BATCH = 512
+
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+
+
+def _check_json(c: BoundCheck) -> str:
+    """c.to_json_obj() as json.dumps(sort_keys=True, indent=2) renders it as
+    an element of the report's "checks" list: a fixed template whose keys
+    are in sorted order."""
+    return (
+        f'    {{\n      "context": {_json_str(c.context)},'
+        f'\n      "graph": {_json_str(c.graph)},'
+        f'\n      "holds": {_JSON_CONST[c.holds]},'
+        f'\n      "lhs": {_value_json(c.lhs)},'
+        f'\n      "name": {_json_str(c.name)},'
+        f'\n      "reason": {_json_str(c.reason)},'
+        f'\n      "rhs": {_value_json(c.rhs)},'
+        f'\n      "skipped": {_JSON_CONST[c.skipped]},'
+        f'\n      "slack": {_value_json(c.slack)},'
+        f'\n      "tolerance": {_json_float(c.tolerance)}\n    }}'
+    )
 
 
 def _exact(name: str, graph: str, context: str, lhs: Fraction, rhs: Fraction) -> BoundCheck:
@@ -391,6 +438,9 @@ class SuiteReport:
         }
 
     def to_json_obj(self) -> dict:
+        return {**self._envelope(), "checks": [c.to_json_obj() for c in self.checks]}
+
+    def _envelope(self) -> dict:
         return {
             "suite": self.suite,
             "trials": self.trials,
@@ -398,8 +448,27 @@ class SuiteReport:
             "norm": "euclidean",
             "tolerance": TOLERANCE,
             "summary": self.summary(),
-            "checks": [c.to_json_obj() for c in self.checks],
         }
+
+    def write_json(self, write: Callable[[str], object]) -> None:
+        """Write json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        through write, _WRITE_BATCH checks at a time, without building either
+        the object tree or the whole string.
+
+        "checks" sorts first among the envelope keys, so the checks come
+        straight after the opening brace; json.dumps renders the small rest
+        of the envelope, whose opening brace is dropped.
+        """
+        rest = json.dumps(self._envelope(), sort_keys=True, indent=2)[2:]
+        if not self.checks:
+            write(f'{{\n  "checks": [],\n{rest}\n')
+            return
+        write('{\n  "checks": [\n')
+        for i in range(0, len(self.checks), _WRITE_BATCH):
+            if i:
+                write(",\n")
+            write(",\n".join(map(_check_json, self.checks[i : i + _WRITE_BATCH])))
+        write(f"\n  ],\n{rest}\n")
 
 
 class _Abort(Exception):
@@ -423,10 +492,14 @@ def run_suite(
     `trials` seeded random draws per aggregator, cycling through the
     corpus; the multilayer bound runs one seeded draw per eligible graph.
     Results are deterministic for a fixed (corpus, trials, seed); with
-    fail_fast the report is truncated at the first violation.
+    fail_fast the report is truncated at the first violation. An unknown
+    suite or a negative trials or seed raises ValueError.
     """
     if suite != "all" and suite not in CHECK_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
+    for label, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{label} must be a non-negative integer, got {value}")
     want = set(CHECK_NAMES) if suite == "all" else {suite}
     entries = list(default_corpus() if corpus is None else corpus)
     checks: list[BoundCheck] = []

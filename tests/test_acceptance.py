@@ -10,6 +10,7 @@ because edge-difference energy is not monotone under mean averaging (see
 test_criterion_11_energy_monotone_on_corpus for the exact counterexample).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,9 @@ F = Fraction
 # the densest corpus graphs have adjacent supports up to 9x14; the default
 # desk-scale oracle cap is meant for interactive use, not this sweep
 ORACLE_SWEEP_CAP = 400
+
+# sha256 of `orckit verify --suite all --trials 200 --seed 1` stdout (ROADMAP)
+VERIFY_GOLDEN_SHA256 = "e9edf5b0043ae27930074a3db50007d5adc3841b29feaea9e278b9f85852de32"
 
 
 def report(criterion, detail):
@@ -330,6 +334,7 @@ def test_criterion_13_cli_contract(tmp_path):
     assert code_b == 0 and code_c == 0
     assert bytes_a == bytes_b, "same flags must reproduce identical bytes"
     assert bytes_a == bytes_c, "thread count must not change report bytes"
+    assert hashlib.sha256(bytes_a).hexdigest() == VERIFY_GOLDEN_SHA256
     summary = json.loads(bytes_a)["summary"]
     assert summary["violations"] == 0
 
@@ -344,6 +349,6 @@ def test_criterion_13_cli_contract(tmp_path):
 
     report(
         "13",
-        f"verify exits 0 with {summary['total']} checks, byte-identical across runs "
-        "and thread counts; corrupt input exits 2",
+        f"verify exits 0 with {summary['total']} checks, byte-identical across runs, "
+        "thread counts and the golden hash; corrupt input exits 2",
     )

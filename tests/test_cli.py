@@ -166,14 +166,28 @@ class TestVerify:
         assert err != ""
 
     def test_report_written_to_file(self, tmp_path):
+        # the streamed file must hold exactly the bytes streamed to stdout
+        args = [sys.executable, "-m", "orckit.cli", "verify", "--suite", "shared_neighbor"]
         target = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            "verify", "--suite", "shared_neighbor", "--trials", "1", "--out", str(target)
-        )
-        assert code == 0 and out == ""
+        to_file = subprocess.run([*args, "--out", str(target)], capture_output=True, timeout=300)
+        to_stdout = subprocess.run(args, capture_output=True, timeout=300)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == b""
+        assert target.read_bytes() == to_stdout.stdout
         obj = json.loads(target.read_text())
         assert obj["suite"] == "shared_neighbor"
         assert obj["summary"]["violations"] == 0
+
+    def test_negative_trials_is_an_input_error(self):
+        code, out, err = run_cli("verify", "--suite", "diameter", "--trials", "-3")
+        assert code == 2
+        assert out == "" and "error: trials must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("suite", ["diameter", "one_layer_sum"])
+    def test_negative_seed_is_an_input_error(self, suite):
+        code, out, err = run_cli("verify", "--suite", suite, "--seed", "-1")
+        assert code == 2
+        assert out == "" and "error: seed must be a non-negative integer" in err
 
 
 class TestSimulate:

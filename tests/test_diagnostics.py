@@ -1,13 +1,20 @@
 import dataclasses
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orckit import diagnostics
 from orckit.curvature import NotAnEdge, edge_report
 from orckit.diagnostics import (
+    _WRITE_BATCH,
     CHECK_NAMES,
+    BoundCheck,
     HypothesisNotMet,
+    SuiteReport,
     _draw_one_layer,
     _one_layer_rhs,
     _skip,
@@ -337,3 +344,84 @@ class TestRunSuite:
         # nothing violates on this corpus; the flag must not change results
         report = run_suite(corpus=[("k3", generate("complete", n=3))], trials=1, seed=1, fail_fast=True)
         assert not report.violations
+
+
+def _assert_writes_as_dumps(report: SuiteReport) -> None:
+    parts = []
+    report.write_json(parts.append)
+    written = "".join(parts)
+    dumped = json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    if written != dumped:
+        # a short window, not pytest's diff of two large strings, which
+        # would make every failing example slow to shrink
+        i = next((i for i, (a, b) in enumerate(zip(written, dumped)) if a != b), len(dumped))
+        lo = max(0, i - 60)
+        pytest.fail(f"differs at {i}: {written[lo : i + 60]!r} != {dumped[lo : i + 60]!r}")
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'), st.characters()))
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 1e-09, 1e16, 5e-324, 2.2e-308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_FRACTIONS = st.one_of(
+    st.sampled_from([F(3, 7), F(-5, 2), F(4), F(-1), F(0)]),
+    st.fractions(),
+    st.integers().map(Fraction),
+)
+_VALUES = st.one_of(st.none(), _FRACTIONS, _FLOATS)
+_CHECKS = st.builds(
+    BoundCheck,
+    name=st.one_of(st.sampled_from(CHECK_NAMES), _TEXT),
+    graph=_TEXT,
+    context=_TEXT,
+    lhs=_VALUES,
+    rhs=_VALUES,
+    holds=st.sampled_from([True, False, None]),
+    slack=_VALUES,
+    tolerance=_FLOATS,
+    reason=_TEXT,
+)
+# 0, 1 and many checks, on both sides of every write-batch boundary
+_COUNTS = st.sampled_from(
+    [0, 1, 2, _WRITE_BATCH - 1, _WRITE_BATCH, _WRITE_BATCH + 1, 2 * _WRITE_BATCH + 3]
+)
+_FILLER = BoundCheck("shared_neighbor", "g", "edge=(0,1)", F(1, 2), F(2, 3), True, F(1, 6), 0.0)
+
+
+@st.composite
+def suite_reports(draw):
+    """A SuiteReport of a few drawn checks, padded with a fixed one up to a
+    drawn count: a failure in a drawn check then shrinks to a small report
+    quickly, and one at a batch boundary still shows."""
+    count = draw(_COUNTS)
+    checks = draw(st.lists(_CHECKS, max_size=6))
+    padding = max(0, count - len(checks))
+    return SuiteReport(
+        suite=draw(_TEXT),
+        trials=draw(st.integers(min_value=0)),
+        seed=draw(st.integers(min_value=0)),
+        checks=tuple(checks) + (_FILLER,) * padding,
+    )
+
+
+class TestWriteJson:
+    """The streamed writer must give json.dumps(to_json_obj(), sort_keys=True,
+    indent=2) + newline byte for byte; `verify`'s golden hash rests on it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(suite_reports())
+    def test_drawn_reports_match_dumps(self, report):
+        _assert_writes_as_dumps(report)
+
+    def test_corpus_report_matches_dumps(self, corpus_entries):
+        report = run_suite(corpus=corpus_entries, trials=200, seed=1)
+        assert len(report.checks) > 2 * _WRITE_BATCH
+        _assert_writes_as_dumps(report)
+
+    def test_fail_fast_truncated_report_matches_dumps(self, corpus_entries, monkeypatch):
+        # no corpus check violates, so make every one-layer bound negative
+        monkeypatch.setattr(diagnostics, "_one_layer_rhs", lambda *args: -1.0)
+        report = run_suite(corpus=corpus_entries, trials=200, seed=1, fail_fast=True)
+        assert len(report.violations) == 1 and report.checks[-1].violated
+        _assert_writes_as_dumps(report)

@@ -1,17 +1,20 @@
 """Property-based checks on random connected graphs of at most 12 vertices:
 `wasserstein1` against the simplex oracle on edges and on non-adjacent
-pairs, curvature reports under relabelling, and every structural bound of
-`run_suite` beyond the fixed corpus.
+pairs, curvature reports under relabelling, every structural bound of
+`run_suite` beyond the fixed corpus, and the one-layer gap bounds under
+drawn layer specs and features.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from orckit.curvature import curvature_profile, ricci_curvature
-from orckit.diagnostics import run_suite
+from orckit.diagnostics import _one_layer_checks, run_suite
 from orckit.graphs import bfs_distances, from_edges
+from orckit.mpnn import LayerSpec, Update
 from orckit.transport import (
     _edge_distances,
     _support_distances,
@@ -95,3 +98,34 @@ def test_structural_bounds_hold_beyond_the_corpus(g):
     # every structural check is exact, so a violation here is a counterexample
     report = run_suite(corpus=[("g", g)], trials=0)
     assert report.violations == (), [c.to_json_obj() for c in report.violations]
+
+
+def _matrices(rows, cols, bound):
+    row = st.lists(st.floats(-bound, bound), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(np.array)
+
+
+@st.composite
+def updates(draw, dim):
+    """Any update kind the spec format offers that keeps dim channels."""
+    kind = draw(st.sampled_from(["identity", "linear", "clamp", "abs", "leaky"]))
+    if kind == "linear":
+        return Update("linear", matrix=draw(_matrices(dim, dim, 3.0)))
+    if kind == "clamp":
+        return Update("clamp", bound=draw(st.floats(0.01, 5.0)))
+    if kind == "leaky":
+        return Update("leaky", slope=draw(st.floats(-1.0, 1.0)))
+    return Update(kind)
+
+
+@PROPERTY
+@given(connected_graphs(), st.data())
+def test_one_layer_bounds_hold_beyond_the_corpus(g, data):
+    d_in, d_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    aggregator = data.draw(st.sampled_from(["sum", "mean"]))
+    layer = LayerSpec(aggregator, data.draw(_matrices(d_out, d_in, 3.0)), data.draw(updates(d_out)))
+    x = data.draw(_matrices(g.vertex_count, d_in, 10.0))
+    edges = [(r.edge, r.kappa) for r in curvature_profile(g).reports if r.kappa > 0]
+    checks = _one_layer_checks(g, layer, x, edges, "g")
+    assert len(checks) == len(edges)
+    assert not [c for c in checks if c.violated], [c.to_json_obj() for c in checks if c.violated]
