@@ -2,6 +2,9 @@
 
 This module is the one place that states each inequality the library
 claims; every check re-evaluates one on concrete graphs and features.
+Each bound has one public entry point, verify_*, which takes the edge
+curvature report(s) or the graph's curvature profile it checks, and
+run_suite is built from exactly these.
 Checks whose hypotheses fail on an input are recorded as skipped with a
 reason, never as passes. Inequalities that mix exact curvature with
 floating-point feature norms carry an additive 1e-9 tolerance on the bound
@@ -20,15 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curvature import (
-    CurvatureProfile,
-    EdgeCurvatureReport,
-    curvature_profile,
-    edge_report,
-    frac_str,
-)
+from .curvature import CurvatureProfile, EdgeCurvatureReport, curvature_profile, frac_str
 from .graphs import Graph, bfs_distances, corpus as default_corpus, neighborhoods
-from .mpnn import AlphaBeta, LayerSpec, MpnnSpec, Update, _alpha_beta, alpha_beta, forward
+from .mpnn import LayerSpec, MpnnSpec, Update, alpha_beta, forward
 
 TOLERANCE = 1e-9
 
@@ -203,58 +200,42 @@ def _one_layer_rhs(aggregator: str, kappa: Fraction, n: int, L: float, C: float,
 
 def verify_one_layer(
     g: Graph,
-    spec: MpnnSpec,
-    x: np.ndarray,
-    edge: tuple[int, int],
-    graph_name: str = "graph",
-) -> BoundCheck:
-    """Check the positive-curvature one-layer gap bound on one edge.
-
-    Runs the first layer of spec, measures the realized gap across the
-    edge, and compares against (1 - kappa) * h(kappa) with L, M certified
-    by the spec and C measured from the realized features over the two
-    endpoint neighborhoods.
-    """
-    u, v = edge
-    kappa = edge_report(g, u, v).kappa
-    if kappa <= 0:
-        raise HypothesisNotMet(f"kappa({u},{v}) = {frac_str(kappa)} is not positive")
-    return _one_layer_checks(g, spec.layers[0], x, [(edge, kappa)], graph_name)[0]
-
-
-def _one_layer_checks(
-    g: Graph,
     layer: LayerSpec,
     x: np.ndarray,
-    edges: Sequence[tuple[tuple[int, int], Fraction]],
-    graph_name: str,
+    reports: Sequence[EdgeCurvatureReport],
+    graph_name: str = "graph",
     prefix: str = "",
 ) -> list[BoundCheck]:
-    """The one-layer gap check on each (edge, kappa) with kappa > 0, from
-    one pass of layer over x; every context starts with prefix."""
+    """Check the positive-curvature one-layer gap bound on each report's edge.
+
+    Runs layer once over x, measures the realized gap across each edge, and
+    compares against (1 - kappa) * h(kappa) with L, M certified by the layer
+    and C measured from the input features over the two endpoint
+    neighborhoods. Every context starts with prefix. Raises
+    HypothesisNotMet when a report's kappa is not positive.
+    """
     name = "one_layer_sum" if layer.aggregator == "sum" else "one_layer_mean"
     x0, x1 = forward(g, x, MpnnSpec((layer,)))
     big_l = layer.update.lipschitz()
     big_m = layer.operator_bound()
     checks = []
-    for (u, v), kappa in edges:
+    for r in reports:
+        (u, v), kappa = r.edge, r.kappa
+        if kappa <= 0:
+            raise HypothesisNotMet(f"kappa({u},{v}) = {frac_str(kappa)} is not positive")
         gap = float(np.linalg.norm(x1[u] - x1[v]))
         nb_u, _ = neighborhoods(g, u)
         nb_v, _ = neighborhoods(g, v)
         big_c = max(float(np.linalg.norm(x0[p])) for p in sorted(nb_u | nb_v))
-        rhs = _one_layer_rhs(
-            layer.aggregator, kappa, max(g.degree(u), g.degree(v)), big_l, big_c, big_m
-        )
+        rhs = _one_layer_rhs(layer.aggregator, kappa, max(r.deg_u, r.deg_v), big_l, big_c, big_m)
         context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
         checks.append(_approx(name, graph_name, context, gap, rhs))
     return checks
 
 
-def _positive_delta(g: Graph, profile: CurvatureProfile | None) -> Fraction:
+def _positive_delta(profile: CurvatureProfile) -> Fraction:
     """delta = the minimum edge curvature, the hypothesis delta > 0 of the
     multilayer and diameter bounds; raises HypothesisNotMet otherwise."""
-    if profile is None:
-        profile = curvature_profile(g)
     delta = min(r.kappa for r in profile.reports)
     if delta <= 0:
         raise HypothesisNotMet(f"minimum curvature {frac_str(delta)} is not positive")
@@ -265,31 +246,28 @@ def verify_multilayer(
     g: Graph,
     spec: MpnnSpec,
     x: np.ndarray,
-    k_max: int,
+    profile: CurvatureProfile,
     graph_name: str = "graph",
-    profile: CurvatureProfile | None = None,
 ) -> list[BoundCheck]:
     """Check the regular-graph multilayer gap bound for every edge and
-    every layer 1..k_max.
+    every layer of spec.
 
-    Requires a regular graph whose minimum edge curvature delta is
-    positive and mean aggregation in every layer. The bound at layer k is
-    (2/3) * C * (3 L M floor((1 - delta) n) / (n + 1))^k with C the max
-    initial feature norm and L, M the largest certified constants among
-    the layers used.
+    Requires a regular graph whose minimum edge curvature delta (read from
+    profile) is positive and mean aggregation in every layer. The bound at
+    layer k is (2/3) * C * (3 L M floor((1 - delta) n) / (n + 1))^k with C
+    the max initial feature norm and L, M the largest certified constants
+    among the layers.
     """
     degrees = {g.degree(p) for p in range(g.vertex_count)}
     if len(degrees) != 1:
         raise HypothesisNotMet(f"graph is not regular (degrees {sorted(degrees)})")
     n = degrees.pop()
-    delta = _positive_delta(g, profile)
+    delta = _positive_delta(profile)
     if any(layer.aggregator != "mean" for layer in spec.layers):
         raise HypothesisNotMet("every layer must use the mean aggregator")
 
-    k_max = min(k_max, len(spec.layers))
-    used = spec.layers[:k_max]
-    big_l = max(layer.update.lipschitz() for layer in used)
-    big_m = max(layer.operator_bound() for layer in used)
+    big_l = max(layer.update.lipschitz() for layer in spec.layers)
+    big_m = max(layer.operator_bound() for layer in spec.layers)
     x = np.asarray(x, dtype=float)
     big_c = max(float(np.linalg.norm(x[p])) for p in range(g.vertex_count))
     # floor of (1 - delta) * n taken in exact arithmetic; a float round
@@ -299,7 +277,7 @@ def verify_multilayer(
 
     trajectory = forward(g, x, spec)
     checks = []
-    for k in range(1, k_max + 1):
+    for k in range(1, len(spec.layers) + 1):
         rhs = (2.0 / 3.0) * big_c * base**k
         xk = trajectory[k]
         for (u, v) in g.edges:
@@ -310,38 +288,28 @@ def verify_multilayer(
 
 
 def verify_jacobian_ratio(
-    g: Graph,
-    spec: MpnnSpec,
-    edge: tuple[int, int],
-    k: int = 0,
-    graph_name: str = "graph",
+    g: Graph, r: EdgeCurvatureReport, graph_name: str = "graph"
 ) -> tuple[BoundCheck, BoundCheck]:
-    """Check the two-layer Jacobian mass ratios across an edge.
+    """Check the two-layer Jacobian mass ratios across the edge of r.
 
     Returns the (alpha, beta) pair checked against the curvature bound
     with the denominator over the receiving vertex's extended
-    neighborhood, all in exact rationals.
+    neighborhood, all in exact rationals. The ratios do not depend on the
+    linear sum stack (see `mpnn.alpha_beta`), so the context always names
+    the window starting at layer k=0.
     """
-    u, v = edge
-    return _jacobian_checks(graph_name, edge, k, alpha_beta(g, spec, u, v, k))
-
-
-def _jacobian_checks(
-    graph_name: str, edge: tuple[int, int], k: int, ab: AlphaBeta
-) -> tuple[BoundCheck, BoundCheck]:
-    u, v = edge
-    context = f"edge=({u},{v}) k={k} side="
+    ab = alpha_beta(g, r)
+    context = f"edge=({r.edge[0]},{r.edge[1]}) k=0 side="
     return (
         _exact("jacobian_ratio", graph_name, context + "alpha", ab.alpha, ab.alpha_proof_rhs),
         _exact("jacobian_ratio", graph_name, context + "beta", ab.beta, ab.beta_proof_rhs),
     )
 
 
-def verify_diameter(
-    g: Graph, graph_name: str = "graph", profile: CurvatureProfile | None = None
-) -> BoundCheck:
-    """diameter <= floor(2 / delta) whenever delta = min edge curvature > 0."""
-    delta = _positive_delta(g, profile)
+def verify_diameter(g: Graph, profile: CurvatureProfile, graph_name: str = "graph") -> BoundCheck:
+    """diameter <= floor(2 / delta) whenever delta = min edge curvature of
+    profile > 0."""
+    delta = _positive_delta(profile)
     diameter = 0
     for s in range(g.vertex_count):
         diameter = max(diameter, max(bfs_distances(g, s)))
@@ -487,10 +455,14 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate every applicable bound over a corpus of named graphs.
 
+    Each graph's curvature profile is computed once, and every check comes
+    from the public verify_* function for its bound, fed the edge reports
+    or the profile it reads; a failed hypothesis is recorded as a skip.
     Structural checks (shared_neighbor, bottleneck pair, jacobian_ratio,
-    diameter) run once per graph or edge. The one-layer bounds run
+    diameter) run once per edge or graph. The one-layer bounds run
     `trials` seeded random draws per aggregator, cycling through the
-    corpus; the multilayer bound runs one seeded draw per eligible graph.
+    corpus, each checked on the graph's positively curved edges; the
+    multilayer bound runs one seeded draw per graph.
     Results are deterministic for a fixed (corpus, trials, seed); with
     fail_fast the report is truncated at the first violation. An unknown
     suite or a negative trials or seed raises ValueError.
@@ -511,9 +483,7 @@ def run_suite(
 
     try:
         profiles = [curvature_profile(g) for _, g in entries]
-        positive_edges = [
-            [(r.edge, r.kappa) for r in profile.reports if r.kappa > 0] for profile in profiles
-        ]
+        positive = [[r for r in profile.reports if r.kappa > 0] for profile in profiles]
 
         for gi, (name, g) in enumerate(entries):
             profile = profiles[gi]
@@ -525,13 +495,11 @@ def run_suite(
                         if check.name in want:
                             emit(check)
                 if "jacobian_ratio" in want:
-                    # the identity two-layer sum spec, fed the report's kappa and |S|
-                    ab = _alpha_beta(g, *r.edge, r.kappa, len(r.sets.s_statement))
-                    for check in _jacobian_checks(name, r.edge, 0, ab):
+                    for check in verify_jacobian_ratio(g, r, name):
                         emit(check)
             if "diameter" in want:
                 try:
-                    emit(verify_diameter(g, name, profile))
+                    emit(verify_diameter(g, profile, name))
                 except HypothesisNotMet as exc:
                     emit(_skip("diameter", name, "", str(exc)))
             if "multilayer" in want:
@@ -539,7 +507,7 @@ def run_suite(
                 spec, channels = _draw_multilayer(rng, MULTILAYER_DEPTH)
                 x = rng.standard_normal((g.vertex_count, channels))
                 try:
-                    for check in verify_multilayer(g, spec, x, MULTILAYER_DEPTH, name, profile):
+                    for check in verify_multilayer(g, spec, x, profile, name):
                         emit(check)
                 except HypothesisNotMet as exc:
                     emit(_skip("multilayer", name, "", str(exc)))
@@ -555,11 +523,11 @@ def run_suite(
                     rng = np.random.default_rng((seed, agg_index, t))
                     spec, channels = _draw_one_layer(rng, aggregator)
                     x = rng.standard_normal((g.vertex_count, channels))
-                    if not positive_edges[gi]:
+                    if not positive[gi]:
                         emit(_skip(name, graph_name, f"trial={t}", "no positively curved edge"))
                         continue
-                    for check in _one_layer_checks(
-                        g, spec.layers[0], x, positive_edges[gi], graph_name, f"trial={t} "
+                    for check in verify_one_layer(
+                        g, spec.layers[0], x, positive[gi], graph_name, f"trial={t} "
                     ):
                         emit(check)
     except _Abort:

@@ -57,9 +57,7 @@ class Graph:
         return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self.adjacency[u]
-        # adjacency lists are short at desk scale; binary search is not worth it
-        return v in a
+        return v in self.neighbor_sets[u]
 
     def to_json_obj(self) -> dict:
         return {"n": self.vertex_count, "edges": [[u, v] for u, v in self.edges]}

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import NotAnEdge, edge_report
+from .curvature import EdgeCurvatureReport
 from .graphs import Graph, neighborhoods
 
 
@@ -379,24 +379,19 @@ class AlphaBeta:
     bound_ok: bool
 
 
-def alpha_beta(g: Graph, spec: MpnnSpec, u: int, v: int, k: int = 0) -> AlphaBeta:
-    """Jacobian mass ratios across the edge (u,v) two layers after layer k."""
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not an edge")
-    if len(spec.layers) < k + 2:
-        raise SpecError(f"need at least {k + 2} layers, spec has {len(spec.layers)}")
-    _require_linear_sum(spec, k + 2)
-    report = edge_report(g, u, v)
-    return _alpha_beta(g, u, v, report.kappa, len(report.sets.s_statement))
+def alpha_beta(g: Graph, r: EdgeCurvatureReport) -> AlphaBeta:
+    """Jacobian mass ratios across the edge of r, two sum layers deep, with
+    the bounds read from r's kappa and |S_statement|.
 
-
-def _alpha_beta(g: Graph, u: int, v: int, kappa: Fraction, s_size: int) -> AlphaBeta:
-    """AlphaBeta for an edge whose curvature and |S| are already known.
-
-    The two needed rows of (A+I)^2 come straight from neighborhoods: entry
-    (a, b) counts the walks a-t-b with t in N~_a and N~_b, i.e.
-    |N~_a cap N~_b|, and row a sums to sum over t in N~_a of (deg t + 1).
+    For any linear sum stack the (a, b) Jacobian block is ((A+I)^2)_ab times
+    one layer product, which cancels out of every ratio, so no spec is
+    needed. The two needed rows of (A+I)^2 come straight from
+    neighborhoods: entry (a, b) counts the walks a-t-b with t in N~_a and
+    N~_b, i.e. |N~_a cap N~_b|, and row a sums to sum over t in N~_a of
+    (deg t + 1).
     """
+    u, v = r.edge
+    kappa, s_size = r.kappa, len(r.sets.s_statement)
     _, nt_u = neighborhoods(g, u)
     _, nt_v = neighborhoods(g, v)
     denom_u = sum(g.degree(t) + 1 for t in nt_u)

@@ -133,15 +133,15 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     base: dict[int, int] = {}
     for (a, b) in bottleneck_sets(g, u, v).s_statement:
         base[a] = base.get(a, 0) + 1
-        if b != a:
-            base[b] = base.get(b, 0) + 1
+        base[b] = base.get(b, 0) + 1
+    base_max = max(base.values(), default=0)
     best = None
     for p in left:
         for q in right:
             if g.has_edge(p, q):
                 continue
             edge = (min(p, q), max(p, q))
-            loaded = max(base.get(p, 0) + 1, base.get(q, 0) + 1, max(base.values(), default=0))
+            loaded = max(base.get(p, 0) + 1, base.get(q, 0) + 1, base_max)
             key = (loaded, edge)
             if best is None or key < best:
                 best = key

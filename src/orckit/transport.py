@@ -106,7 +106,7 @@ def wasserstein1(g: Graph, u: int, v: int) -> Fraction:
     T = lcm(du, dv)
     supplies = [T // du] * du
     demands = [T // dv] * dv
-    distances = _edge_distances if v in g.neighbor_sets[u] else _support_distances
+    distances = _edge_distances if g.has_edge(u, v) else _support_distances
     cost_m = distances(g, rows, cols)
     flow = _min_cost_flow(supplies, demands, cost_m)
     _check_marginals(flow, supplies, demands)

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orckit.curvature import curvature_profile, edge_report
 from orckit.diagnostics import (
     TOLERANCE,
     run_suite,
@@ -152,8 +153,9 @@ def test_criterion_06_multilayer_gap_bound():
             specs.append(MpnnSpec(layers))
         rng = np.random.default_rng((62, g.vertex_count))
         x = rng.standard_normal((g.vertex_count, 2))
+        profile = curvature_profile(g)
         for spec in specs:
-            results = verify_multilayer(g, spec, x, 6, name)
+            results = verify_multilayer(g, spec, x, profile, name)
             assert len(results) == 6 * len(g.edges)
             bad = [c for c in results if not c.holds]
             assert not bad, f"{name}: {[c.to_json_obj() for c in bad]}"
@@ -177,12 +179,11 @@ def test_criterion_07_bottleneck_bounds(corpus_profiles):
 
 
 def test_criterion_08_jacobian_ratios_and_blocks(corpus_entries, walk_count_ratios):
-    spec = identity_spec(1, 2, "sum")
     edges = 0
     for name, g in corpus_entries:
         counts = walk_counts(g, 2)
         for u, v in g.edges:
-            ab = alpha_beta(g, spec, u, v)
+            ab = alpha_beta(g, edge_report(g, u, v))
             assert ab.bound_ok, f"{name} edge ({u},{v})"
             # the closed form agrees with rows of the dense (A+I)^2
             assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v), f"{name} ({u},{v})"
@@ -245,7 +246,7 @@ def test_criterion_10_diameter_bound(corpus_entries, corpus_profiles):
         profile = corpus_profiles[name]
         if min(r.kappa for r in profile.reports) <= 0:
             continue
-        check = verify_diameter(g, name, profile)
+        check = verify_diameter(g, profile, name)
         assert check.holds, check.to_json_obj()
         eligible += 1
     assert eligible > 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 from referencing import Registry, Resource
+
+from orckit import cli
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -30,6 +33,13 @@ def run_cli(*args):
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @pytest.fixture()
@@ -141,6 +151,21 @@ class TestCurvature:
         code, out, err = run_cli("curvature", str(path))
         assert code == 2
         assert out == "" and "disconnected" in err
+
+    def test_sparse_relabelling_changes_only_vertex_ids(self, corpus_entries, tmp_path, capsys):
+        # order-preserving sparse labels compact back to the dense ids, so the
+        # report differs from the dense run only by its vertex_ids echo
+        for name, g in corpus_entries[::22]:
+            dense, sparse = tmp_path / f"{name}.txt", tmp_path / f"{name}_sparse.txt"
+            dense.write_text(g.to_edge_list_text())
+            sparse.write_text("".join(f"{10 * u + 7} {10 * v + 7}\n" for u, v in g.edges))
+            code, dense_out, _ = run_main(capsys, "curvature", str(dense))
+            assert code == 0 and "vertex_ids" not in json.loads(dense_out)
+            code, sparse_out, _ = run_main(capsys, "curvature", str(sparse))
+            assert code == 0
+            obj = json.loads(sparse_out)
+            assert obj.pop("vertex_ids") == [10 * i + 7 for i in range(g.vertex_count)], name
+            assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == dense_out, name
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"
@@ -291,3 +316,30 @@ class TestRewire:
     def test_bad_thresholds(self, barbell_file):
         code, _, err = run_cli("rewire", barbell_file, "--tau-neg", "0.5", "--tau-pos", "0.2")
         assert code == 2 and err != ""
+
+
+class TestGoldenHashes:
+    """stdout sha256 of `curvature` and `rewire` on seeded ER graphs, run in
+    process; `verify`'s hash is pinned by test_criterion_13_cli_contract."""
+
+    @staticmethod
+    def _er_file(capsys, tmp_path, n, p):
+        path = tmp_path / f"er_{n}.txt"
+        args = ("--n", str(n), "--p", str(p), "--seed", "0", "--out", str(path))
+        assert run_main(capsys, "generate", "--family", "erdos_renyi", *args)[0] == 0
+        return str(path)
+
+    def test_curvature_er400(self, tmp_path, capsys):
+        path = self._er_file(capsys, tmp_path, 400, 0.03)
+        code, out, _ = run_main(capsys, "curvature", path)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "32d33754b3890f60886a414900e3b6374facc762ac75e795f8af21949f74c778"
+
+    def test_rewire_er100(self, tmp_path, capsys):
+        path = self._er_file(capsys, tmp_path, 100, 0.08)
+        args = ("--tau-neg", "-0.3", "--additions", "3", "--iterations", "1")
+        code, out, _ = run_main(capsys, "rewire", path, *args)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "8dc165da102bbd585f1cadea5a8307f62213ca9716b0138a3339e8d62b709f27"

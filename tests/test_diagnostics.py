@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orckit import diagnostics
-from orckit.curvature import NotAnEdge, edge_report
+from orckit.curvature import curvature_profile, edge_report, ricci_curvature
 from orckit.diagnostics import (
     _WRITE_BATCH,
     CHECK_NAMES,
+    TOLERANCE,
     BoundCheck,
     HypothesisNotMet,
     SuiteReport,
@@ -28,7 +28,7 @@ from orckit.diagnostics import (
     verify_shared_neighbor,
 )
 from orckit.graphs import generate
-from orckit.mpnn import LayerSpec, MpnnSpec, Update, forward, identity_spec
+from orckit.mpnn import LayerSpec, MpnnSpec, Update, forward, identity_spec, walk_counts
 
 F = Fraction
 
@@ -65,11 +65,17 @@ class TestSmoothingMetrics:
         assert obj["dirichlet"] == [3.0, 1.5]
 
 
+def one_layer_check(g, spec, x, edge):
+    """The one-layer check of spec's first layer on a single edge."""
+    (check,) = verify_one_layer(g, spec.layers[0], x, [edge_report(g, *edge)])
+    return check
+
+
 class TestOneLayer:
     def test_triangle_sum_identity(self):
         g = generate("complete", n=3)
         x = np.array([[1.0], [-1.0], [1.0]])  # max norm 1 over both neighborhoods
-        check = verify_one_layer(g, identity_spec(1, 1, "sum"), x, (0, 1))
+        check = one_layer_check(g, identity_spec(1, 1, "sum"), x, (0, 1))
         assert check.name == "one_layer_sum"
         assert check.holds
         assert check.lhs == 0.0  # identical extended neighborhoods
@@ -77,7 +83,7 @@ class TestOneLayer:
 
     def test_zero_features(self):
         g = generate("barbell", k=3)
-        check = verify_one_layer(g, identity_spec(1, 1, "mean"), np.zeros((6, 1)), (0, 1))
+        check = one_layer_check(g, identity_spec(1, 1, "mean"), np.zeros((6, 1)), (0, 1))
         assert check.holds and check.lhs == 0.0
 
     def test_random_mean_layer_on_k4(self):
@@ -85,25 +91,20 @@ class TestOneLayer:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        check = verify_one_layer(g, identity_spec(3, 1, "mean"), x, (0, 1))
+        check = one_layer_check(g, identity_spec(3, 1, "mean"), x, (0, 1))
         assert check.name == "one_layer_mean"
         assert check.holds
 
     def test_flat_curvature_fails_the_hypothesis(self):
         g = generate("path", n=3)
         with pytest.raises(HypothesisNotMet):
-            verify_one_layer(g, identity_spec(1, 1, "mean"), np.zeros((3, 1)), (0, 1))
-
-    def test_not_an_edge(self):
-        g = generate("path", n=3)
-        with pytest.raises(NotAnEdge):
-            verify_one_layer(g, identity_spec(1, 1, "mean"), np.zeros((3, 1)), (0, 2))
+            one_layer_check(g, identity_spec(1, 1, "mean"), np.zeros((3, 1)), (0, 1))
 
     @pytest.mark.parametrize("agg_index, aggregator", [(0, "sum"), (1, "mean")])
     def test_suite_matches_per_edge_checks(self, corpus_entries, agg_index, aggregator):
-        # run_suite runs the first layer once per trial; the public per-edge
-        # check gets kappa from its own edge report and must agree check for
-        # check, with gaps equal to an independent first-layer pass
+        # run_suite checks each trial's layer on every positively curved edge;
+        # rebuilt here edge by edge from ricci_curvature, a separate
+        # first-layer pass for the gap and C over the two closed neighbourhoods
         entries = list(corpus_entries)
         entries += [(f"er{s}", generate("erdos_renyi", n=15, p=0.3, seed=s)) for s in range(3)]
         name = f"one_layer_{aggregator}"
@@ -114,14 +115,24 @@ class TestOneLayer:
             spec, channels = _draw_one_layer(rng, aggregator)
             x = rng.standard_normal((g.vertex_count, channels))
             x1 = forward(g, x, spec)[1]
+            layer = spec.layers[0]
             checks = []
             for u, v in g.edges:
-                try:
-                    check = verify_one_layer(g, spec, x, (u, v), graph_name)
-                except HypothesisNotMet:
+                kappa = ricci_curvature(g, u, v)
+                if kappa <= 0:
                     continue
-                assert check.lhs == float(np.linalg.norm(x1[u] - x1[v]))
-                checks.append(dataclasses.replace(check, context=f"trial={t} " + check.context))
+                gap = float(np.linalg.norm(x1[u] - x1[v]))
+                closed = {u, v, *g.adjacency[u], *g.adjacency[v]}
+                big_c = max(float(np.linalg.norm(x[p])) for p in closed)
+                n = max(g.degree(u), g.degree(v))
+                big_l, big_m = layer.update.lipschitz(), layer.operator_bound()
+                rhs = _one_layer_rhs(aggregator, kappa, n, big_l, big_c, big_m)
+                context = f"trial={t} edge=({u},{v}) kappa={kappa.numerator}/{kappa.denominator}"
+                holds = gap <= rhs + TOLERANCE
+                slack = rhs - gap
+                checks.append(
+                    BoundCheck(name, graph_name, context, gap, rhs, holds, slack, TOLERANCE)
+                )
             expected += checks or [
                 _skip(name, graph_name, f"trial={t}", "no positively curved edge")
             ]
@@ -132,7 +143,7 @@ class TestMultilayer:
     def test_k4_identity_layers(self):
         g = generate("complete", n=4)
         x = np.array([[1.0], [0.5], [-0.5], [-1.0]])  # C = 1
-        checks = verify_multilayer(g, identity_spec(1, 2, "mean"), x, 2)
+        checks = verify_multilayer(g, identity_spec(1, 2, "mean"), x, curvature_profile(g))
         assert len(checks) == 12  # 6 edges x 2 layers
         k1 = [c for c in checks if "k=1" in c.context]
         # (2/3) * C * (3 * floor((1 - 2/3) * 3) / 4) = 1/2
@@ -152,29 +163,35 @@ class TestMultilayer:
                 for _ in range(4)
             )
             x = rng.standard_normal((g.vertex_count, 2))
-            checks = verify_multilayer(g, MpnnSpec(layers), x, 4)
+            checks = verify_multilayer(g, MpnnSpec(layers), x, curvature_profile(g))
             assert checks and all(c.holds for c in checks)
 
     def test_irregular_graph_rejected(self):
         g = generate("star", n=3)
         with pytest.raises(HypothesisNotMet):
-            verify_multilayer(g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), 2)
+            verify_multilayer(
+                g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), curvature_profile(g)
+            )
 
     def test_flat_curvature_rejected(self):
         g = generate("cycle", n=4)
         with pytest.raises(HypothesisNotMet):
-            verify_multilayer(g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), 2)
+            verify_multilayer(
+                g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), curvature_profile(g)
+            )
 
     def test_sum_aggregation_rejected(self):
         g = generate("complete", n=4)
         with pytest.raises(HypothesisNotMet):
-            verify_multilayer(g, identity_spec(1, 2, "sum"), np.zeros((4, 1)), 2)
+            verify_multilayer(
+                g, identity_spec(1, 2, "sum"), np.zeros((4, 1)), curvature_profile(g)
+            )
 
 
 class TestJacobianRatio:
     def test_path_edge_pair(self):
         g = generate("path", n=3)
-        alpha, beta = verify_jacobian_ratio(g, identity_spec(1, 2, "sum"), (0, 1))
+        alpha, beta = verify_jacobian_ratio(g, edge_report(g, 0, 1))
         assert alpha.holds and beta.holds
         assert "side=alpha" in alpha.context and "side=beta" in beta.context
         assert alpha.lhs == F(2, 5) and alpha.rhs == F(4, 5)
@@ -182,40 +199,51 @@ class TestJacobianRatio:
 
     def test_triangle_has_slack(self):
         g = generate("complete", n=3)
-        alpha, _ = verify_jacobian_ratio(g, identity_spec(1, 2, "sum"), (0, 1))
+        alpha, _ = verify_jacobian_ratio(g, edge_report(g, 0, 1))
         assert alpha.holds and alpha.slack > 0
 
-    def test_suite_matches_per_edge_checks(self, corpus_entries):
-        # run_suite feeds alpha/beta from its curvature reports; the public
-        # per-edge check recomputes them and must agree check for check
+    def test_suite_matches_per_edge_checks(self, corpus_entries, walk_count_ratios):
+        # run_suite checks alpha/beta on every edge; rebuilt here from rows of
+        # the dense (A+I)^2 and ricci_curvature, the bound being
+        # (n (kappa + 2) + 4) / (2 * row sum of the receiving vertex)
         entries = list(corpus_entries)
         entries += [(f"er{s}", generate("erdos_renyi", n=15, p=0.3, seed=s)) for s in range(3)]
         report = run_suite(corpus=entries, trials=0, suite="jacobian_ratio")
-        spec = identity_spec(1, 2, "sum")
-        expected = [
-            check
-            for name, g in entries
-            for edge in g.edges
-            for check in verify_jacobian_ratio(g, spec, edge, 0, name)
-        ]
+        expected = []
+        for name, g in entries:
+            counts = walk_counts(g, 2)
+            for u, v in g.edges:
+                ratios = walk_count_ratios(g, counts, u, v)
+                kappa_form = max(g.degree(u), g.degree(v)) * (ricci_curvature(g, u, v) + 2) + 4
+                for side, lhs, row in zip(("alpha", "beta"), ratios, (counts[u], counts[v])):
+                    rhs = kappa_form / (2 * sum(row))
+                    context = f"edge=({u},{v}) k=0 side={side}"
+                    holds, slack = lhs <= rhs, rhs - lhs
+                    expected.append(
+                        BoundCheck("jacobian_ratio", name, context, lhs, rhs, holds, slack, 0.0)
+                    )
         assert list(report.checks) == expected
+
+
+def diameter_check(g):
+    return verify_diameter(g, curvature_profile(g))
 
 
 class TestDiameter:
     def test_triangle(self):
-        check = verify_diameter(generate("complete", n=3))
+        check = diameter_check(generate("complete", n=3))
         assert check.holds
         assert (check.lhs, check.rhs) == (F(1), F(4))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_complete_family(self, n):
-        check = verify_diameter(generate("complete", n=n))
+        check = diameter_check(generate("complete", n=n))
         assert check.holds
         assert check.rhs == (2 * (n - 1)) // (n - 2)
 
     def test_flat_curvature_rejected(self):
         with pytest.raises(HypothesisNotMet):
-            verify_diameter(generate("path", n=4))
+            diameter_check(generate("path", n=4))
 
 
 def test_mean_case_rhs_decreases_toward_one():
@@ -272,7 +300,7 @@ class TestBottleneckBound:
 
 class TestBoundCheckShape:
     def test_exact_json(self):
-        check = verify_diameter(generate("complete", n=3))
+        check = diameter_check(generate("complete", n=3))
         obj = check.to_json_obj()
         assert obj["name"] == "diameter"
         assert obj["holds"] is True
@@ -281,7 +309,7 @@ class TestBoundCheckShape:
 
     def test_approx_json(self):
         g = generate("complete", n=3)
-        check = verify_one_layer(g, identity_spec(1, 1, "sum"), np.ones((3, 1)), (0, 1))
+        check = one_layer_check(g, identity_spec(1, 1, "sum"), np.ones((3, 1)), (0, 1))
         obj = check.to_json_obj()
         assert obj["lhs"]["exact"] is None
         assert obj["tolerance"] == 1e-9

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orckit.curvature import bottleneck_sets
+from orckit.curvature import bottleneck_sets, edge_report
 from orckit.diagnostics import smoothing_metrics
 from orckit.graphs import generate
 from orckit.mpnn import (
@@ -12,7 +12,6 @@ from orckit.mpnn import (
     DimensionMismatch,
     LayerSpec,
     MpnnSpec,
-    NotAnEdge,
     NotLinear,
     SpecError,
     Update,
@@ -372,8 +371,7 @@ class TestInfluence:
 class TestAlphaBeta:
     def test_path_edge(self):
         g = generate("path", n=3)
-        spec = identity_spec(1, 2, "sum")
-        ab = alpha_beta(g, spec, 0, 1)
+        ab = alpha_beta(g, edge_report(g, 0, 1))
         assert ab.alpha == F(2, 5)
         assert ab.beta == F(2, 7)
         # the far-leaf sender alone contributes ratio 1/5
@@ -388,7 +386,7 @@ class TestAlphaBeta:
 
     def test_double_star_centers(self):
         g = generate("double_star", a=3, b=3)
-        ab = alpha_beta(g, identity_spec(1, 2, "sum"), 0, 1)
+        ab = alpha_beta(g, edge_report(g, 0, 1))
         assert ab.alpha == F(1, 6)
         assert ab.alpha_structural_rhs == F(1, 4)
         assert ab.alpha_proof_rhs == F(1, 3)
@@ -396,37 +394,23 @@ class TestAlphaBeta:
 
     def test_triangle_is_symmetric(self):
         g = generate("complete", n=3)
-        ab = alpha_beta(g, identity_spec(1, 2, "sum"), 0, 1)
+        ab = alpha_beta(g, edge_report(g, 0, 1))
         assert ab.alpha == ab.beta
 
     def test_bounds_hold_on_denser_graphs(self, walk_count_ratios):
         graphs = [generate("cocktail_party", m=3), generate("erdos_renyi", n=12, p=0.4, seed=9)]
         graphs += [generate("erdos_renyi", n=15, p=0.3, seed=s) for s in range(3)]
-        spec = identity_spec(1, 2, "sum")
         for g in graphs:
             counts = walk_counts(g, 2)
             for u, v in g.edges:
-                ab = alpha_beta(g, spec, u, v)
+                ab = alpha_beta(g, edge_report(g, u, v))
                 assert ab.bound_ok
                 # the closed form agrees with rows of the dense (A+I)^2
                 assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v)
 
     def test_structural_bound_uses_the_connecting_set(self):
         g = generate("path", n=3)
-        ab = alpha_beta(g, identity_spec(1, 2, "sum"), 0, 1)
+        ab = alpha_beta(g, edge_report(g, 0, 1))
         s_size = len(bottleneck_sets(g, 0, 1).s_statement)
         assert ab.alpha_structural_rhs == F(s_size + 2, 5)
 
-    def test_not_an_edge(self):
-        with pytest.raises(NotAnEdge):
-            alpha_beta(generate("path", n=3), identity_spec(1, 2, "sum"), 0, 2)
-
-    def test_needs_two_layers_past_k(self):
-        g = generate("path", n=3)
-        with pytest.raises(SpecError):
-            alpha_beta(g, identity_spec(1, 1, "sum"), 0, 1)
-
-    def test_mean_aggregation_is_rejected(self):
-        g = generate("path", n=3)
-        with pytest.raises(NotLinear):
-            alpha_beta(g, identity_spec(1, 2, "mean"), 0, 1)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from orckit.curvature import curvature_profile, ricci_curvature
-from orckit.diagnostics import _one_layer_checks, run_suite
+from orckit.diagnostics import run_suite, verify_one_layer
 from orckit.graphs import bfs_distances, from_edges
 from orckit.mpnn import LayerSpec, Update
 from orckit.transport import (
@@ -125,7 +125,7 @@ def test_one_layer_bounds_hold_beyond_the_corpus(g, data):
     aggregator = data.draw(st.sampled_from(["sum", "mean"]))
     layer = LayerSpec(aggregator, data.draw(_matrices(d_out, d_in, 3.0)), data.draw(updates(d_out)))
     x = data.draw(_matrices(g.vertex_count, d_in, 10.0))
-    edges = [(r.edge, r.kappa) for r in curvature_profile(g).reports if r.kappa > 0]
-    checks = _one_layer_checks(g, layer, x, edges, "g")
-    assert len(checks) == len(edges)
+    reports = [r for r in curvature_profile(g).reports if r.kappa > 0]
+    checks = verify_one_layer(g, layer, x, reports, "g")
+    assert len(checks) == len(reports)
     assert not [c for c in checks if c.violated], [c.to_json_obj() for c in checks if c.violated]
