@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .curvature import CurvatureProfile, EdgeCurvatureReport, curvature_profile, frac_str
-from .graphs import Graph, bfs_distances, corpus as default_corpus, neighborhoods
-from .mpnn import LayerSpec, MpnnSpec, Update, alpha_beta, forward
+from .graphs import Graph, bfs_distances, corpus as default_corpus
+from .mpnn import LayerSpec, MpnnSpec, Update, alpha_beta, edge_gaps, forward, vertex_norms
 
 TOLERANCE = 1e-9
 
@@ -175,15 +175,8 @@ class SmoothingReport:
 
 
 def smoothing_metrics(g: Graph, trajectory: Sequence[np.ndarray]) -> SmoothingReport:
-    gaps = []
-    for x in trajectory:
-        x = np.asarray(x, dtype=float)
-        row = tuple(float(np.linalg.norm(x[u] - x[v])) for (u, v) in g.edges)
-        gaps.append(row)
-    return SmoothingReport(
-        gaps=tuple(gaps),
-        dirichlet=tuple(math.fsum(row) for row in gaps),
-    )
+    gaps = tuple(edge_gaps(np.asarray(x, dtype=float), g.edges) for x in trajectory)
+    return SmoothingReport(gaps=gaps, dirichlet=tuple(math.fsum(row) for row in gaps))
 
 
 def _one_layer_rhs(aggregator: str, kappa: Fraction, n: int, L: float, C: float, M: float) -> float:
@@ -218,15 +211,14 @@ def verify_one_layer(
     x0, x1 = forward(g, x, MpnnSpec((layer,)))
     big_l = layer.update.lipschitz()
     big_m = layer.operator_bound()
+    norms = vertex_norms(x0)
     checks = []
-    for r in reports:
+    for r, gap in zip(reports, edge_gaps(x1, [r.edge for r in reports])):
         (u, v), kappa = r.edge, r.kappa
         if kappa <= 0:
             raise HypothesisNotMet(f"kappa({u},{v}) = {frac_str(kappa)} is not positive")
-        gap = float(np.linalg.norm(x1[u] - x1[v]))
-        nb_u, _ = neighborhoods(g, u)
-        nb_v, _ = neighborhoods(g, v)
-        big_c = max(float(np.linalg.norm(x0[p])) for p in sorted(nb_u | nb_v))
+        # N_u and N_v hold v and u: together they are the closed neighbourhoods
+        big_c = max(norms[p] for p in g.adjacency[u] + g.adjacency[v])
         rhs = _one_layer_rhs(layer.aggregator, kappa, max(r.deg_u, r.deg_v), big_l, big_c, big_m)
         context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
         checks.append(_approx(name, graph_name, context, gap, rhs))
@@ -269,7 +261,7 @@ def verify_multilayer(
     big_l = max(layer.update.lipschitz() for layer in spec.layers)
     big_m = max(layer.operator_bound() for layer in spec.layers)
     x = np.asarray(x, dtype=float)
-    big_c = max(float(np.linalg.norm(x[p])) for p in range(g.vertex_count))
+    big_c = max(vertex_norms(x))
     # floor of (1 - delta) * n taken in exact arithmetic; a float round
     # here could flip the floor next to an integer boundary
     floor_term = math.floor((1 - delta) * n)
@@ -279,9 +271,7 @@ def verify_multilayer(
     checks = []
     for k in range(1, len(spec.layers) + 1):
         rhs = (2.0 / 3.0) * big_c * base**k
-        xk = trajectory[k]
-        for (u, v) in g.edges:
-            gap = float(np.linalg.norm(xk[u] - xk[v]))
+        for (u, v), gap in zip(g.edges, edge_gaps(trajectory[k], g.edges)):
             context = f"edge=({u},{v}) k={k} delta={frac_str(delta)}"
             checks.append(_approx("multilayer", graph_name, context, gap, rhs))
     return checks
@@ -439,11 +429,55 @@ class SuiteReport:
         write(f"\n  ],\n{rest}\n")
 
 
-class _Abort(Exception):
-    pass
-
-
 MULTILAYER_DEPTH = 6
+
+
+def _suite_checks(
+    entries: list[tuple[str, Graph]], want: set[str], trials: int, seed: int
+) -> Iterator[BoundCheck]:
+    """Every check of run_suite in report order; a bound pair may also
+    yield its member that want does not name."""
+    profiles = [curvature_profile(g) for _, g in entries]
+    positive = [[r for r in profile.reports if r.kappa > 0] for profile in profiles]
+
+    for gi, ((name, g), profile) in enumerate(zip(entries, profiles)):
+        for r in profile.reports:
+            if "shared_neighbor" in want:
+                yield verify_shared_neighbor(r, name)
+            if {"bottleneck_statement", "bottleneck_strong"} & want:
+                yield from verify_bottleneck(r, name)
+            if "jacobian_ratio" in want:
+                yield from verify_jacobian_ratio(g, r, name)
+        if "diameter" in want:
+            try:
+                yield verify_diameter(g, profile, name)
+            except HypothesisNotMet as exc:
+                yield _skip("diameter", name, "", str(exc))
+        if "multilayer" in want:
+            rng = np.random.default_rng((seed, 2, gi))
+            spec, channels = _draw_multilayer(rng, MULTILAYER_DEPTH)
+            x = rng.standard_normal((g.vertex_count, channels))
+            try:
+                yield from verify_multilayer(g, spec, x, profile, name)
+            except HypothesisNotMet as exc:
+                yield _skip("multilayer", name, "", str(exc))
+
+    for agg_index, aggregator in enumerate(("sum", "mean")):
+        name = f"one_layer_{aggregator}"
+        if name not in want or not entries:
+            continue
+        for t in range(trials):
+            gi = t % len(entries)
+            graph_name, g = entries[gi]
+            rng = np.random.default_rng((seed, agg_index, t))
+            spec, channels = _draw_one_layer(rng, aggregator)
+            x = rng.standard_normal((g.vertex_count, channels))
+            if not positive[gi]:
+                yield _skip(name, graph_name, f"trial={t}", "no positively curved edge")
+                continue
+            yield from verify_one_layer(
+                g, spec.layers[0], x, positive[gi], graph_name, f"trial={t} "
+            )
 
 
 def run_suite(
@@ -475,61 +509,9 @@ def run_suite(
     want = set(CHECK_NAMES) if suite == "all" else {suite}
     entries = list(default_corpus() if corpus is None else corpus)
     checks: list[BoundCheck] = []
-
-    def emit(check: BoundCheck) -> None:
-        checks.append(check)
-        if fail_fast and check.violated:
-            raise _Abort
-
-    try:
-        profiles = [curvature_profile(g) for _, g in entries]
-        positive = [[r for r in profile.reports if r.kappa > 0] for profile in profiles]
-
-        for gi, (name, g) in enumerate(entries):
-            profile = profiles[gi]
-            for r in profile.reports:
-                if "shared_neighbor" in want:
-                    emit(verify_shared_neighbor(r, name))
-                if {"bottleneck_statement", "bottleneck_strong"} & want:
-                    for check in verify_bottleneck(r, name):
-                        if check.name in want:
-                            emit(check)
-                if "jacobian_ratio" in want:
-                    for check in verify_jacobian_ratio(g, r, name):
-                        emit(check)
-            if "diameter" in want:
-                try:
-                    emit(verify_diameter(g, profile, name))
-                except HypothesisNotMet as exc:
-                    emit(_skip("diameter", name, "", str(exc)))
-            if "multilayer" in want:
-                rng = np.random.default_rng((seed, 2, gi))
-                spec, channels = _draw_multilayer(rng, MULTILAYER_DEPTH)
-                x = rng.standard_normal((g.vertex_count, channels))
-                try:
-                    for check in verify_multilayer(g, spec, x, profile, name):
-                        emit(check)
-                except HypothesisNotMet as exc:
-                    emit(_skip("multilayer", name, "", str(exc)))
-
-        if entries:
-            for agg_index, aggregator in enumerate(("sum", "mean")):
-                name = f"one_layer_{aggregator}"
-                if name not in want:
-                    continue
-                for t in range(trials):
-                    gi = t % len(entries)
-                    graph_name, g = entries[gi]
-                    rng = np.random.default_rng((seed, agg_index, t))
-                    spec, channels = _draw_one_layer(rng, aggregator)
-                    x = rng.standard_normal((g.vertex_count, channels))
-                    if not positive[gi]:
-                        emit(_skip(name, graph_name, f"trial={t}", "no positively curved edge"))
-                        continue
-                    for check in verify_one_layer(
-                        g, spec.layers[0], x, positive[gi], graph_name, f"trial={t} "
-                    ):
-                        emit(check)
-    except _Abort:
-        pass
+    for check in _suite_checks(entries, want, trials, seed):
+        if check.name in want:
+            checks.append(check)
+            if fail_fast and check.violated:
+                break
     return SuiteReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

@@ -185,10 +185,7 @@ def rewire_step(
     added: list[tuple[int, int]] = []
     too_neg.sort(key=lambda r: (r.kappa, r.edge))
     for r in too_neg[: cfg.additions_per_step]:
-        u, v = r.edge
-        if not work.has_edge(u, v):
-            continue
-        candidate = _support_candidate(work, u, v)
+        candidate = _support_candidate(work, *r.edge)
         if candidate is None:
             continue
         work = from_edges(work.vertex_count, list(work.edges) + [candidate])

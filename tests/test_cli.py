@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from referencing import Registry, Resource
 
@@ -281,6 +282,11 @@ class TestSimulate:
         assert len(series) == 26
         assert series[-1][1] < 1e-3 * series[0][1]
 
+    def test_negative_demo_iterations(self):
+        code, out, err = run_cli("simulate", "--demo-smoothing", "--demo-iterations", "-3")
+        assert code == 2 and out == ""
+        assert "iterations must be a non-negative integer, got -3" in err
+
 
 class TestRewire:
     def test_barbell_defaults(self, barbell_file):
@@ -319,8 +325,9 @@ class TestRewire:
 
 
 class TestGoldenHashes:
-    """stdout sha256 of `curvature` and `rewire` on seeded ER graphs, run in
-    process; `verify`'s hash is pinned by test_criterion_13_cli_contract."""
+    """stdout sha256 of `curvature`, `rewire` and `simulate` on fixed inputs,
+    run in process; `verify`'s hash is pinned by
+    test_criterion_13_cli_contract."""
 
     @staticmethod
     def _er_file(capsys, tmp_path, n, p):
@@ -343,3 +350,38 @@ class TestGoldenHashes:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "8dc165da102bbd585f1cadea5a8307f62213ca9716b0138a3339e8d62b709f27"
+
+    def test_simulate_demo(self, capsys):
+        code, out, _ = run_main(capsys, "simulate", "--demo-smoothing")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "cfc06592fe9837be0ddc219d4c681cf316c57a01f11d07403f3e66690d7acf1d"
+
+    def test_simulate_er60_three_layers(self, tmp_path, capsys):
+        graph = self._er_file(capsys, tmp_path, 60, 0.1)
+        feats = tmp_path / "x.csv"
+        np.savetxt(feats, np.random.default_rng(0).standard_normal((60, 3)), delimiter=",")
+        layers = [
+            {
+                "aggregator": "sum",
+                "message": [[0.5, -0.25, 0.0], [0.1, 0.2, 0.3], [0.0, 0.0, 1.0]],
+                "update": {"kind": "leaky", "slope": 0.1},
+            },
+            {
+                "aggregator": "mean",
+                "message": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "update": {"kind": "clamp", "bound": 2.0},
+            },
+            {
+                "aggregator": "mean",
+                "message": [[0.3, 0.3, 0.3], [0.0, -1.0, 0.5], [0.2, 0.0, 0.1]],
+                "update": {"kind": "abs"},
+            },
+        ]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"layers": layers}))
+        args = ("--features", str(feats), "--spec", str(spec))
+        code, out, _ = run_main(capsys, "simulate", graph, *args)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "b1f8735409c6b4ae6b976d5ef633de39378a89e3bb61ce6d4fab6c32b4356258"

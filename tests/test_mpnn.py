@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,14 @@ from orckit.mpnn import (
     alpha_beta,
     demo_instance,
     dirichlet_energy,
+    edge_gaps,
     forward,
     identity_spec,
     influence_distribution,
     linear_jacobians,
     parse_spec,
     smoothing_demo,
+    vertex_norms,
     walk_counts,
 )
 
@@ -213,6 +216,14 @@ def test_dirichlet_energy():
     assert dirichlet_energy(g, np.zeros((3, 2))) == 0.0
 
 
+def test_feature_measures():
+    x = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    norms, gaps = vertex_norms(x), edge_gaps(x, generate("path", n=3).edges)
+    assert norms == [5.0, 0.0, 1.0] and gaps == (5.0, 1.0)
+    assert all(type(c) is float for c in norms + list(gaps))
+    assert edge_gaps(x, [(2, 0)]) == (math.sqrt(20.0),)
+
+
 class TestSmoothingDemo:
     def test_zero_iterations(self):
         g = generate("path", n=3)
@@ -220,6 +231,11 @@ class TestSmoothingDemo:
         traj, energies = smoothing_demo(g, x, 0)
         assert len(traj) == 1 and len(energies) == 1
         assert np.array_equal(traj[0], x)
+
+    def test_negative_iterations_rejected(self):
+        g = generate("path", n=3)
+        with pytest.raises(ValueError, match="iterations must be a non-negative integer, got -3"):
+            smoothing_demo(g, np.array([[0.0], [0.0], [3.0]]), -3)
 
     def test_path_energy_halves(self):
         g = generate("path", n=3)
@@ -253,7 +269,13 @@ class TestSmoothingDemo:
         for name, g in corpus_entries:
             x = np.random.default_rng((215, g.vertex_count)).standard_normal((g.vertex_count, 3))
             traj, energies = smoothing_demo(g, x, 5)
-            assert energies == list(smoothing_metrics(g, traj).dirichlet), name
+            # summed here edge by edge, not through edge_gaps
+            expected = [
+                math.fsum(float(np.linalg.norm(xs[u] - xs[v])) for u, v in g.edges)
+                for xs in traj
+            ]
+            assert energies == expected, name
+            assert list(smoothing_metrics(g, traj).dirichlet) == expected, name
 
 
 class TestWalkCounts:
