@@ -23,6 +23,7 @@ from .curvature import curvature_profile, profile_to_json_obj
 from .diagnostics import run_suite, smoothing_metrics
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
+    MAX_DEMO_ITERATIONS,
     DimensionMismatch,
     SpecError,
     demo_instance,
@@ -84,10 +85,7 @@ def _cmd_curvature(args) -> int:
     threads = _resolve_threads(args.threads)
     profile = curvature_profile(g)
     print(f"threads used: {threads}", file=sys.stderr)
-    obj = profile_to_json_obj(profile)
-    if g.id_map is not None:
-        # input used sparse labels; vertex i in this report was label id_map[i]
-        obj["vertex_ids"] = list(g.id_map)
+    obj = _echo_vertex_ids(profile_to_json_obj(profile), g)
     _emit(_dump_json(obj), args.out)
     return 0
 
@@ -120,6 +118,13 @@ def _write_layers(trajectory, out_dir: str) -> None:
         np.savetxt(directory / f"layer_{k:02d}.csv", xk, delimiter=",")
 
 
+def _echo_vertex_ids(obj: dict, g: Graph) -> dict:
+    if g.id_map is not None:
+        # input used sparse labels; vertex i in this report was label id_map[i]
+        obj["vertex_ids"] = list(g.id_map)
+    return obj
+
+
 def _simulate_report(g: Graph, trajectory, demo: bool) -> dict:
     smoothing = smoothing_metrics(g, trajectory)
     series = [[k, e] for k, e in enumerate(smoothing.dirichlet)]
@@ -127,7 +132,7 @@ def _simulate_report(g: Graph, trajectory, demo: bool) -> dict:
         smoothing.dirichlet[k + 1] <= smoothing.dirichlet[k]
         for k in range(len(smoothing.dirichlet) - 1)
     )
-    return {
+    report = {
         "graph": g.to_json_obj(),
         "layer_states": len(trajectory),
         "demo": demo,
@@ -135,6 +140,7 @@ def _simulate_report(g: Graph, trajectory, demo: bool) -> dict:
         "series": series,
         "smoothing": smoothing.to_json_obj(g),
     }
+    return _echo_vertex_ids(report, g)
 
 
 def _cmd_simulate(args) -> int:
@@ -178,7 +184,7 @@ def _cmd_rewire(args) -> int:
         wrote = True
     if not wrote:
         combined = {"graph": rewired.to_json_obj(), "trace": trace.to_json_obj()}
-        _emit(_dump_json(combined), None)
+        _emit(_dump_json(_echo_vertex_ids(combined, g)), None)
     return 0
 
 
@@ -225,7 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("auto", "edgelist", "json"), default="auto")
     p.add_argument("--layers-out", help="directory for per-layer feature CSVs")
     p.add_argument("--demo-smoothing", action="store_true")
-    p.add_argument("--demo-iterations", type=int, default=25)
+    p.add_argument(
+        "--demo-iterations", type=int, default=25, help=f"at most {MAX_DEMO_ITERATIONS}"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 

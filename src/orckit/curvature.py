@@ -105,7 +105,7 @@ def curvature_profile(g: Graph) -> CurvatureProfile:
     return CurvatureProfile(reports=tuple(edge_report(g, u, v) for u, v in g.edges))
 
 
-def _max_bipartite_matching(left: list[int], adj: dict[int, list[int]]) -> int:
+def _max_bipartite_matching(left: list[int], adj: dict[int, frozenset[int]]) -> int:
     match: dict[int, int] = {}
 
     def augment(p: int, seen: set[int]) -> bool:
@@ -138,21 +138,22 @@ def bottleneck_sets(g: Graph, u: int, v: int) -> BottleneckSets:
     side_v = nt_v - {hu}
     # every edge with one end in side_u and the other in side_v, in g.edges
     # order; the tuples are g.edges' own, so reports hold no copies
-    found = {(a, b) if a < b else (b, a) for a in side_u for b in g.adjacency[a] if b in side_v}
+    sets = g.neighbor_sets
+    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
     s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
 
     n0 = len(n_u & n_v)
     excl_u = sorted(n_u - {hv} - n_v)
     excl_v = n_v - {hu} - n_u
-    adj = {p: [q for q in g.adjacency[p] if q in excl_v] for p in excl_u}
+    adj = {p: sets[p] & excl_v for p in excl_u}
     n1 = _max_bipartite_matching(excl_u, adj)
 
     participation: dict[int, int] = {}
     for a, b in s_statement:
         participation[a] = participation.get(a, 0) + 1
         participation[b] = participation.get(b, 0) + 1
-    limit = Fraction(n, m)
-    hypothesis = all(c <= limit for c in participation.values())
+    # count <= n/m, in integers
+    hypothesis = all(c * m <= n for c in participation.values())
     return BottleneckSets(
         s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis
     )

@@ -255,16 +255,24 @@ def dirichlet_energy(g: Graph, x: np.ndarray) -> float:
     return math.fsum(edge_gaps(x, g.edges))
 
 
+# Every step keeps its state and its gap row, so memory, time and report size
+# grow linearly with the step count; the demo graph has collapsed long before.
+MAX_DEMO_ITERATIONS = 1000
+
+
 def smoothing_demo(
     g: Graph, x: np.ndarray, iterations: int
 ) -> tuple[list[np.ndarray], list[float]]:
     """Pure averaging (mean aggregation, identity maps) for a number of steps.
 
     Returns (trajectory of length iterations+1, Dirichlet energy per step).
-    Raises ValueError when iterations is negative.
+    Raises ValueError when iterations is negative or above
+    MAX_DEMO_ITERATIONS, before anything is allocated.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations}")
+    if iterations > MAX_DEMO_ITERATIONS:
+        raise ValueError(f"iterations must be at most {MAX_DEMO_ITERATIONS}, got {iterations}")
     x = _check_features(g, x)
     spec = identity_spec(x.shape[1], iterations, "mean")
     traj = forward(g, x, spec)

@@ -1,11 +1,12 @@
 """Exact discrete Wasserstein-1 between local measures.
 
 Two independent solvers: the production path scales both measures to a
-common integer grid and runs a primal-dual min-cost flow (one Dijkstra per
-phase for potentials, then augmentations along zero-reduced-cost paths);
-the oracle solves the same integer transportation problem with the
-classical simplex (northwest-corner start + MODI pivots). Every number in
-either path is an int or a Fraction; no floats anywhere.
+common integer grid and runs a primal-dual min-cost flow (augmentations
+along zero-reduced-cost paths, and a Hungarian dual step on the potentials
+whenever a search finds none); the oracle solves the same integer
+transportation problem with the classical simplex (northwest-corner start +
+MODI pivots). Every number in either path is an int or a Fraction; no
+floats anywhere.
 
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
 on N_u and N_v. For an edge it reads the support distances from adjacency
@@ -15,10 +16,11 @@ takes arbitrary measures, so tests can pose problems of their own.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import eq, mul
 
 from .graphs import Graph, bfs_distances
 
@@ -110,20 +112,20 @@ def wasserstein1(g: Graph, u: int, v: int) -> Fraction:
     cost_m = distances(g, rows, cols)
     flow = _min_cost_flow(supplies, demands, cost_m)
     _check_marginals(flow, supplies, demands)
-    total = sum(f * c for frow, crow in zip(flow, cost_m) for f, c in zip(frow, crow))
+    total = sum(sum(map(mul, frow, crow)) for frow, crow in zip(flow, cost_m))
     return Fraction(total, T)
 
 
 def _check_marginals(flow: list[list[int]], supplies: list[int], demands: list[int]) -> None:
-    rows = [sum(r) for r in flow]
-    cols = [sum(c) for c in zip(*flow)]
-    if rows != supplies or cols != demands or any(f < 0 for r in flow for f in r):
+    rows = list(map(sum, flow))
+    cols = list(map(sum, zip(*flow)))
+    if rows != supplies or cols != demands or min(map(min, flow)) < 0:
         raise RuntimeError("transport plan marginals do not match the measures")
 
 
 # ---------------------------------------------------------------------------
 # Production solver: primal-dual min-cost flow on the transportation network.
-# Node layout: 0..m-1 sources, m..m+n-1 sinks. All arcs integer.
+# Rows are sources, columns sinks. All arithmetic is integer.
 
 
 def _min_cost_flow(
@@ -133,25 +135,25 @@ def _min_cost_flow(
 
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
     arc j -> i carries flow[i][j] back at cost -c_ij. Potentials keep every
-    residual reduced cost c_ij + pot_i - pot_j non-negative. Each phase runs
-    one Dijkstra (`_raise_potentials`) and then augments along paths of
-    zero reduced cost until none is left: one-arc paths first, straight from
-    the phase's zero-reduced-cost cells, then the rest by search
-    (`_admissible_path`).
+    reduced cost c_ij + row_pot[i] - col_pot[j] non-negative, and zero on
+    every cell that carries flow. Flow moves only along paths of zero-reduced-cost
+    arcs: forward arcs from `tight[i]`, back arcs from `carriers[j]` (the
+    rows with flow into sink j). A search from every source with supply
+    left either reaches a sink with demand left, and that path is
+    augmented, or fails; then the Hungarian dual step (Kuhn 1955,
+    `_raise_potentials`) makes a new arc tight and the search runs again.
 
-    At most C + 1 phases run, C = max c_ij, so at most four for an edge's
-    0-3 distances:
-    - Sources with supply left are Dijkstra roots, so their potential stays
-      0; sinks with demand left all gain the same D per phase, so they share
-      one potential P. A zero-reduced-cost path from one to the other
-      therefore costs exactly P, and P is the cost of a cheapest augmenting
-      path.
-    - A phase ends only when no zero-reduced-cost path is left. Reduced
-      costs are non-negative integers, so the next phase has D >= 1: the
-      augmenting-path cost P rises by at least 1 per phase.
-    - P >= 0 in the first phase, and P <= C in every phase, because the
-      direct arc i -> j from any source with supply left to any sink with
-      demand left is uncapacitated and always in the residual network.
+    At most C dual steps run, C = max c_ij, so at most C + 1 phases, four
+    for an edge's 0-3 distances:
+    - Sources start at potential 0 and each sink at its column minimum, so
+      no reduced cost starts negative.
+    - A source with supply left is a root of every search, so it is always
+      reached and its potential never moves from 0.
+    - A sink with demand left is never reached by a failed search, and
+      demand only falls, so every dual step so far raised such a sink's
+      potential by delta >= 1 (reduced costs are integers).
+    - That potential starts >= 0 and stays <= c_ij + 0 <= C for any source
+      i with supply left, so there is room for at most C steps.
     """
     m, n = len(supplies), len(demands)
     left = sum(supplies)
@@ -162,127 +164,102 @@ def _min_cost_flow(
         return flow
     supply = list(supplies)
     demand = list(demands)
-    pot = [0] * (m + n)
-    far = 1 + max(map(max, cost))
+    row_pot = [0] * m
+    col_pot = list(map(min, zip(*cost)))
+    tight = [list(compress(range(n), map(eq, row, col_pot))) for row in cost]
+    carriers: list[list[int]] = [[] for _ in range(n)]
+    phases = max(map(max, cost)) + 1  # the bound argued above
 
-    for _ in range(far):  # the C + 1 phases argued above
-        _raise_potentials(supply, demand, cost, flow, pot, far)
-        # cells of zero reduced cost; fixed for the phase, as pot is
-        sink_pot = pot[m:]
-        tight = [
-            [j for j, c, pj in zip(range(n), cost[i], sink_pot) if pj - c == pot[i]]
-            for i in range(m)
-        ]
-        tight_cols: list[list[int]] = [[] for _ in range(n)]
-        for i, js in enumerate(tight):
-            for j in js:
-                tight_cols[j].append(i)
-        # one-arc paths need no search
+    while True:
+        # one-arc paths need no search; they appear only where tight grows
         for i, js in enumerate(tight):
             for j in js:
                 if supply[i] == 0:
                     break
                 if demand[j] > 0:
                     amount = min(supply[i], demand[j])
+                    if flow[i][j] == 0:
+                        carriers[j].append(i)
                     flow[i][j] += amount
                     supply[i] -= amount
                     demand[j] -= amount
                     left -= amount
         while left > 0:
-            cells = _admissible_path(supply, demand, flow, tight, tight_cols)
-            if cells is None:
+            via_col = [-1] * n  # the row each reached column was reached from
+            via_row: list[int | None] = [None] * m  # likewise; -1 marks a root
+            stack = [i for i in range(m) if supply[i] > 0]
+            for i in stack:
+                via_row[i] = -1
+            sink = -1
+            while stack and sink < 0:
+                i = stack.pop()
+                for j in tight[i]:
+                    if via_col[j] >= 0:
+                        continue
+                    via_col[j] = i
+                    if demand[j] > 0:
+                        sink = j
+                        break
+                    for k in carriers[j]:
+                        if via_row[k] is None:
+                            via_row[k] = j
+                            stack.append(k)
+            if sink < 0:
                 break
-            start, sink = cells[-1][0], cells[0][1]
-            amount = min(supply[start], demand[sink], *(flow[i][j] for i, j in cells[1::2]))
-            for k, (i, j) in enumerate(cells):
-                flow[i][j] += amount if k % 2 == 0 else -amount
-            supply[start] -= amount
+            # the path alternates arcs i -> j (gain flow) and j -> i (lose it)
+            amount = demand[sink]
+            j = sink
+            while j >= 0:
+                i = via_col[j]
+                j = via_row[i]
+                amount = min(amount, supply[i] if j < 0 else flow[i][j])
+            j = sink
+            while j >= 0:
+                i = via_col[j]
+                if flow[i][j] == 0:
+                    carriers[j].append(i)
+                flow[i][j] += amount
+                j = via_row[i]
+                if j < 0:
+                    supply[i] -= amount
+                else:
+                    flow[i][j] -= amount
+                    if flow[i][j] == 0:
+                        carriers[j].remove(i)
             demand[sink] -= amount
             left -= amount
         if left == 0:
             return flow
-    raise RuntimeError("min-cost flow ran past its phase bound")
+        phases -= 1
+        if phases == 0:
+            raise RuntimeError("min-cost flow ran past its phase bound")
+        _raise_potentials(cost, row_pot, col_pot, tight, via_row, via_col)
 
 
-def _raise_potentials(supply, demand, cost, flow, pot, far) -> None:
-    """One Dijkstra over reduced costs from every source with supply left.
+def _raise_potentials(cost, row_pot, col_pot, tight, via_row, via_col) -> None:
+    """The dual step after a failed search, in place.
 
-    It stops at the first sink with demand left, at distance D, and raises
-    each potential by min(distance, D): vertices not settled by then are at
-    least D away. Arcs on shortest paths to that sink get reduced cost 0,
-    and no reduced cost turns negative. D <= max c_ij (see `_min_cost_flow`),
-    so `far` = max c_ij + 1 stands for "not reached".
+    delta is the least reduced cost from a row the search reached to a
+    column it did not; every unreached row and column rises by delta.
+    - Reached row -> unreached column cells fall by delta, so none turns
+      negative, and those that reach 0 join `tight`.
+    - Unreached row -> reached column cells rise by delta and leave
+      `tight`. None carries flow, or the search would have reached its row.
+    - delta >= 1: a failed search reached every column into which a
+      reached row has a tight cell.
     """
-    m, n = len(supply), len(demand)
-    dist = [far] * (m + n)
-    done = [False] * (m + n)
-    pq = [(0, i) for i in range(m) if supply[i] > 0]  # sorted, hence a heap
-    for _, i in pq:
-        dist[i] = 0
-    sink_pot = pot[m:]
-    while pq:
-        d, node = heapq.heappop(pq)
-        if done[node]:
-            continue
-        done[node] = True
-        # a settled node is never relaxed again: reduced costs are >= 0
-        if node < m:
-            base = d + pot[node]
-            for k, c, pk in zip(range(m, m + n), cost[node], sink_pot):
-                nd = base + c - pk
-                if nd < dist[k]:
-                    dist[k] = nd
-                    heapq.heappush(pq, (nd, k))
-        elif demand[node - m] > 0:
-            for k in range(m + n):
-                pot[k] += dist[k] if done[k] else d
-            return
-        else:
-            j = node - m
-            base = d + pot[node]
-            for i in range(m):
-                if flow[i][j] > 0:
-                    nd = base - cost[i][j] - pot[i]
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        heapq.heappush(pq, (nd, i))
-    raise RuntimeError("unbalanced transportation problem")
-
-
-def _admissible_path(supply, demand, flow, tight, tight_cols) -> list[tuple[int, int]] | None:
-    """Search over zero-reduced-cost residual arcs from every source with
-    supply left to a sink with demand left.
-
-    Returns the path's cells from that sink back to its source: even
-    positions are arcs i -> j (they gain flow), odd ones residual arcs
-    j -> i (they lose it). None when no such sink is reachable.
-    """
-    m, n = len(supply), len(demand)
-    via_sink = [-1] * n  # the source each reached sink was reached from
-    via_source: list[int | None] = [None] * m  # likewise; -1 marks a root
-    stack = [i for i in range(m) if supply[i] > 0]
-    for i in stack:
-        via_source[i] = -1
-    while stack:
-        i = stack.pop()
-        for j in tight[i]:
-            if via_sink[j] >= 0:
-                continue
-            via_sink[j] = i
-            if demand[j] > 0:
-                cells = []
-                while j >= 0:
-                    i = via_sink[j]
-                    cells.append((i, j))
-                    j = via_source[i]
-                    if j >= 0:
-                        cells.append((i, j))
-                return cells
-            for k in tight_cols[j]:
-                if via_source[k] is None and flow[k][j] > 0:
-                    via_source[k] = j
-                    stack.append(k)
-    return None
+    out = [j for j, i in enumerate(via_col) if i < 0]
+    reached = [i for i, j in enumerate(via_row) if j is not None]
+    slacks = [[cost[i][j] + row_pot[i] - col_pot[j] for j in out] for i in reached]
+    delta = min(map(min, slacks))
+    for i, slack in zip(reached, slacks):
+        tight[i] += [j for j, s in zip(out, slack) if s == delta]
+    for j in out:
+        col_pot[j] += delta
+    for i, j in enumerate(via_row):
+        if j is None:
+            row_pot[i] += delta
+            tight[i] = [k for k in tight[i] if via_col[k] < 0]
 
 
 # ---------------------------------------------------------------------------

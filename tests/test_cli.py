@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 from orckit import cli
+from orckit.mpnn import MAX_DEMO_ITERATIONS
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -154,19 +156,32 @@ class TestCurvature:
         assert out == "" and "disconnected" in err
 
     def test_sparse_relabelling_changes_only_vertex_ids(self, corpus_entries, tmp_path, capsys):
-        # order-preserving sparse labels compact back to the dense ids, so the
-        # report differs from the dense run only by its vertex_ids echo
+        # order-preserving sparse labels compact back to the dense ids, so each
+        # report (curvature, rewire, simulate) differs from the dense run only
+        # by its vertex_ids echo
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"layers": [{"aggregator": "mean", "message": [[1.0]]}]}')
         for name, g in corpus_entries[::22]:
             dense, sparse = tmp_path / f"{name}.txt", tmp_path / f"{name}_sparse.txt"
             dense.write_text(g.to_edge_list_text())
             sparse.write_text("".join(f"{10 * u + 7} {10 * v + 7}\n" for u, v in g.edges))
-            code, dense_out, _ = run_main(capsys, "curvature", str(dense))
-            assert code == 0 and "vertex_ids" not in json.loads(dense_out)
-            code, sparse_out, _ = run_main(capsys, "curvature", str(sparse))
-            assert code == 0
-            obj = json.loads(sparse_out)
-            assert obj.pop("vertex_ids") == [10 * i + 7 for i in range(g.vertex_count)], name
-            assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == dense_out, name
+            feats = tmp_path / f"{name}.csv"
+            np.savetxt(feats, np.arange(g.vertex_count, dtype=float)[:, None], delimiter=",")
+            for command, *extra in (
+                ("curvature",),
+                ("rewire",),
+                ("simulate", "--features", str(feats), "--spec", str(spec)),
+            ):
+                code, dense_out, _ = run_main(capsys, command, str(dense), *extra)
+                assert code == 0 and "vertex_ids" not in json.loads(dense_out)
+                code, sparse_out, _ = run_main(capsys, command, str(sparse), *extra)
+                assert code == 0
+                obj = json.loads(sparse_out)
+                ids = obj.pop("vertex_ids")
+                assert ids == [10 * i + 7 for i in range(g.vertex_count)], (command, name)
+                assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == dense_out, (command, name)
+                if command == "simulate":
+                    validate({**obj, "vertex_ids": ids}, "simulate_report.schema.json")
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"
@@ -286,6 +301,27 @@ class TestSimulate:
         code, out, err = run_cli("simulate", "--demo-smoothing", "--demo-iterations", "-3")
         assert code == 2 and out == ""
         assert "iterations must be a non-negative integer, got -3" in err
+
+    def test_demo_iterations_over_cap_rejected_before_allocating(self, capsys):
+        # 10**9 steps would need terabytes; the cap check must come first
+        tracemalloc.start()
+        try:
+            code, out, err = run_main(
+                capsys, "simulate", "--demo-smoothing", "--demo-iterations", str(10**9)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert f"iterations must be at most {MAX_DEMO_ITERATIONS}, got {10**9}" in err
+        assert peak < 1_000_000
+
+    def test_demo_iterations_at_cap(self, capsys):
+        code, out, _ = run_main(
+            capsys, "simulate", "--demo-smoothing", "--demo-iterations", str(MAX_DEMO_ITERATIONS)
+        )
+        assert code == 0
+        assert json.loads(out)["layer_states"] == MAX_DEMO_ITERATIONS + 1
 
 
 class TestRewire:

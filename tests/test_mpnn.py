@@ -9,6 +9,7 @@ from orckit.curvature import bottleneck_sets, edge_report
 from orckit.diagnostics import smoothing_metrics
 from orckit.graphs import generate
 from orckit.mpnn import (
+    MAX_DEMO_ITERATIONS,
     DegenerateNormalizer,
     DimensionMismatch,
     LayerSpec,
@@ -236,6 +237,11 @@ class TestSmoothingDemo:
         g = generate("path", n=3)
         with pytest.raises(ValueError, match="iterations must be a non-negative integer, got -3"):
             smoothing_demo(g, np.array([[0.0], [0.0], [3.0]]), -3)
+
+    def test_iterations_over_cap_rejected(self):
+        g = generate("path", n=3)
+        with pytest.raises(ValueError, match=f"iterations must be at most {MAX_DEMO_ITERATIONS}"):
+            smoothing_demo(g, np.array([[0.0], [0.0], [3.0]]), MAX_DEMO_ITERATIONS + 1)
 
     def test_path_energy_halves(self):
         g = generate("path", n=3)

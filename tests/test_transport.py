@@ -138,10 +138,19 @@ def random_problem(rng, max_cost):
     return split(m), split(n), cost
 
 
+def edge_shaped_problem(rng, max_cost):
+    """Uniform supplies T/m and demands T/n, T = lcm(m, n), as an edge's W1
+    poses them, with m, n <= 20."""
+    m, n = rng.randint(1, 20), rng.randint(1, 20)
+    T = lcm(m, n)
+    cost = [[rng.randint(0, max_cost) for _ in range(n)] for _ in range(m)]
+    return [T // m] * m, [T // n] * n, cost
+
+
 class TestMinCostFlow:
     @pytest.fixture
     def phases(self, monkeypatch):
-        """Counts the solver's Dijkstra phases."""
+        """Counts the solver's dual steps."""
         calls = [0]
         original = transport._raise_potentials
 
@@ -168,6 +177,12 @@ class TestMinCostFlow:
         rng = random.Random(max_cost)
         for _ in range(300):
             self.check(*random_problem(rng, max_cost), phases)
+
+    @pytest.mark.parametrize("max_cost", [3, 10])
+    def test_matches_simplex_on_edge_shaped_problems(self, max_cost, phases):
+        rng = random.Random(100 + max_cost)
+        for _ in range(200):
+            self.check(*edge_shaped_problem(rng, max_cost), phases)
 
     def test_degenerate_problems(self, phases):
         self.check([5], [5], [[3]], phases)
