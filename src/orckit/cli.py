@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def _graph_text(g: Graph, path: str | None, fmt: str) -> str:
     if fmt == "auto":
         fmt = "json" if path is not None and path.endswith(".json") else "edgelist"
     if fmt == "json":
-        return _dump_json(g.to_json_obj())
+        return _dump_json(_echo_vertex_ids(g.to_json_obj(), g))
     return g.to_edge_list_text()
 
 
@@ -146,7 +147,7 @@ def _simulate_report(g: Graph, trajectory, demo: bool) -> dict:
 def _cmd_simulate(args) -> int:
     if args.demo_smoothing:
         g, x = demo_instance()
-        trajectory, _ = smoothing_demo(g, x, args.demo_iterations)
+        trajectory = smoothing_demo(g, x, args.demo_iterations)
         report = _simulate_report(g, trajectory, demo=True)
     else:
         if args.graph is None or args.features is None or args.spec is None:
@@ -175,14 +176,13 @@ def _cmd_rewire(args) -> int:
         removals_per_step=args.removals,
     )
     rewired, trace = rewire_loop(g, cfg)
-    wrote = False
     if args.out_graph:
-        _emit(_graph_text(rewired, args.out_graph, "auto"), args.out_graph)
-        wrote = True
+        # the input's labels, if sparse, so the file reads back to this graph
+        labelled = replace(rewired, id_map=g.id_map)
+        _emit(_graph_text(labelled, args.out_graph, "auto"), args.out_graph)
     if args.out_trace:
-        _emit(_dump_json(trace.to_json_obj()), args.out_trace)
-        wrote = True
-    if not wrote:
+        _emit(_dump_json(_echo_vertex_ids(trace.to_json_obj(), g)), args.out_trace)
+    if not (args.out_graph or args.out_trace):
         combined = {"graph": rewired.to_json_obj(), "trace": trace.to_json_obj()}
         _emit(_dump_json(_echo_vertex_ids(combined, g)), None)
     return 0

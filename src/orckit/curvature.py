@@ -51,7 +51,6 @@ class EdgeCurvatureReport:
     w1: Fraction
     deg_u: int
     deg_v: int
-    common_neighbors: int
     sets: BottleneckSets
 
     @property
@@ -95,7 +94,6 @@ def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
         w1=w1,
         deg_u=g.degree(min(u, v)),
         deg_v=g.degree(max(u, v)),
-        common_neighbors=sets.n0,
         sets=sets,
     )
 
@@ -170,7 +168,7 @@ def profile_to_json_obj(profile: CurvatureProfile) -> dict:
                 "kappa": frac_str(r.kappa),
                 "kappa_float": r.kappa_float,
                 "w1": frac_str(r.w1),
-                "common_neighbors": r.common_neighbors,
+                "common_neighbors": r.sets.n0,
                 "s_size": len(r.sets.s_statement),
                 "n0": r.sets.n0,
                 "n1": r.sets.n1,

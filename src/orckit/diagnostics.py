@@ -1,12 +1,13 @@
 """Machine checks for the smoothing and squashing bounds.
 
 This module is the one place that states each inequality the library
-claims; every check re-evaluates one on concrete graphs and features.
-Each bound has one public entry point, verify_*, which takes the edge
-curvature report(s) or the graph's curvature profile it checks, and
-run_suite is built from exactly these.
-Checks whose hypotheses fail on an input are recorded as skipped with a
-reason, never as passes. Inequalities that mix exact curvature with
+claims and its hypotheses; every check re-evaluates one on concrete graphs
+and features, from the quantities `mpnn` measures. Each bound has one
+public entry point, verify_*, which takes the edge curvature report(s) or
+the graph's curvature profile it checks and returns every check it
+decides, and run_suite is built from exactly these. A check whose
+hypothesis fails on an input is returned as a skip with a reason, never as
+a pass or an exception. Inequalities that mix exact curvature with
 floating-point feature norms carry an additive 1e-9 tolerance on the bound
 side; purely structural inequalities are checked in exact rational
 arithmetic. Feature gaps use the Euclidean norm.
@@ -39,10 +40,6 @@ CHECK_NAMES = (
     "jacobian_ratio",
     "diameter",
 )
-
-
-class HypothesisNotMet(Exception):
-    """The check's precondition fails on this input; nothing is claimed."""
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,8 @@ def verify_one_layer(
     Runs layer once over x, measures the realized gap across each edge, and
     compares against (1 - kappa) * h(kappa) with L, M certified by the layer
     and C measured from the input features over the two endpoint
-    neighborhoods. Every context starts with prefix. Raises
-    HypothesisNotMet when a report's kappa is not positive.
+    neighborhoods. Every context starts with prefix. A report whose kappa
+    is not positive fails the hypothesis and gets a skip.
     """
     name = "one_layer_sum" if layer.aggregator == "sum" else "one_layer_mean"
     x0, x1 = forward(g, x, MpnnSpec((layer,)))
@@ -215,23 +212,23 @@ def verify_one_layer(
     checks = []
     for r, gap in zip(reports, edge_gaps(x1, [r.edge for r in reports])):
         (u, v), kappa = r.edge, r.kappa
+        context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
         if kappa <= 0:
-            raise HypothesisNotMet(f"kappa({u},{v}) = {frac_str(kappa)} is not positive")
+            reason = f"kappa({u},{v}) = {frac_str(kappa)} is not positive"
+            checks.append(_skip(name, graph_name, context, reason))
+            continue
         # N_u and N_v hold v and u: together they are the closed neighbourhoods
         big_c = max(norms[p] for p in g.adjacency[u] + g.adjacency[v])
         rhs = _one_layer_rhs(layer.aggregator, kappa, max(r.deg_u, r.deg_v), big_l, big_c, big_m)
-        context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
         checks.append(_approx(name, graph_name, context, gap, rhs))
     return checks
 
 
-def _positive_delta(profile: CurvatureProfile) -> Fraction:
-    """delta = the minimum edge curvature, the hypothesis delta > 0 of the
-    multilayer and diameter bounds; raises HypothesisNotMet otherwise."""
+def _min_curvature(profile: CurvatureProfile) -> tuple[Fraction, str]:
+    """delta = the minimum edge curvature, and the reason the hypothesis
+    delta > 0 of the multilayer and diameter bounds fails ("" if it holds)."""
     delta = min(r.kappa for r in profile.reports)
-    if delta <= 0:
-        raise HypothesisNotMet(f"minimum curvature {frac_str(delta)} is not positive")
-    return delta
+    return delta, "" if delta > 0 else f"minimum curvature {frac_str(delta)} is not positive"
 
 
 def verify_multilayer(
@@ -245,18 +242,21 @@ def verify_multilayer(
     every layer of spec.
 
     Requires a regular graph whose minimum edge curvature delta (read from
-    profile) is positive and mean aggregation in every layer. The bound at
-    layer k is (2/3) * C * (3 L M floor((1 - delta) n) / (n + 1))^k with C
-    the max initial feature norm and L, M the largest certified constants
-    among the layers.
+    profile) is positive and mean aggregation in every layer; when one of
+    these fails, in that order, the result is a single skip naming it. The
+    bound at layer k is (2/3) * C * (3 L M floor((1 - delta) n) / (n + 1))^k
+    with C the max initial feature norm and L, M the largest certified
+    constants among the layers.
     """
     degrees = {g.degree(p) for p in range(g.vertex_count)}
+    delta, reason = _min_curvature(profile)
     if len(degrees) != 1:
-        raise HypothesisNotMet(f"graph is not regular (degrees {sorted(degrees)})")
+        reason = f"graph is not regular (degrees {sorted(degrees)})"
+    elif not reason and any(layer.aggregator != "mean" for layer in spec.layers):
+        reason = "every layer must use the mean aggregator"
+    if reason:
+        return [_skip("multilayer", graph_name, "", reason)]
     n = degrees.pop()
-    delta = _positive_delta(profile)
-    if any(layer.aggregator != "mean" for layer in spec.layers):
-        raise HypothesisNotMet("every layer must use the mean aggregator")
 
     big_l = max(layer.update.lipschitz() for layer in spec.layers)
     big_m = max(layer.operator_bound() for layer in spec.layers)
@@ -280,26 +280,33 @@ def verify_multilayer(
 def verify_jacobian_ratio(
     g: Graph, r: EdgeCurvatureReport, graph_name: str = "graph"
 ) -> tuple[BoundCheck, BoundCheck]:
-    """Check the two-layer Jacobian mass ratios across the edge of r.
+    """Check the two-layer Jacobian mass ratios across the edge (u, v) of r.
 
-    Returns the (alpha, beta) pair checked against the curvature bound
-    with the denominator over the receiving vertex's extended
-    neighborhood, all in exact rationals. The ratios do not depend on the
-    linear sum stack (see `mpnn.alpha_beta`), so the context always names
-    the window starting at layer k=0.
+    Returns the (alpha, beta) pair, each checked in exact rationals against
+    (n (kappa + 2) + 4) / (2 * row sum), n = max(deg u, deg v), with the
+    row sum of (A+I)^2 at the receiving vertex: u for alpha, v for beta.
+    That is the pairing the derivation supports; the paper's statement,
+    with the other endpoint's row sum, is not asserted. The ratios do not
+    depend on the linear sum stack (see `mpnn.alpha_beta`), so the context
+    always names the window starting at layer k=0.
     """
-    ab = alpha_beta(g, r)
-    context = f"edge=({r.edge[0]},{r.edge[1]}) k=0 side="
+    u, v = r.edge
+    ab = alpha_beta(g, u, v)
+    kappa_form = max(r.deg_u, r.deg_v) * (r.kappa + 2) + 4
+    alpha_rhs, beta_rhs = kappa_form / (2 * ab.row_sum_u), kappa_form / (2 * ab.row_sum_v)
+    context = f"edge=({u},{v}) k=0 side="
     return (
-        _exact("jacobian_ratio", graph_name, context + "alpha", ab.alpha, ab.alpha_proof_rhs),
-        _exact("jacobian_ratio", graph_name, context + "beta", ab.beta, ab.beta_proof_rhs),
+        _exact("jacobian_ratio", graph_name, context + "alpha", ab.alpha, alpha_rhs),
+        _exact("jacobian_ratio", graph_name, context + "beta", ab.beta, beta_rhs),
     )
 
 
 def verify_diameter(g: Graph, profile: CurvatureProfile, graph_name: str = "graph") -> BoundCheck:
     """diameter <= floor(2 / delta) whenever delta = min edge curvature of
-    profile > 0."""
-    delta = _positive_delta(profile)
+    profile > 0; a skip naming delta otherwise."""
+    delta, reason = _min_curvature(profile)
+    if reason:
+        return _skip("diameter", graph_name, "", reason)
     diameter = 0
     for s in range(g.vertex_count):
         diameter = max(diameter, max(bfs_distances(g, s)))
@@ -310,7 +317,7 @@ def verify_diameter(g: Graph, profile: CurvatureProfile, graph_name: str = "grap
 
 def verify_shared_neighbor(r: EdgeCurvatureReport, graph_name: str = "graph") -> BoundCheck:
     """Shared-neighbour bound: kappa(u,v) <= |N_u cap N_v| / max(deg u, deg v)."""
-    rhs = Fraction(r.common_neighbors, max(r.deg_u, r.deg_v))
+    rhs = Fraction(r.sets.n0, max(r.deg_u, r.deg_v))
     context = f"edge=({r.edge[0]},{r.edge[1]})"
     return _exact("shared_neighbor", graph_name, context, r.kappa, rhs)
 
@@ -449,18 +456,12 @@ def _suite_checks(
             if "jacobian_ratio" in want:
                 yield from verify_jacobian_ratio(g, r, name)
         if "diameter" in want:
-            try:
-                yield verify_diameter(g, profile, name)
-            except HypothesisNotMet as exc:
-                yield _skip("diameter", name, "", str(exc))
+            yield verify_diameter(g, profile, name)
         if "multilayer" in want:
             rng = np.random.default_rng((seed, 2, gi))
             spec, channels = _draw_multilayer(rng, MULTILAYER_DEPTH)
             x = rng.standard_normal((g.vertex_count, channels))
-            try:
-                yield from verify_multilayer(g, spec, x, profile, name)
-            except HypothesisNotMet as exc:
-                yield _skip("multilayer", name, "", str(exc))
+            yield from verify_multilayer(g, spec, x, profile, name)
 
     for agg_index, aggregator in enumerate(("sum", "mean")):
         name = f"one_layer_{aggregator}"
@@ -491,7 +492,7 @@ def run_suite(
 
     Each graph's curvature profile is computed once, and every check comes
     from the public verify_* function for its bound, fed the edge reports
-    or the profile it reads; a failed hypothesis is recorded as a skip.
+    or the profile it reads, skips included.
     Structural checks (shared_neighbor, bottleneck pair, jacobian_ratio,
     diameter) run once per edge or graph. The one-layer bounds run
     `trials` seeded random draws per aggregator, cycling through the

@@ -63,7 +63,10 @@ class Graph:
         return {"n": self.vertex_count, "edges": [[u, v] for u, v in self.edges]}
 
     def to_edge_list_text(self) -> str:
-        return "".join(f"{u} {v}\n" for u, v in self.edges)
+        """One "u v" line per edge, in the input's labels when id_map is set,
+        so that parse_edge_list reads the text back to this graph."""
+        ids = self.id_map or range(self.vertex_count)
+        return "".join(f"{ids[u]} {ids[v]}\n" for u, v in self.edges)
 
 
 def _build(vertex_count: int, edge_pairs, id_map=None) -> Graph:

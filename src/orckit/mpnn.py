@@ -5,20 +5,21 @@ Layer rule: X^{k+1}_u = phi_k( agg_{p in N~_u} psi_k(X^k_p) ), aggregation
 always over the extended neighborhood (self included); mean divides by
 deg(u)+1. Features are float64; walk counts and ratio arithmetic are exact
 (ints and Fractions).
+
+This module measures and states no bound: it reads only `graphs`, and the
+inequalities its quantities enter live in `diagnostics`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .curvature import EdgeCurvatureReport
-from .graphs import Graph, neighborhoods
+from .graphs import Graph, generate, neighborhoods
 
 
 class DimensionMismatch(Exception):
@@ -249,25 +250,18 @@ def edge_gaps(x: np.ndarray, edges: Iterable[tuple[int, int]]) -> tuple[float, .
     return tuple(float(np.linalg.norm(x[u] - x[v])) for u, v in edges)
 
 
-def dirichlet_energy(g: Graph, x: np.ndarray) -> float:
-    """Sum over edges of the Euclidean gap |X_u - X_v|, summed exactly as
-    `diagnostics.smoothing_metrics` sums it."""
-    return math.fsum(edge_gaps(x, g.edges))
-
-
 # Every step keeps its state and its gap row, so memory, time and report size
 # grow linearly with the step count; the demo graph has collapsed long before.
 MAX_DEMO_ITERATIONS = 1000
 
 
-def smoothing_demo(
-    g: Graph, x: np.ndarray, iterations: int
-) -> tuple[list[np.ndarray], list[float]]:
+def smoothing_demo(g: Graph, x: np.ndarray, iterations: int) -> list[np.ndarray]:
     """Pure averaging (mean aggregation, identity maps) for a number of steps.
 
-    Returns (trajectory of length iterations+1, Dirichlet energy per step).
-    Raises ValueError when iterations is negative or above
-    MAX_DEMO_ITERATIONS, before anything is allocated.
+    Returns the trajectory, of length iterations+1; its Dirichlet energies
+    are `diagnostics.smoothing_metrics(g, trajectory).dirichlet`. Raises
+    ValueError when iterations is negative or above MAX_DEMO_ITERATIONS,
+    before anything is allocated.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations}")
@@ -275,15 +269,12 @@ def smoothing_demo(
         raise ValueError(f"iterations must be at most {MAX_DEMO_ITERATIONS}, got {iterations}")
     x = _check_features(g, x)
     spec = identity_spec(x.shape[1], iterations, "mean")
-    traj = forward(g, x, spec)
-    return traj, [dirichlet_energy(g, xs) for xs in traj]
+    return forward(g, x, spec)
 
 
 def demo_instance() -> tuple[Graph, np.ndarray]:
     """The 6-vertex demo: an octahedron whose vertices carry four rough color
     classes (red / two green / two blue / gray)."""
-    from .graphs import generate
-
     g = generate("cocktail_party", m=3)
     x = np.array(
         [
@@ -389,61 +380,36 @@ def influence_distribution(
 
 @dataclass(frozen=True)
 class AlphaBeta:
-    """Realized Jacobian-ratio maxima for one edge, with their bounds.
+    """Realized two-layer Jacobian mass ratios across one edge (u, v).
 
-    alpha pairs vertex u with senders q near v; beta symmetrically. The
-    *_proof_rhs bounds use the denominator over N~ of the receiving vertex
-    (the pairing the derivation actually supports); the paper's statement
-    pairing, with the other endpoint's denominator, is not asserted.
+    alpha is the largest share of row u of (A+I)^2 held by one sender q in
+    N~_v other than u; beta symmetrically. row_sum_u and row_sum_v are the
+    row sums the two ratios are taken over. The curvature bound on them is
+    stated by `diagnostics.verify_jacobian_ratio`.
     """
 
     alpha: Fraction
     beta: Fraction
-    alpha_structural_rhs: Fraction
-    beta_structural_rhs: Fraction
-    alpha_proof_rhs: Fraction
-    beta_proof_rhs: Fraction
-    bound_ok: bool
+    row_sum_u: int
+    row_sum_v: int
 
 
-def alpha_beta(g: Graph, r: EdgeCurvatureReport) -> AlphaBeta:
-    """Jacobian mass ratios across the edge of r, two sum layers deep, with
-    the bounds read from r's kappa and |S_statement|.
+def alpha_beta(g: Graph, u: int, v: int) -> AlphaBeta:
+    """Jacobian mass ratios across the edge (u, v), two sum layers deep.
 
     For any linear sum stack the (a, b) Jacobian block is ((A+I)^2)_ab times
     one layer product, which cancels out of every ratio, so no spec is
     needed. The two needed rows of (A+I)^2 come straight from
     neighborhoods: entry (a, b) counts the walks a-t-b with t in N~_a and
     N~_b, i.e. |N~_a cap N~_b|, and row a sums to sum over t in N~_a of
-    (deg t + 1).
+    (deg t + 1). Raises ValueError when (u, v) is not an edge of g.
     """
-    u, v = r.edge
-    kappa, s_size = r.kappa, len(r.sets.s_statement)
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
     _, nt_u = neighborhoods(g, u)
     _, nt_v = neighborhoods(g, v)
-    denom_u = sum(g.degree(t) + 1 for t in nt_u)
-    denom_v = sum(g.degree(t) + 1 for t in nt_v)
-    alpha = Fraction(max(len(nt_u & neighborhoods(g, q)[1]) for q in nt_v - {u}), denom_u)
-    beta = Fraction(max(len(nt_v & neighborhoods(g, p)[1]) for p in nt_u - {v}), denom_v)
-
-    n = max(g.degree(u), g.degree(v))
-    kappa_form = n * (kappa + 2) + 4
-    alpha_structural = Fraction(s_size + 2, denom_u)
-    beta_structural = Fraction(s_size + 2, denom_v)
-    alpha_proof = kappa_form / (2 * denom_u)
-    beta_proof = kappa_form / (2 * denom_v)
-
-    return AlphaBeta(
-        alpha=alpha,
-        beta=beta,
-        alpha_structural_rhs=alpha_structural,
-        beta_structural_rhs=beta_structural,
-        alpha_proof_rhs=alpha_proof,
-        beta_proof_rhs=beta_proof,
-        bound_ok=(
-            alpha <= alpha_structural
-            and beta <= beta_structural
-            and alpha <= alpha_proof
-            and beta <= beta_proof
-        ),
-    )
+    row_sum_u = sum(g.degree(t) + 1 for t in nt_u)
+    row_sum_v = sum(g.degree(t) + 1 for t in nt_v)
+    alpha = Fraction(max(len(nt_u & neighborhoods(g, q)[1]) for q in nt_v - {u}), row_sum_u)
+    beta = Fraction(max(len(nt_v & neighborhoods(g, p)[1]) for p in nt_u - {v}), row_sum_v)
+    return AlphaBeta(alpha=alpha, beta=beta, row_sum_u=row_sum_u, row_sum_v=row_sum_v)

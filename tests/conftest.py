@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from orckit.curvature import curvature_profile
+from orckit.diagnostics import verify_jacobian_ratio
 from orckit.graphs import corpus
+from orckit.mpnn import alpha_beta
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,27 @@ def walk_count_ratios():
         return alpha, beta
 
     return ratios
+
+
+@pytest.fixture(scope="session")
+def ratio_bounds_hold():
+    """Assert every inequality on alpha/beta across the edge of report r:
+    the structural step ratio <= (|S_statement| + 2) / row sum, with the
+    row sums of counts = walk_counts(g, 2), and the curvature bound that
+    verify_jacobian_ratio checks. Returns (alpha_beta(g, u, v), the two
+    checks)."""
+
+    def check(g, counts, r):
+        u, v = r.edge
+        ab = alpha_beta(g, u, v)
+        row_u, row_v = sum(counts[u]), sum(counts[v])
+        assert (ab.row_sum_u, ab.row_sum_v) == (row_u, row_v)
+        s_size = len(r.sets.s_statement)
+        assert ab.alpha <= Fraction(s_size + 2, row_u)
+        assert ab.beta <= Fraction(s_size + 2, row_v)
+        alpha_check, beta_check = verify_jacobian_ratio(g, r)
+        assert (alpha_check.lhs, beta_check.lhs) == (ab.alpha, ab.beta)
+        assert alpha_check.holds and beta_check.holds
+        return ab, alpha_check, beta_check
+
+    return check

@@ -11,6 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 from orckit import cli
+from orckit.graphs import parse_edge_list
 from orckit.mpnn import MAX_DEMO_ITERATIONS
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -104,6 +105,19 @@ class TestGenerate:
         assert proc.stdout == "0 1\n1 2\n"
 
 
+def rewire_files(capsys, source, tmp_path):
+    """rewire source with --out-graph as an edge list, then as JSON, and
+    --out-trace: the (edge list, JSON graph, trace) file texts."""
+    texts = []
+    for suffix in (".txt", ".json"):
+        graph_out = tmp_path / f"{source.stem}_rewired{suffix}"
+        trace_out = tmp_path / f"{source.stem}_trace.json"
+        args = ("rewire", str(source), "--out-graph", str(graph_out), "--out-trace", str(trace_out))
+        assert run_main(capsys, *args)[:2] == (0, "")
+        texts.append(graph_out.read_text())
+    return (*texts, trace_out.read_text())
+
+
 class TestCurvature:
     def test_barbell_bridge(self, barbell_file):
         code, out, err = run_cli("curvature", barbell_file)
@@ -158,7 +172,8 @@ class TestCurvature:
     def test_sparse_relabelling_changes_only_vertex_ids(self, corpus_entries, tmp_path, capsys):
         # order-preserving sparse labels compact back to the dense ids, so each
         # report (curvature, rewire, simulate) differs from the dense run only
-        # by its vertex_ids echo
+        # by its vertex_ids echo; rewire's files do too, and its edge list
+        # keeps the input's labels
         spec = tmp_path / "spec.json"
         spec.write_text('{"layers": [{"aggregator": "mean", "message": [[1.0]]}]}')
         for name, g in corpus_entries[::22]:
@@ -182,6 +197,23 @@ class TestCurvature:
                 assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == dense_out, (command, name)
                 if command == "simulate":
                     validate({**obj, "vertex_ids": ids}, "simulate_report.schema.json")
+                if command == "rewire":
+                    combined = json.loads(dense_out)
+            dense_files = rewire_files(capsys, dense, tmp_path)
+            sparse_files = rewire_files(capsys, sparse, tmp_path)
+            edges = combined["graph"]["edges"]
+            assert dense_files[0] == "".join(f"{u} {v}\n" for u, v in edges), name
+            assert sparse_files[0] == "".join(f"{10 * u + 7} {10 * v + 7}\n" for u, v in edges)
+            reread = parse_edge_list(sparse_files[0])
+            assert reread == parse_edge_list(dense_files[0]) and list(reread.id_map) == ids
+            for key, dense_text, sparse_text, schema in (
+                ("graph", dense_files[1], sparse_files[1], "graph.schema.json"),
+                ("trace", dense_files[2], sparse_files[2], "rewire_trace.schema.json"),
+            ):
+                assert dense_text == json.dumps(combined[key], sort_keys=True, indent=2) + "\n"
+                obj = json.loads(sparse_text)
+                validate(obj, schema)
+                assert obj.pop("vertex_ids") == ids and obj == combined[key], (key, name)
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"

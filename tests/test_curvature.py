@@ -92,7 +92,7 @@ class TestEdgeReport:
         assert r.w1 == F(5, 3)
         assert r.kappa == 1 - r.w1
         assert (r.deg_u, r.deg_v) == (3, 3)
-        assert r.common_neighbors == 0
+        assert r.sets.n0 == 0
         assert r.kappa_float == pytest.approx(-2 / 3)
 
     def test_not_an_edge(self):

@@ -13,7 +13,6 @@ from orckit.diagnostics import (
     CHECK_NAMES,
     TOLERANCE,
     BoundCheck,
-    HypothesisNotMet,
     SuiteReport,
     _draw_one_layer,
     _one_layer_rhs,
@@ -97,8 +96,9 @@ class TestOneLayer:
 
     def test_flat_curvature_fails_the_hypothesis(self):
         g = generate("path", n=3)
-        with pytest.raises(HypothesisNotMet):
-            one_layer_check(g, identity_spec(1, 1, "mean"), np.zeros((3, 1)), (0, 1))
+        check = one_layer_check(g, identity_spec(1, 1, "mean"), np.zeros((3, 1)), (0, 1))
+        assert check.skipped and check.context == "edge=(0,1) kappa=0/1"
+        assert check.reason == "kappa(0,1) = 0/1 is not positive"
 
     @pytest.mark.parametrize("agg_index, aggregator", [(0, "sum"), (1, "mean")])
     def test_suite_matches_per_edge_checks(self, corpus_entries, agg_index, aggregator):
@@ -166,26 +166,32 @@ class TestMultilayer:
             checks = verify_multilayer(g, MpnnSpec(layers), x, curvature_profile(g))
             assert checks and all(c.holds for c in checks)
 
+    @staticmethod
+    def skip_reason(g, aggregator):
+        (check,) = verify_multilayer(
+            g, identity_spec(1, 2, aggregator), np.zeros((4, 1)), curvature_profile(g)
+        )
+        assert check.skipped and check.context == ""
+        return check.reason
+
     def test_irregular_graph_rejected(self):
-        g = generate("star", n=3)
-        with pytest.raises(HypothesisNotMet):
-            verify_multilayer(
-                g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), curvature_profile(g)
-            )
+        reason = self.skip_reason(generate("star", n=3), "mean")
+        assert reason == "graph is not regular (degrees [1, 3])"
 
     def test_flat_curvature_rejected(self):
-        g = generate("cycle", n=4)
-        with pytest.raises(HypothesisNotMet):
-            verify_multilayer(
-                g, identity_spec(1, 2, "mean"), np.zeros((4, 1)), curvature_profile(g)
-            )
+        reason = self.skip_reason(generate("cycle", n=4), "mean")
+        assert reason == "minimum curvature 0/1 is not positive"
 
     def test_sum_aggregation_rejected(self):
-        g = generate("complete", n=4)
-        with pytest.raises(HypothesisNotMet):
-            verify_multilayer(
-                g, identity_spec(1, 2, "sum"), np.zeros((4, 1)), curvature_profile(g)
-            )
+        reason = self.skip_reason(generate("complete", n=4), "sum")
+        assert reason == "every layer must use the mean aggregator"
+
+    def test_hypotheses_are_named_in_order(self):
+        # regularity first, then delta > 0, then the aggregator
+        reason = self.skip_reason(generate("star", n=3), "sum")
+        assert reason == "graph is not regular (degrees [1, 3])"
+        reason = self.skip_reason(generate("cycle", n=4), "sum")
+        assert reason == "minimum curvature 0/1 is not positive"
 
 
 class TestJacobianRatio:
@@ -242,8 +248,9 @@ class TestDiameter:
         assert check.rhs == (2 * (n - 1)) // (n - 2)
 
     def test_flat_curvature_rejected(self):
-        with pytest.raises(HypothesisNotMet):
-            diameter_check(generate("path", n=4))
+        check = diameter_check(generate("path", n=4))
+        assert check.skipped and check.context == ""
+        assert check.reason == "minimum curvature 0/1 is not positive"
 
 
 def test_mean_case_rhs_decreases_toward_one():
