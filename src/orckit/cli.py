@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import curvature_profile, profile_to_json_obj
+from .curvature import curvature_profile, profile_to_json
 from .diagnostics import run_suite, smoothing_metrics
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
@@ -86,8 +86,7 @@ def _cmd_curvature(args) -> int:
     threads = _resolve_threads(args.threads)
     profile = curvature_profile(g)
     print(f"threads used: {threads}", file=sys.stderr)
-    obj = _echo_vertex_ids(profile_to_json_obj(profile), g)
-    _emit(_dump_json(obj), args.out)
+    _emit(profile_to_json(profile, _echo_vertex_ids({}, g)), args.out)
     return 0
 
 

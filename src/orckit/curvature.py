@@ -5,15 +5,22 @@ kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout, with W1
 from `transport.wasserstein1`. For adjacent pairs that solve is local: every
 support distance is 0-3 and follows from adjacency, because any p in N_u
 reaches any q in N_v through p-u-v-q.
+
+`curvature_profile` visits the edges grouped by their smaller endpoint u
+(the order of `g.edges`) and builds one `NeighborIndex` of u per group; the
+W1 solve and the bottleneck sets of every edge (u, v) read their masks from
+it, so no per-edge structure is built twice.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .graphs import Graph, bfs_distances, neighborhoods
+from .graphs import Graph, NeighborIndex, bfs_distances
 from .transport import wasserstein1
 
 
@@ -68,10 +75,17 @@ class CurvatureProfile:
             "edge_count": len(ks),
             "kappa_min": min(ks),
             "kappa_max": max(ks),
-            "kappa_mean": sum(ks, Fraction(0)) / len(ks),
-            "negative_count": sum(1 for k in ks if k < 0),
-            "positive_count": sum(1 for k in ks if k > 0),
+            "kappa_mean": _mean(ks),
+            "negative_count": sum(1 for k in ks if k.numerator < 0),
+            "positive_count": sum(1 for k in ks if k.numerator > 0),
         }
+
+
+def _mean(xs: list[Fraction]) -> Fraction:
+    """The exact mean, summed over one common denominator rather than
+    reduced after every addition."""
+    den = lcm(*(x.denominator for x in xs))
+    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs), den * len(xs))
 
 
 def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
@@ -83,11 +97,17 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
     return 1 - wasserstein1(g, u, v) / d
 
 
-def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
+def edge_report(
+    g: Graph, u: int, v: int, index: NeighborIndex | None = None
+) -> EdgeCurvatureReport:
+    """The report of edge (u, v). index is u's NeighborIndex, shared by the
+    W1 solve and the bottleneck sets; without one, a fresh one is built."""
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    w1 = wasserstein1(g, u, v)
-    sets = bottleneck_sets(g, u, v)
+    if index is None:
+        index = NeighborIndex(g, u)
+    w1 = wasserstein1(g, u, v, index=index)
+    sets = bottleneck_sets(g, u, v, index=index)
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),
         kappa=1 - w1,
@@ -99,61 +119,93 @@ def edge_report(g: Graph, u: int, v: int) -> EdgeCurvatureReport:
 
 
 def curvature_profile(g: Graph) -> CurvatureProfile:
-    """One report per edge in canonical order."""
-    return CurvatureProfile(reports=tuple(edge_report(g, u, v) for u, v in g.edges))
+    """One report per edge in canonical order. The edges come grouped by
+    their smaller endpoint u, and each group shares one index of u, dropped
+    when the group ends."""
+    reports = []
+    index = None
+    for u, v in g.edges:
+        if index is None or index.u != u:
+            index = NeighborIndex(g, u)
+        reports.append(edge_report(g, u, v, index=index))
+    return CurvatureProfile(reports=tuple(reports))
 
 
-def _max_bipartite_matching(left: list[int], adj: dict[int, frozenset[int]]) -> int:
-    match: dict[int, int] = {}
+def _max_matching(options: list[int]) -> int:
+    """Maximum bipartite matching size; options[i] is the mask of the
+    columns row i may take (Kuhn's augmenting paths)."""
+    owner: dict[int, int] = {}  # column bit -> its matched row
+    seen = 0
 
-    def augment(p: int, seen: set[int]) -> bool:
-        for q in adj.get(p, ()):
-            if q in seen:
-                continue
-            seen.add(q)
-            if q not in match or augment(match[q], seen):
-                match[q] = p
+    def augment(i: int) -> bool:
+        nonlocal seen
+        while True:
+            free = options[i] & ~seen
+            if not free:
+                return False
+            bit = free & -free
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = i
                 return True
-        return False
 
     count = 0
-    for p in left:
-        if augment(p, set()):
-            count += 1
+    for i in range(len(options)):
+        seen = 0
+        count += augment(i)
     return count
 
 
-def bottleneck_sets(g: Graph, u: int, v: int) -> BottleneckSets:
+def bottleneck_sets(
+    g: Graph, u: int, v: int, index: NeighborIndex | None = None
+) -> BottleneckSets:
+    """The sets of edge (u, v), read from u's NeighborIndex (built here when
+    index is None) as in the W1 solve: the columns are N_u, the rows q in N_v.
+
+    With N~ the closed neighbourhood, S_statement holds every edge between
+    N~_u - {v} and N~_v - {u}: the edge (u, v) itself, the edges from u and
+    v to each common neighbour, and the adjacent pairs (cost-1 cells) off
+    row u and column v. n0 counts the common neighbours (cost-0 cells); n1
+    matches the exclusive rows (N_v - N~_u) to the exclusive columns
+    (N_u - N~_v) over their cost-1 cells. All of it is symmetric in u and v.
+    """
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    # orientation convention: deg(hu) = n >= m = deg(hv)
-    hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
-    n, m = g.degree(hu), g.degree(hv)
-    n_u, nt_u = neighborhoods(g, hu)
-    n_v, nt_v = neighborhoods(g, hv)
-
-    side_u = nt_u - {hv}
-    side_v = nt_v - {hu}
-    # every edge with one end in side_u and the other in side_v, in g.edges
-    # order; the tuples are g.edges' own, so reports hold no copies
-    sets = g.neighbor_sets
-    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
+    if index is None:
+        index = NeighborIndex(g, u)
+    cols, pos, near = g.adjacency[u], index.pos, index.near
+    skip_v = ~pos[v]
+    found = {(u, v) if u < v else (v, u)}
+    common = 0
+    exclusive = []
+    for q in g.adjacency[v]:
+        if q == u:
+            continue
+        ones = near.get(q, 0) & skip_v
+        if q in pos:
+            common |= pos[q]
+            found.add((u, q) if u < q else (q, u))
+            found.add((v, q) if v < q else (q, v))
+        else:
+            exclusive.append(ones)
+        while ones:
+            bit = ones & -ones
+            ones ^= bit
+            p = cols[bit.bit_length() - 1]
+            found.add((p, q) if p < q else (q, p))
+    # the tuples are g.edges' own, in its order, so reports hold no copies
     s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
-
-    n0 = len(n_u & n_v)
-    excl_u = sorted(n_u - {hv} - n_v)
-    excl_v = n_v - {hu} - n_u
-    adj = {p: sets[p] & excl_v for p in excl_u}
-    n1 = _max_bipartite_matching(excl_u, adj)
+    n1 = _max_matching([ones & ~common for ones in exclusive if ones & ~common])
 
     participation: dict[int, int] = {}
     for a, b in s_statement:
         participation[a] = participation.get(a, 0) + 1
         participation[b] = participation.get(b, 0) + 1
-    # count <= n/m, in integers
+    # count <= n/m with n = max degree, m = min degree, in integers
+    n, m = sorted((g.degree(u), g.degree(v)), reverse=True)
     hypothesis = all(c * m <= n for c in participation.values())
     return BottleneckSets(
-        s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis
+        s_statement=s_statement, n0=common.bit_count(), n1=n1, hypothesis_holds=hypothesis
     )
 
 
@@ -174,18 +226,46 @@ def profile_to_json_obj(profile: CurvatureProfile) -> dict:
                 "n1": r.sets.n1,
             }
         )
+    return {"edges": edges, "summary": _summary_obj(profile)}
+
+
+def _summary_obj(profile: CurvatureProfile) -> dict:
     s = profile.summary()
     return {
-        "edges": edges,
-        "summary": {
-            "edge_count": s["edge_count"],
-            "kappa_min": frac_str(s["kappa_min"]),
-            "kappa_min_float": float(s["kappa_min"]),
-            "kappa_max": frac_str(s["kappa_max"]),
-            "kappa_max_float": float(s["kappa_max"]),
-            "kappa_mean": frac_str(s["kappa_mean"]),
-            "kappa_mean_float": float(s["kappa_mean"]),
-            "negative_count": s["negative_count"],
-            "positive_count": s["positive_count"],
-        },
+        "edge_count": s["edge_count"],
+        "kappa_min": frac_str(s["kappa_min"]),
+        "kappa_min_float": float(s["kappa_min"]),
+        "kappa_max": frac_str(s["kappa_max"]),
+        "kappa_max_float": float(s["kappa_max"]),
+        "kappa_mean": frac_str(s["kappa_mean"]),
+        "kappa_mean_float": float(s["kappa_mean"]),
+        "negative_count": s["negative_count"],
+        "positive_count": s["positive_count"],
     }
+
+
+def _edge_json(r: EdgeCurvatureReport) -> str:
+    """One element of profile_to_json_obj's "edges" as json.dumps(sort_keys=True,
+    indent=2) renders it: a fixed template whose keys are in sorted order."""
+    s = r.sets
+    return (
+        f'    {{\n      "common_neighbors": {s.n0},'
+        f'\n      "kappa": "{frac_str(r.kappa)}",'
+        f'\n      "kappa_float": {float.__repr__(r.kappa_float)},'
+        f'\n      "n0": {s.n0},'
+        f'\n      "n1": {s.n1},'
+        f'\n      "s_size": {len(s.s_statement)},'
+        f'\n      "u": {r.edge[0]},'
+        f'\n      "v": {r.edge[1]},'
+        f'\n      "w1": "{frac_str(r.w1)}"\n    }}'
+    )
+
+
+def profile_to_json(profile: CurvatureProfile, tail: dict) -> str:
+    """json.dumps({**profile_to_json_obj(profile), **tail}, sort_keys=True,
+    indent=2) + "\n", for tail keys that sort after "summary" (the CLI's
+    vertex_ids). The edges go through `_edge_json`; json.dumps renders only
+    the summary and the tail, whose opening brace is dropped."""
+    rest = json.dumps({"summary": _summary_obj(profile), **tail}, sort_keys=True, indent=2)[2:]
+    edges = ",\n".join(map(_edge_json, profile.reports))
+    return f'{{\n  "edges": [\n{edges}\n  ],\n{rest}\n'

@@ -150,7 +150,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph_json(text: str) -> Graph:
-    """Parse the JSON graph format {"n": int, "edges": [[u,v],...]}."""
+    """Parse the JSON graph format {"n": int, "edges": [[u,v],...]}, with
+    an optional "vertex_ids" list that becomes the graph's id_map."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -172,7 +173,24 @@ def parse_graph_json(text: str) -> Graph:
         ):
             raise ParseError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
-    return _build(n, pairs)
+    return _build(n, pairs, id_map=_vertex_ids(obj, n))
+
+
+def _vertex_ids(obj: dict, n: int) -> list[int] | None:
+    """The optional "vertex_ids" of a graph JSON: n distinct non-negative
+    labels, as `rewire --out-graph` writes them for sparse-labelled input.
+    Labels 0..n-1 in order are the dense ids, so they give no id_map."""
+    if "vertex_ids" not in obj:
+        return None
+    ids = obj["vertex_ids"]
+    if (
+        not isinstance(ids, list)
+        or len(ids) != n
+        or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in ids)
+        or len(set(ids)) != n
+    ):
+        raise ParseError(f'"vertex_ids" must be a list of {n} distinct non-negative integers')
+    return None if ids == list(range(n)) else ids
 
 
 def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
@@ -199,6 +217,62 @@ def neighborhoods(g: Graph, u: int) -> tuple[frozenset[int], frozenset[int]]:
     """Return (N_u, N_u with u itself added)."""
     n = g.neighbor_sets[u]
     return n, n | {u}
+
+
+class NeighborIndex:
+    """Bitmask view of one vertex u's neighbourhood, for every edge (u, v).
+
+    Bit i stands for the i-th neighbour of u in adjacency order. pos[p] is
+    p's bit for p in N_u, and near[w] is the mask of u's neighbours adjacent
+    to w, for each w within two hops of u. Building both costs the sum of
+    the degrees in N_u, and the index holds nothing beyond u's 2-hop
+    neighbourhood.
+    """
+
+    __slots__ = ("g", "u", "pos", "near", "full", "_levels")
+
+    def __init__(self, g: Graph, u: int):
+        adjacency = g.adjacency
+        pos: dict[int, int] = {}
+        near: dict[int, int] = {}
+        for i, p in enumerate(adjacency[u]):
+            bit = 1 << i
+            pos[p] = bit
+            for w in adjacency[p]:
+                near[w] = near.get(w, 0) | bit
+        self.g, self.u = g, u
+        self.pos, self.near = pos, near
+        self.full = (1 << len(adjacency[u])) - 1
+        self._levels: dict[int, dict[int, int]] = {}
+
+    def levels(self, q: int) -> dict[int, int]:
+        """{d: mask of u's neighbours at hop distance d from q}, empty masks
+        left out, for q a neighbour of some v in N_u.
+
+        Any p in N_u reaches such a q along p-u-v-q, so d(p, q) <= 3, and
+        the shorter cases are local: 0 if p == q, 1 if p and q are adjacent,
+        2 if they share a neighbour. The rows of the edges (u, v) overlap,
+        so each q is worked out once per index.
+        """
+        found = self._levels.get(q)
+        if found is None:
+            near = self.near.get
+            d0 = self.pos.get(q, 0)
+            d1 = near(q, 0)
+            shared = 0  # the neighbours of u that share a neighbour with q
+            for w in self.g.adjacency[q]:
+                shared |= near(w, 0)
+            d2 = shared & ~(d0 | d1)
+            d3 = self.full & ~(d0 | d1 | shared)
+            found = {0: d0} if d0 else {}
+            if d1:
+                found[1] = d1
+            if d2:
+                found[2] = d2
+            if d3:
+                found[3] = d3
+            self._levels[q] = found
+        return found
 
 
 # ---------------------------------------------------------------------------

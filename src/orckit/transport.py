@@ -9,20 +9,20 @@ MODI pivots). Every number in either path is an int or a Fraction; no
 floats anywhere.
 
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
-on N_u and N_v. For an edge it reads the support distances from adjacency
-alone (each is 0-3); for any other pair it takes them from BFS. The oracle
-takes arbitrary measures, so tests can pose problems of their own.
+on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
+of the columns at each cost. For an edge those are the 0-3 hop-distance
+masks of u's `graphs.NeighborIndex`, read from adjacency alone; for any
+other pair a dense BFS distance matrix goes through `_cost_levels`. The
+oracle takes arbitrary measures, so tests can pose problems of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import lcm
-from operator import eq, mul
 
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, NeighborIndex, bfs_distances
 
 
 class TooLarge(Exception):
@@ -68,23 +68,15 @@ def _support_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -
     return out
 
 
-def _edge_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[list[int]]:
-    """Hop distances between N_u and N_v for an edge (u, v), from adjacency alone.
-
-    Any p in N_u reaches any q in N_v along p-u-v-q, so d(p, q) <= 3, and the
-    shorter cases are local: 0 if p == q, 1 if p and q are adjacent, 2 if
-    they share a neighbour.
-    """
-    sets = g.neighbor_sets
+def _cost_levels(cost: list[list[int]]) -> list[dict[int, int]]:
+    """A dense cost matrix as the solver's input: per row, {cost: mask of
+    the columns at that cost}."""
     out = []
-    for p in rows:
-        near = sets[p]
-        out.append(
-            [
-                0 if q == p else 1 if q in near else 3 if near.isdisjoint(sets[q]) else 2
-                for q in cols
-            ]
-        )
+    for row in cost:
+        levels: dict[int, int] = {}
+        for j, c in enumerate(row):
+            levels[c] = levels.get(c, 0) | 1 << j
+        out.append(levels)
     return out
 
 
@@ -96,51 +88,78 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
     return T, supplies, demands
 
 
-def wasserstein1(g: Graph, u: int, v: int) -> Fraction:
+def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
     The integer problem is built directly on the scale T = lcm(deg u, deg v).
-    For an edge (u, v) the support distances are the closed-form 0-3 of
-    `_edge_distances`; any other pair takes them from BFS.
+    For an edge (u, v) the rows are N_v and the columns N_u (W1 is
+    symmetric), and each row's cost levels are its hop-distance masks from
+    u's `NeighborIndex`; `curvature_profile` passes one index to all the
+    edges of u, and a call without one builds its own. Any other pair takes
+    its distances from BFS.
     """
-    rows, cols = g.adjacency[u], g.adjacency[v]
-    du, dv = len(rows), len(cols)
-    T = lcm(du, dv)
-    supplies = [T // du] * du
-    demands = [T // dv] * dv
-    distances = _edge_distances if g.has_edge(u, v) else _support_distances
-    cost_m = distances(g, rows, cols)
-    flow = _min_cost_flow(supplies, demands, cost_m)
+    if g.has_edge(u, v):
+        if index is None:
+            index = NeighborIndex(g, u)
+        rows, cols = g.adjacency[v], g.adjacency[u]
+        levels = list(map(index.levels, rows))
+    else:
+        rows, cols = g.adjacency[u], g.adjacency[v]
+        levels = _cost_levels(_support_distances(g, rows, cols))
+    m, n = len(rows), len(cols)
+    T = lcm(m, n)
+    supplies = [T // m] * m
+    demands = [T // n] * n
+    flow = _min_cost_flow(supplies, demands, levels)
     _check_marginals(flow, supplies, demands)
-    total = sum(sum(map(mul, frow, crow)) for frow, crow in zip(flow, cost_m))
+    total = 0
+    for row, row_levels in zip(flow, levels):
+        for j, amount in row.items():
+            bit = 1 << j
+            for c, mask in row_levels.items():
+                if mask & bit:
+                    total += c * amount
+                    break
     return Fraction(total, T)
 
 
-def _check_marginals(flow: list[list[int]], supplies: list[int], demands: list[int]) -> None:
-    rows = list(map(sum, flow))
-    cols = list(map(sum, zip(*flow)))
-    if rows != supplies or cols != demands or min(map(min, flow)) < 0:
+def _check_marginals(flow: list[dict[int, int]], supplies: list[int], demands: list[int]) -> None:
+    cols = [0] * len(demands)
+    negative = False
+    for row in flow:
+        for j, amount in row.items():
+            cols[j] += amount
+            negative |= amount < 0
+    rows = [sum(row.values()) for row in flow]
+    if rows != supplies or cols != demands or negative:
         raise RuntimeError("transport plan marginals do not match the measures")
 
 
 # ---------------------------------------------------------------------------
 # Production solver: primal-dual min-cost flow on the transportation network.
-# Rows are sources, columns sinks. All arithmetic is integer.
+# Rows are sources, columns sinks. All arithmetic is integer; every set of
+# columns or rows is an int bitmask (bit j stands for column j, bit i for
+# row i).
 
 
 def _min_cost_flow(
-    supplies: list[int], demands: list[int], cost: list[list[int]]
-) -> list[list[int]]:
+    supplies: list[int], demands: list[int], levels: list[dict[int, int]]
+) -> list[dict[int, int]]:
     """Min-cost transportation flow for non-negative integer costs.
 
+    levels[i] maps each cost of row i to the mask of the columns at that
+    cost; the masks of a row cover every column once. The flow comes back
+    sparse: flow[i] maps column j to the amount on cell (i, j).
+
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
-    arc j -> i carries flow[i][j] back at cost -c_ij. Potentials keep every
+    arc j -> i carries flow[i][j] back at cost -c_ij. Potentials (row_pot per
+    row; col_pot as {value: mask of the columns at that value}) keep every
     reduced cost c_ij + row_pot[i] - col_pot[j] non-negative, and zero on
-    every cell that carries flow. Flow moves only along paths of zero-reduced-cost
-    arcs: forward arcs from `tight[i]`, back arcs from `carriers[j]` (the
-    rows with flow into sink j). A search from every source with supply
-    left either reaches a sink with demand left, and that path is
-    augmented, or fails; then the Hungarian dual step (Kuhn 1955,
+    every cell that carries flow. Flow moves only along paths of
+    zero-reduced-cost arcs: forward arcs to `tight[i]`, back arcs to
+    `carriers[j]` (the rows with flow into sink j). A search from every
+    source with supply left either reaches a sink with demand left, and that
+    path is augmented, or fails; then the Hungarian dual step (Kuhn 1955,
     `_raise_potentials`) makes a new arc tight and the search runs again.
 
     At most C dual steps run, C = max c_ij, so at most C + 1 phases, four
@@ -159,51 +178,84 @@ def _min_cost_flow(
     left = sum(supplies)
     if left != sum(demands):
         raise RuntimeError("unbalanced transportation problem")
-    flow = [[0] * n for _ in range(m)]
+    flow: list[dict[int, int]] = [{} for _ in range(m)]
     if left == 0:
         return flow
     supply = list(supplies)
     demand = list(demands)
+    # rows with supply left, columns with demand left
+    supplied = sum(1 << i for i in range(m) if supply[i])
+    open_cols = sum(1 << j for j in range(n) if demand[j])
     row_pot = [0] * m
-    col_pot = list(map(min, zip(*cost)))
-    tight = [list(compress(range(n), map(eq, row, col_pot))) for row in cost]
-    carriers: list[list[int]] = [[] for _ in range(n)]
-    phases = max(map(max, cost)) + 1  # the bound argued above
-
+    col_pot = _column_minima(levels)
+    tight = [0] * m
+    for i, row_levels in enumerate(levels):
+        for c, mask in row_levels.items():
+            tight[i] |= mask & col_pot.get(c, 0)
+    carriers = [0] * n
+    phases = max(map(max, levels)) + 1  # the bound argued above
     while True:
-        # one-arc paths need no search; they appear only where tight grows
-        for i, js in enumerate(tight):
-            for j in js:
-                if supply[i] == 0:
-                    break
-                if demand[j] > 0:
-                    amount = min(supply[i], demand[j])
-                    if flow[i][j] == 0:
-                        carriers[j].append(i)
-                    flow[i][j] += amount
-                    supply[i] -= amount
-                    demand[j] -= amount
-                    left -= amount
+        # one-arc paths need no search; they appear only where tight grows.
+        # Rows with the fewest open tight columns go first, so fewer of them
+        # find those columns already full and need a search.
+        order = []
+        rows = supplied
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            i = low.bit_length() - 1
+            order.append(((tight[i] & open_cols).bit_count(), i))
+        order.sort()
+        for _, i in order:
+            hit = tight[i] & open_cols
+            while hit and supply[i]:
+                bit = hit & -hit
+                hit ^= bit
+                j = bit.bit_length() - 1
+                amount = min(supply[i], demand[j])
+                flow[i][j] = flow[i].get(j, 0) + amount
+                carriers[j] |= 1 << i
+                supply[i] -= amount
+                demand[j] -= amount
+                left -= amount
+                if demand[j] == 0:
+                    open_cols ^= bit
+            if not supply[i]:
+                supplied ^= 1 << i
         while left > 0:
             via_col = [-1] * n  # the row each reached column was reached from
-            via_row: list[int | None] = [None] * m  # likewise; -1 marks a root
-            stack = [i for i in range(m) if supply[i] > 0]
-            for i in stack:
-                via_row[i] = -1
+            via_row = [-1] * m  # likewise for rows; -1 marks a root
+            stack = []
+            rows = supplied
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                stack.append(low.bit_length() - 1)
+            seen_rows = supplied
+            seen_cols = 0
             sink = -1
-            while stack and sink < 0:
+            while stack:
                 i = stack.pop()
-                for j in tight[i]:
-                    if via_col[j] >= 0:
-                        continue
+                new = tight[i] & ~seen_cols
+                hit = new & open_cols
+                if hit:
+                    sink = (hit & -hit).bit_length() - 1
+                    via_col[sink] = i
+                    break
+                seen_cols |= new
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    j = bit.bit_length() - 1
                     via_col[j] = i
-                    if demand[j] > 0:
-                        sink = j
-                        break
-                    for k in carriers[j]:
-                        if via_row[k] is None:
-                            via_row[k] = j
-                            stack.append(k)
+                    fresh = carriers[j] & ~seen_rows
+                    seen_rows |= fresh
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        k = low.bit_length() - 1
+                        via_row[k] = j
+                        stack.append(k)
             if sink < 0:
                 break
             # the path alternates arcs i -> j (gain flow) and j -> i (lose it)
@@ -216,50 +268,91 @@ def _min_cost_flow(
             j = sink
             while j >= 0:
                 i = via_col[j]
-                if flow[i][j] == 0:
-                    carriers[j].append(i)
-                flow[i][j] += amount
+                row = flow[i]
+                row[j] = row.get(j, 0) + amount
+                carriers[j] |= 1 << i
                 j = via_row[i]
-                if j < 0:
-                    supply[i] -= amount
+                if j >= 0:
+                    if row[j] == amount:
+                        del row[j]
+                        carriers[j] ^= 1 << i
+                    else:
+                        row[j] -= amount
                 else:
-                    flow[i][j] -= amount
-                    if flow[i][j] == 0:
-                        carriers[j].remove(i)
+                    supply[i] -= amount
+                    if not supply[i]:
+                        supplied ^= 1 << i
             demand[sink] -= amount
+            if not demand[sink]:
+                open_cols ^= 1 << sink
             left -= amount
         if left == 0:
             return flow
         phases -= 1
         if phases == 0:
             raise RuntimeError("min-cost flow ran past its phase bound")
-        _raise_potentials(cost, row_pot, col_pot, tight, via_row, via_col)
+        _raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
 
 
-def _raise_potentials(cost, row_pot, col_pot, tight, via_row, via_col) -> None:
+def _column_minima(levels: list[dict[int, int]]) -> dict[int, int]:
+    """Each column's least cost over all rows, grouped as {cost: mask}."""
+    at: dict[int, int] = {}
+    for row_levels in levels:
+        for c, mask in row_levels.items():
+            at[c] = at.get(c, 0) | mask
+    groups = {}
+    done = 0
+    for c in sorted(at):
+        mask = at[c] & ~done
+        if mask:
+            groups[c] = mask
+            done |= mask
+    return groups
+
+
+def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
     """The dual step after a failed search, in place.
 
-    delta is the least reduced cost from a row the search reached to a
-    column it did not; every unreached row and column rises by delta.
-    - Reached row -> unreached column cells fall by delta, so none turns
-      negative, and those that reach 0 join `tight`.
-    - Unreached row -> reached column cells rise by delta and leave
-      `tight`. None carries flow, or the search would have reached its row.
+    reached masks the rows the search reached and out the columns it did
+    not. delta is the least reduced cost from a reached row to an out
+    column; every unreached row and every out column rises by delta.
+    - Reached row -> out column cells fall by delta, so none turns negative,
+      and those that reach 0 join `tight`.
+    - Unreached row -> reached column cells rise by delta and leave `tight`.
+      None carries flow, or the search would have reached its row.
     - delta >= 1: a failed search reached every column into which a
       reached row has a tight cell.
     """
-    out = [j for j, i in enumerate(via_col) if i < 0]
-    reached = [i for i, j in enumerate(via_row) if j is not None]
-    slacks = [[cost[i][j] + row_pot[i] - col_pot[j] for j in out] for i in reached]
-    delta = min(map(min, slacks))
-    for i, slack in zip(reached, slacks):
-        tight[i] += [j for j, s in zip(out, slack) if s == delta]
-    for j in out:
-        col_pot[j] += delta
-    for i, j in enumerate(via_row):
-        if j is None:
+    out_groups = [(value, group & out) for value, group in col_pot.items() if group & out]
+    slacks = []  # (reduced cost, row, cells) toward the out columns
+    delta = None
+    rows = reached
+    while rows:
+        low = rows & -rows
+        rows ^= low
+        i = low.bit_length() - 1
+        for c, mask in levels[i].items():
+            if mask & out:
+                for value, group in out_groups:
+                    if mask & group:
+                        slack = c + row_pot[i] - value
+                        slacks.append((slack, i, mask & group))
+                        if delta is None or slack < delta:
+                            delta = slack
+    for slack, i, cells in slacks:
+        if slack == delta:
+            tight[i] |= cells
+    for i in range(len(row_pot)):
+        if not reached >> i & 1:
             row_pot[i] += delta
-            tight[i] = [k for k in tight[i] if via_col[k] < 0]
+            tight[i] &= out
+    raised: dict[int, int] = {}
+    for value, group in col_pot.items():
+        for pot, part in ((value, group & ~out), (value + delta, group & out)):
+            if part:
+                raised[pot] = raised.get(pot, 0) | part
+    col_pot.clear()
+    col_pot.update(raised)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""References for the bitmask edge kernel, which the tests hold it to:
+decoded cost levels against BFS distances, and the frozenset formulation of
+`curvature.bottleneck_sets` that the mask version replaced."""
+
+from bisect import bisect_left
+
+from orckit.curvature import BottleneckSets
+from orckit.graphs import NeighborIndex, neighborhoods
+from orckit.transport import _support_distances
+
+
+def decoded(levels, n):
+    """Per-row {cost: column mask} levels as a dense m x n matrix, after
+    checking that each row's masks split the n columns exactly."""
+    out = []
+    for row in levels:
+        assert sum(mask.bit_count() for mask in row.values()) == n
+        full = 0
+        for mask in row.values():
+            full |= mask
+        assert full == (1 << n) - 1
+        out.append([next(c for c, mask in row.items() if mask >> j & 1) for j in range(n)])
+    return out
+
+
+def edge_levels_match_bfs(g, u, v):
+    """The cost levels of edge (u, v) from u's index (rows N_v, columns
+    N_u) decode to the BFS distances between those supports."""
+    index = NeighborIndex(g, u)
+    rows, cols = g.adjacency[v], g.adjacency[u]
+    levels = [index.levels(q) for q in rows]
+    return decoded(levels, len(cols)) == _support_distances(g, rows, cols)
+
+
+def _max_bipartite_matching(left, adj):
+    match = {}
+
+    def augment(p, seen):
+        for q in adj.get(p, ()):
+            if q in seen:
+                continue
+            seen.add(q)
+            if q not in match or augment(match[q], seen):
+                match[q] = p
+                return True
+        return False
+
+    return sum(1 for p in left if augment(p, set()))
+
+
+def bottleneck_sets_from_sets(g, u, v):
+    # orientation convention: deg(hu) = n >= m = deg(hv)
+    hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
+    n, m = g.degree(hu), g.degree(hv)
+    n_u, nt_u = neighborhoods(g, hu)
+    n_v, nt_v = neighborhoods(g, hv)
+
+    side_u = nt_u - {hv}
+    side_v = nt_v - {hu}
+    sets = g.neighbor_sets
+    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
+    s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
+
+    n0 = len(n_u & n_v)
+    excl_u = sorted(n_u - {hv} - n_v)
+    excl_v = n_v - {hu} - n_u
+    adj = {p: sets[p] & excl_v for p in excl_u}
+    n1 = _max_bipartite_matching(excl_u, adj)
+
+    participation = {}
+    for a, b in s_statement:
+        participation[a] = participation.get(a, 0) + 1
+        participation[b] = participation.get(b, 0) + 1
+    hypothesis = all(c * m <= n for c in participation.values())
+    return BottleneckSets(s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis)

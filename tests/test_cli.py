@@ -11,7 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 from orckit import cli
-from orckit.graphs import parse_edge_list
+from orckit.graphs import generate, parse_edge_list
 from orckit.mpnn import MAX_DEMO_ITERATIONS
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -214,6 +214,30 @@ class TestCurvature:
                 obj = json.loads(sparse_text)
                 validate(obj, schema)
                 assert obj.pop("vertex_ids") == ids and obj == combined[key], (key, name)
+
+    def test_rewired_json_graph_keeps_its_labels(self, tmp_path, capsys):
+        # rewire --out-graph writes vertex_ids into a .json graph; curvature
+        # reads them back and echoes them, byte for byte as it does for the
+        # edge list that rewire writes with the same labels
+        source = tmp_path / "sparse.txt"
+        source.write_text("".join(f"{10 * u + 7} {10 * v + 7}\n" for u, v in generate("barbell", k=4).edges))
+        outputs = []
+        for suffix in (".txt", ".json"):
+            graph_out = tmp_path / f"rewired{suffix}"
+            assert run_main(capsys, "rewire", str(source), "--out-graph", str(graph_out))[:2] == (0, "")
+            code, out, _ = run_main(capsys, "curvature", str(graph_out))
+            assert code == 0
+            outputs.append(out)
+        edge_list_out, json_out = outputs
+        assert json.loads(json_out)["vertex_ids"] == [10 * i + 7 for i in range(8)]
+        assert json_out == edge_list_out
+
+    def test_bad_vertex_ids_are_an_input_error(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]], "vertex_ids": [4, 4, 5]}')
+        code, out, err = run_cli("curvature", str(path))
+        assert (code, out) == (2, "")
+        assert "vertex_ids" in err
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"

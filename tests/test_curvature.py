@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from kernel_reference import bottleneck_sets_from_sets
 
 from orckit.curvature import (
     NotAnEdge,
@@ -11,10 +12,11 @@ from orckit.curvature import (
     curvature_profile,
     edge_report,
     frac_str,
+    profile_to_json,
     profile_to_json_obj,
     ricci_curvature,
 )
-from orckit.graphs import enumerate_connected_five_vertex, generate
+from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, generate
 from pathlib import Path
 
 F = Fraction
@@ -138,6 +140,36 @@ class TestBottleneckSets:
                 assert bottleneck_sets(g, v, u).s_statement == expected
 
 
+    def test_matches_set_reference(self, corpus_entries, corpus_profiles):
+        # through the profile, which shares one index per smaller endpoint,
+        # and through standalone calls in both orientations
+        graphs = [(g, corpus_profiles[name]) for name, g in corpus_entries]
+        for g in [generate("erdos_renyi", n=n, p=p, seed=0) for n, p in ER_SWEEP] + HUBS:
+            graphs.append((g, curvature_profile(g)))
+        for g, profile in graphs:
+            for r in profile.reports:
+                u, v = r.edge
+                expected = bottleneck_sets_from_sets(g, u, v)
+                assert r.sets == expected
+                assert bottleneck_sets(g, u, v) == expected
+                assert bottleneck_sets(g, v, u) == expected
+
+    def test_shared_index_gives_the_same_report(self):
+        g = generate("erdos_renyi", n=40, p=0.15, seed=3)
+        for u in range(g.vertex_count):
+            index = NeighborIndex(g, u)
+            for v in g.adjacency[u]:
+                assert edge_report(g, u, v, index=index) == edge_report(g, u, v)
+
+
+ER_SWEEP = ((100, 0.08), (200, 0.05), (400, 0.03))
+HUBS = [
+    generate("star", n=60),
+    generate("double_star", a=40, b=3),
+    generate("double_star", a=25, b=25),
+]
+
+
 def s_statement_by_edge_scan(g, u, v):
     """Reference S_statement: every edge of g, in g.edges order, with one end
     in the extended neighbourhood of the higher-degree endpoint (minus the
@@ -194,6 +226,15 @@ class TestCurvatureProfile:
         assert bridge["kappa"] == "-2/3"
         assert bridge["w1"] == "5/3"
         assert bridge["s_size"] == 1
+
+
+def test_profile_json_matches_json_dumps(corpus_entries, corpus_profiles):
+    # the template renders exactly what json.dumps(indent=2) renders
+    for name, g in corpus_entries[::5]:
+        profile = corpus_profiles[name]
+        for tail in ({}, {"vertex_ids": [3 * i + 1 for i in range(g.vertex_count)]}):
+            expected = json.dumps({**profile_to_json_obj(profile), **tail}, sort_keys=True, indent=2)
+            assert profile_to_json(profile, tail) == expected + "\n", name
 
 
 def test_kappa_equals_one_minus_w1_on_a_corpus_slice(corpus_entries, corpus_profiles):

@@ -90,6 +90,23 @@ class TestParseGraphJson:
         with pytest.raises(ParseError):
             parse_graph_json('{"n": 3}')
 
+    def test_vertex_ids_become_the_id_map(self):
+        g = parse_graph_json('{"n": 3, "edges": [[0, 1], [1, 2]], "vertex_ids": [12, 5, 9]}')
+        assert g.id_map == (12, 5, 9)
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.to_edge_list_text() == "12 5\n5 9\n"
+
+    def test_dense_vertex_ids_give_no_id_map(self):
+        g = parse_graph_json('{"n": 3, "edges": [[0, 1], [1, 2]], "vertex_ids": [0, 1, 2]}')
+        assert g.id_map is None
+
+    @pytest.mark.parametrize(
+        "ids", ["[5, 9]", "[5, 9, 9]", "[5, -1, 12]", "[5, true, 12]", "[5, 9.0, 12]", '"5 9 12"', "null"]
+    )
+    def test_bad_vertex_ids(self, ids):
+        with pytest.raises(ParseError, match="vertex_ids"):
+            parse_graph_json(f'{{"n": 3, "edges": [[0, 1], [1, 2]], "vertex_ids": {ids}}}')
+
     def test_bool_is_not_a_vertex_id(self):
         with pytest.raises(ParseError):
             parse_graph_json('{"n": 2, "edges": [[true, 1]]}')

@@ -1,8 +1,9 @@
 """Property-based checks on random connected graphs of at most 12 vertices:
 `wasserstein1` against the simplex oracle on edges and on non-adjacent
-pairs, curvature reports under relabelling, every structural bound of
-`run_suite` beyond the fixed corpus, and the one-layer gap bounds under
-drawn layer specs and features.
+pairs, the edge cost levels against BFS, the bitmask bottleneck sets
+against their set-based reference, curvature reports under relabelling,
+every structural bound of `run_suite` beyond the fixed corpus, and the
+one-layer gap bounds under drawn layer specs and features.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
@@ -10,18 +11,13 @@ these tests are as deterministic as the rest of the suite.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from kernel_reference import bottleneck_sets_from_sets, edge_levels_match_bfs
 
-from orckit.curvature import curvature_profile, ricci_curvature
+from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite, verify_one_layer
 from orckit.graphs import bfs_distances, from_edges
 from orckit.mpnn import LayerSpec, Update
-from orckit.transport import (
-    _edge_distances,
-    _support_distances,
-    local_measure,
-    wasserstein1,
-    wasserstein1_oracle,
-)
+from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -67,8 +63,19 @@ def test_edge_kernel_matches_bfs_path_and_oracle(g, data):
 @given(connected_graphs())
 def test_closed_form_distances_match_bfs(g):
     for u, v in g.edges:
-        rows, cols = g.adjacency[u], g.adjacency[v]
-        assert _edge_distances(g, rows, cols) == _support_distances(g, rows, cols)
+        assert edge_levels_match_bfs(g, u, v)
+        assert edge_levels_match_bfs(g, v, u)
+
+
+@PROPERTY
+@given(connected_graphs())
+def test_bottleneck_sets_match_set_reference(g):
+    reports = curvature_profile(g).reports
+    for r in reports:
+        u, v = r.edge
+        expected = bottleneck_sets_from_sets(g, u, v)
+        assert r.sets == expected
+        assert bottleneck_sets(g, v, u) == expected
 
 
 @PROPERTY

@@ -3,14 +3,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from kernel_reference import decoded, edge_levels_match_bfs
 
 from orckit import transport
-from orckit.graphs import bfs_distances, generate
+from orckit.graphs import NeighborIndex, bfs_distances, generate
 from orckit.transport import (
     LocalMeasure,
     TooLarge,
-    _edge_distances,
-    _support_distances,
+    _cost_levels,
     local_measure,
     wasserstein1,
     wasserstein1_oracle,
@@ -109,14 +109,26 @@ class TestWasserstein:
             assert wasserstein1(g, u, v) == wasserstein1(g, v, u)
 
     def test_closed_form_distances_match_bfs(self, corpus_entries):
-        # every support distance of an edge follows from adjacency alone
+        # every support distance of an edge follows from adjacency alone,
+        # from the index of either endpoint
         graphs = [g for _, g in corpus_entries]
         graphs += [generate("erdos_renyi", n=60, p=0.1, seed=s) for s in range(3)]
         for g in graphs:
             for u, v in g.edges:
-                rows, cols = g.adjacency[u], g.adjacency[v]
-                assert _edge_distances(g, rows, cols) == _support_distances(g, rows, cols)
-                assert _edge_distances(g, cols, rows) == _support_distances(g, cols, rows)
+                assert edge_levels_match_bfs(g, u, v)
+                assert edge_levels_match_bfs(g, v, u)
+
+    def test_dense_costs_round_trip_through_levels(self):
+        cost = [[0, 3, 3, 1], [2, 2, 0, 7], [5, 5, 5, 5]]
+        assert _cost_levels(cost) == [{0: 0b0001, 3: 0b0110, 1: 0b1000}, {2: 0b0011, 0: 0b0100, 7: 0b1000}, {5: 0b1111}]
+        assert decoded(_cost_levels(cost), 4) == cost
+
+    def test_shared_index_gives_the_same_w1(self):
+        g = generate("erdos_renyi", n=40, p=0.15, seed=2)
+        for u in range(g.vertex_count):
+            index = NeighborIndex(g, u)
+            for v in g.adjacency[u]:
+                assert wasserstein1(g, u, v, index=index) == wasserstein1(g, u, v)
 
     def test_edge_kernel_matches_oracle_on_er100(self):
         g = generate("erdos_renyi", n=100, p=0.08, seed=4)
@@ -147,7 +159,17 @@ def edge_shaped_problem(rng, max_cost):
     return [T // m] * m, [T // n] * n, cost
 
 
+def skipping_problem(rng):
+    """An edge-shaped problem whose rows take only costs 0 and 3, so every
+    row's levels skip 1 and 2."""
+    supplies, demands, cost = edge_shaped_problem(rng, 1)
+    return supplies, demands, [[3 * c for c in row] for row in cost]
+
+
 class TestMinCostFlow:
+    """The solver on its mask input, each problem posed as a dense matrix
+    and converted by `_cost_levels`."""
+
     @pytest.fixture
     def phases(self, monkeypatch):
         """Counts the solver's dual steps."""
@@ -163,11 +185,12 @@ class TestMinCostFlow:
 
     def check(self, supplies, demands, cost, phases):
         phases[0] = 0
-        flow = transport._min_cost_flow(supplies, demands, cost)
-        assert [sum(row) for row in flow] == supplies
-        assert [sum(col) for col in zip(*flow)] == demands
-        assert all(f >= 0 for row in flow for f in row)
-        total = sum(f * c for frow, crow in zip(flow, cost) for f, c in zip(frow, crow))
+        flow = transport._min_cost_flow(supplies, demands, _cost_levels(cost))
+        transport._check_marginals(flow, supplies, demands)
+        assert [sum(row.values()) for row in flow] == supplies
+        assert [sum(row.get(j, 0) for row in flow) for j in range(len(demands))] == demands
+        assert all(f >= 0 for row in flow for f in row.values())
+        total = sum(f * cost[i][j] for i, row in enumerate(flow) for j, f in row.items())
         assert total == transport._transportation_simplex(supplies, demands, cost)
         # the docstring's bound: at most max cost + 1 phases
         assert phases[0] <= max(map(max, cost)) + 1
@@ -184,6 +207,13 @@ class TestMinCostFlow:
         for _ in range(200):
             self.check(*edge_shaped_problem(rng, max_cost), phases)
 
+    def test_levels_that_skip_costs(self, phases):
+        rng = random.Random(7)
+        for _ in range(200):
+            self.check(*skipping_problem(rng), phases)
+        self.check([2, 2], [1, 3], [[0, 3], [3, 3]], phases)
+        self.check([1, 1, 1], [1, 1, 1], [[3, 3, 0], [3, 0, 3], [3, 3, 0]], phases)
+
     def test_degenerate_problems(self, phases):
         self.check([5], [5], [[3]], phases)
         self.check([1], [1], [[0]], phases)
@@ -192,8 +222,22 @@ class TestMinCostFlow:
         self.check([1, 1, 1], [1, 1, 1], [[3, 3, 3]] * 3, phases)
 
     def test_unbalanced_problem_is_rejected(self):
-        with pytest.raises(RuntimeError):
-            transport._min_cost_flow([2, 1], [2], [[1], [1]])
+        with pytest.raises(RuntimeError, match="unbalanced"):
+            transport._min_cost_flow([2, 1], [2], _cost_levels([[1], [1]]))
+        with pytest.raises(RuntimeError, match="unbalanced"):
+            transport._min_cost_flow([1, 1], [1, 2], [{0: 0b11}, {3: 0b11}])
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            [{0: 2}, {0: 1, 1: 1}],  # a row sums short of its supply
+            [{0: 3}, {1: 2}],  # a column sums past its demand
+            [{0: 3, 1: -1}, {0: 0, 1: 3}],  # right sums through a negative entry
+        ],
+    )
+    def test_marginal_check_rejects_bad_plans(self, flow):
+        with pytest.raises(RuntimeError, match="marginals"):
+            transport._check_marginals(flow, [2, 3], [3, 2])
 
 
 class TestOracle:
