@@ -49,17 +49,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _is_json(path: str | None, fmt: str) -> bool:
+    """Whether --format selects JSON for path: auto does for a .json path."""
+    return fmt == "json" or (fmt == "auto" and path is not None and path.endswith(".json"))
+
+
 def _read_graph(path: str, fmt: str) -> Graph:
     text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "json" if path.endswith(".json") else "edgelist"
-    return parse_graph_json(text) if fmt == "json" else parse_edge_list(text)
+    return parse_graph_json(text) if _is_json(path, fmt) else parse_edge_list(text)
 
 
 def _graph_text(g: Graph, path: str | None, fmt: str) -> str:
-    if fmt == "auto":
-        fmt = "json" if path is not None and path.endswith(".json") else "edgelist"
-    if fmt == "json":
+    if _is_json(path, fmt):
         return _dump_json(_echo_vertex_ids(g.to_json_obj(), g))
     return g.to_edge_list_text()
 

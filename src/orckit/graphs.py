@@ -1,8 +1,9 @@
 """Graph representation, shortest-path distances, generators, and the test corpus.
 
-Vertices are dense 0-based integers. Graphs are simple, undirected, and
-connected; those invariants are enforced at construction time because the
-curvature definitions downstream are meaningless without them.
+Vertices are dense 0-based integers. Graphs are simple, undirected,
+connected and have at least one edge; those invariants are enforced at
+construction time because the curvature definitions downstream are
+meaningless without them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class ParseError(GraphError):
 
 
 class GraphInvalid(GraphError):
-    """Structurally invalid graph (self-loop, duplicate edge, disconnected)."""
+    """Structurally invalid graph (no edges, self-loop, duplicate edge, disconnected)."""
 
 
 class Unsatisfiable(GraphError):
@@ -35,7 +36,7 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple connected undirected graph.
+    """Immutable simple connected undirected graph with at least one edge.
 
     adjacency[u] is sorted ascending; edges are canonical (u < v, sorted
     lexicographically). id_map holds the original vertex labels when the
@@ -71,6 +72,8 @@ class Graph:
 
 def _build(vertex_count: int, edge_pairs, id_map=None) -> Graph:
     pairs = list(edge_pairs)
+    if not pairs:
+        raise GraphInvalid("graph has no edges")
     # a connected graph has at least n - 1 edges; checking that first keeps
     # a huge declared n from allocating adjacency it can never fill
     if vertex_count > len(pairs) + 1:
@@ -101,10 +104,6 @@ def _build(vertex_count: int, edge_pairs, id_map=None) -> Graph:
 
 
 def _check_connected(g: Graph) -> None:
-    if g.vertex_count == 0:
-        raise GraphInvalid("empty graph")
-    if g.vertex_count == 1:
-        return
     dist = bfs_distances(g, 0)
     bad = [v for v in range(g.vertex_count) if dist[v] == UNREACHABLE]
     if bad:
@@ -211,12 +210,6 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
                     nxt.append(w)
         frontier = nxt
     return tuple(dist)
-
-
-def neighborhoods(g: Graph, u: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Return (N_u, N_u with u itself added)."""
-    n = g.neighbor_sets[u]
-    return n, n | {u}
 
 
 class NeighborIndex:
@@ -336,6 +329,8 @@ _ER_RETRY_BUDGET = 1000
 
 
 def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    if n < 2:
+        raise GraphInvalid("erdos_renyi needs at least 2 vertices")
     if not 0.0 <= p <= 1.0:
         raise GraphInvalid("p must lie in [0, 1]")
     for salt in range(_ER_RETRY_BUDGET):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, generate, neighborhoods
+from .graphs import Graph, generate
 
 
 class DimensionMismatch(Exception):
@@ -293,22 +293,30 @@ def demo_instance() -> tuple[Graph, np.ndarray]:
 # Linear-case structure: walk counts, Jacobians, influence, alpha/beta.
 
 
+def _walk_row(g: Graph, depth: int, u: int) -> dict[int, int]:
+    """Row u of (A+I)^depth as {vertex: walk count} over u's depth-ball, the
+    one source of every (A+I)^k entry here. Each step keeps every count and
+    adds it to the vertex's neighbours, so the cost is the sum of the
+    degrees in the ball, not n."""
+    row = {u: 1}
+    for _ in range(depth):
+        step = dict(row)
+        for a, c in row.items():
+            for b in g.adjacency[a]:
+                step[b] = step.get(b, 0) + c
+        row = step
+    return row
+
+
 def walk_counts(g: Graph, depth: int) -> list[list[int]]:
     """((A+I)^depth) with exact integer entries: counts of self-loop-augmented
-    walks between vertex pairs."""
+    walks between vertex pairs: the dense view of the `_walk_row` rows."""
     n = g.vertex_count
-    base = [[0] * n for _ in range(n)]
+    dense = [[0] * n for _ in range(n)]
     for u in range(n):
-        base[u][u] = 1
-        for w in g.adjacency[u]:
-            base[u][w] = 1
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(depth):
-        result = [
-            [sum(row[t] * base[t][j] for t in range(n)) for j in range(n)]
-            for row in result
-        ]
-    return result
+        for w, c in _walk_row(g, depth, u).items():
+            dense[u][w] = c
+    return dense
 
 
 @dataclass(frozen=True)
@@ -321,7 +329,9 @@ class JacobianStack:
         return self.walk_counts[u][w] * self.layer_product
 
 
-def _require_linear_sum(spec: MpnnSpec, depth: int) -> list[np.ndarray]:
+def _layer_product(spec: MpnnSpec, depth: int) -> np.ndarray:
+    """M_{depth-1} ... M_0 with M_k = J_phi_k @ J_psi_k for a linear sum spec;
+    every layer is checked before any product is taken."""
     if depth > len(spec.layers):
         raise SpecError(f"depth {depth} exceeds the {len(spec.layers)}-layer spec")
     mats = []
@@ -332,12 +342,6 @@ def _require_linear_sum(spec: MpnnSpec, depth: int) -> list[np.ndarray]:
         if phi is None:
             raise NotLinear(f"layer {i} has a nonlinear update")
         mats.append(phi @ layer.message)
-    return mats
-
-
-def _layer_product(spec: MpnnSpec, depth: int) -> np.ndarray:
-    """M_{depth-1} ... M_0 with M_k = J_phi_k @ J_psi_k for a linear sum spec."""
-    mats = _require_linear_sum(spec, depth)
     product = np.eye(spec.layers[0].message.shape[1] if spec.layers else 1)
     for m in mats:
         product = m @ product
@@ -353,17 +357,6 @@ def linear_jacobians(g: Graph, spec: MpnnSpec, depth: int) -> JacobianStack:
     return JacobianStack(depth=depth, walk_counts=counts, layer_product=product)
 
 
-def _walk_row(g: Graph, depth: int, u: int) -> list[int]:
-    """Row u of walk_counts(g, depth) without the dense matrix: A+I is
-    symmetric, so the row is (A+I)^depth e_u, and each of the depth steps
-    adds to every vertex its neighbours' entries."""
-    row = [0] * g.vertex_count
-    row[u] = 1
-    for _ in range(depth):
-        row = [row[a] + sum(row[b] for b in g.adjacency[a]) for a in range(g.vertex_count)]
-    return row
-
-
 def influence_distribution(
     g: Graph, spec: MpnnSpec, depth: int, u: int
 ) -> list[Fraction]:
@@ -374,8 +367,8 @@ def influence_distribution(
         raise DegenerateNormalizer("layer product entries sum to zero")
     row = _walk_row(g, depth, u)
     # (A+I)^depth has a positive diagonal, so total >= 1
-    total = sum(row)
-    return [Fraction(c, total) for c in row]
+    total = sum(row.values())
+    return [Fraction(row.get(w, 0), total) for w in range(g.vertex_count)]
 
 
 @dataclass(frozen=True)
@@ -399,17 +392,14 @@ def alpha_beta(g: Graph, u: int, v: int) -> AlphaBeta:
 
     For any linear sum stack the (a, b) Jacobian block is ((A+I)^2)_ab times
     one layer product, which cancels out of every ratio, so no spec is
-    needed. The two needed rows of (A+I)^2 come straight from
-    neighborhoods: entry (a, b) counts the walks a-t-b with t in N~_a and
-    N~_b, i.e. |N~_a cap N~_b|, and row a sums to sum over t in N~_a of
-    (deg t + 1). Raises ValueError when (u, v) is not an edge of g.
+    needed: alpha and beta read rows u and v of (A+I)^2 from `_walk_row`.
+    Raises ValueError when (u, v) is not an edge of g.
     """
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    _, nt_u = neighborhoods(g, u)
-    _, nt_v = neighborhoods(g, v)
-    row_sum_u = sum(g.degree(t) + 1 for t in nt_u)
-    row_sum_v = sum(g.degree(t) + 1 for t in nt_v)
-    alpha = Fraction(max(len(nt_u & neighborhoods(g, q)[1]) for q in nt_v - {u}), row_sum_u)
-    beta = Fraction(max(len(nt_v & neighborhoods(g, p)[1]) for p in nt_u - {v}), row_sum_v)
+    row_u, row_v = _walk_row(g, 2, u), _walk_row(g, 2, v)
+    row_sum_u, row_sum_v = sum(row_u.values()), sum(row_v.values())
+    # every sender in N~_v lies within two hops of u, so inside row u's ball
+    alpha = Fraction(max(row_u[q] for q in (*g.adjacency[v], v) if q != u), row_sum_u)
+    beta = Fraction(max(row_v[p] for p in (*g.adjacency[u], u) if p != v), row_sum_v)
     return AlphaBeta(alpha=alpha, beta=beta, row_sum_u=row_sum_u, row_sum_v=row_sum_v)

@@ -11,10 +11,12 @@ count is non-increasing across accepted steps.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .curvature import CurvatureProfile, bottleneck_sets, curvature_profile
-from .graphs import Graph, GraphInvalid, from_edges, neighborhoods
+from .graphs import Graph, GraphInvalid, from_edges
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
 
@@ -40,6 +42,8 @@ class RewireConfig:
     removals_per_step: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_neg) and math.isfinite(self.tau_pos)):
+            raise ValueError(f"thresholds must be finite, got {self.tau_neg} and {self.tau_pos}")
         if not self.tau_neg < self.tau_pos:
             raise ValueError(f"tau_neg {self.tau_neg} must be below tau_pos {self.tau_pos}")
         if self.max_iterations < 1:
@@ -107,14 +111,24 @@ def kappa_histogram(profile: CurvatureProfile) -> tuple[int, ...]:
     """Edge counts in 12 quarter-width curvature bins spanning [-2, 1]."""
     counts = [0] * HISTOGRAM_BINS
     for r in profile.reports:
-        # exact bin index; kappa = 1 lands in the closed last bin
-        idx = min(int((r.kappa + 2) * 4), HISTOGRAM_BINS - 1)
-        counts[idx] += 1
+        # exact bin floor(4 (kappa + 2)) of kappa = p/q >= -2 in integers;
+        # kappa = 1 lands in the closed last bin
+        p, q = r.kappa.numerator, r.kappa.denominator
+        counts[min(4 * (p + 2 * q) // q, HISTOGRAM_BINS - 1)] += 1
     return tuple(counts)
 
 
+def _out_of_band(profile: CurvatureProfile, cfg: RewireConfig) -> tuple[list, list]:
+    """(reports below tau_neg, reports above tau_pos), compared exactly: each
+    threshold is converted to a Fraction once, not once per comparison."""
+    tau_neg, tau_pos = Fraction(cfg.tau_neg), Fraction(cfg.tau_pos)
+    below = [r for r in profile.reports if r.kappa < tau_neg]
+    above = [r for r in profile.reports if r.kappa > tau_pos]
+    return below, above
+
+
 def out_of_band_count(profile: CurvatureProfile, cfg: RewireConfig) -> int:
-    return sum(1 for r in profile.reports if r.kappa < cfg.tau_neg or r.kappa > cfg.tau_pos)
+    return sum(map(len, _out_of_band(profile, cfg)))
 
 
 def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
@@ -124,10 +138,9 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     minimizes the max per-vertex edge count of the enlarged connecting
     set, then breaks ties lexicographically. None when no pair is absent.
     """
-    nb_u, nt_u = neighborhoods(g, u)
-    nb_v, nt_v = neighborhoods(g, v)
-    left = sorted(nb_u - nt_v)
-    right = sorted(nb_v - nt_u)
+    nb_u, nb_v = g.neighbor_sets[u], g.neighbor_sets[v]
+    left = sorted(nb_u - nb_v - {v})
+    right = sorted(nb_v - nb_u - {u})
     if not left or not right:
         return None
     base: dict[int, int] = {}
@@ -157,8 +170,7 @@ def rewire_step(
     returned graph may equal the input when every action was skipped
     (a removal that would disconnect the graph, no absent support pair).
     """
-    too_pos = [r for r in profile.reports if r.kappa > cfg.tau_pos]
-    too_neg = [r for r in profile.reports if r.kappa < cfg.tau_neg]
+    too_neg, too_pos = _out_of_band(profile, cfg)
     if not too_pos and not too_neg:
         raise NoActionPossible(
             f"all edge curvatures lie inside [{cfg.tau_neg}, {cfg.tau_pos}]"

@@ -22,7 +22,7 @@ def corpus_profiles(corpus_entries):
 @pytest.fixture(scope="session")
 def walk_count_ratios():
     """Reference alpha/beta for edge (u, v): the maxima over rows u and v of
-    counts = walk_counts(g, 2), the dense (A+I)^2."""
+    counts = dense_walk_counts(g, 2), the dense (A+I)^2 of kernel_reference."""
 
     def ratios(g, counts, u, v):
         row_u, row_v = counts[u], counts[v]
@@ -37,7 +37,7 @@ def walk_count_ratios():
 def ratio_bounds_hold():
     """Assert every inequality on alpha/beta across the edge of report r:
     the structural step ratio <= (|S_statement| + 2) / row sum, with the
-    row sums of counts = walk_counts(g, 2), and the curvature bound that
+    row sums of counts = dense_walk_counts(g, 2), and the curvature bound that
     verify_jacobian_ratio checks. Returns (alpha_beta(g, u, v), the two
     checks)."""
 

@@ -1,11 +1,12 @@
-"""References for the bitmask edge kernel, which the tests hold it to:
-decoded cost levels against BFS distances, and the frozenset formulation of
-`curvature.bottleneck_sets` that the mask version replaced."""
+"""Independent references the tests hold the fast kernels to: decoded cost
+levels against BFS distances, the frozenset formulation of
+`curvature.bottleneck_sets` that the mask version replaced, and the dense
+(A+I)^k product that the local walk rows of `mpnn` replaced."""
 
 from bisect import bisect_left
 
 from orckit.curvature import BottleneckSets
-from orckit.graphs import NeighborIndex, neighborhoods
+from orckit.graphs import NeighborIndex
 from orckit.transport import _support_distances
 
 
@@ -52,12 +53,11 @@ def bottleneck_sets_from_sets(g, u, v):
     # orientation convention: deg(hu) = n >= m = deg(hv)
     hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
     n, m = g.degree(hu), g.degree(hv)
-    n_u, nt_u = neighborhoods(g, hu)
-    n_v, nt_v = neighborhoods(g, hv)
-
-    side_u = nt_u - {hv}
-    side_v = nt_v - {hu}
     sets = g.neighbor_sets
+    n_u, n_v = sets[hu], sets[hv]
+
+    side_u = (n_u | {hu}) - {hv}
+    side_v = (n_v | {hv}) - {hu}
     found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
     s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
 
@@ -73,3 +73,15 @@ def bottleneck_sets_from_sets(g, u, v):
         participation[b] = participation.get(b, 0) + 1
     hypothesis = all(c * m <= n for c in participation.values())
     return BottleneckSets(s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis)
+
+
+def dense_walk_counts(g, depth):
+    """(A+I)^depth as a dense matrix product over all n vertices."""
+    n = g.vertex_count
+    base = [[1 if i == j or g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(depth):
+        result = [
+            [sum(row[t] * base[t][j] for t in range(n)) for j in range(n)] for row in result
+        ]
+    return result

@@ -415,6 +415,50 @@ class TestRewire:
         code, _, err = run_cli("rewire", barbell_file, "--tau-neg", "0.5", "--tau-pos", "0.2")
         assert code == 2 and err != ""
 
+    @pytest.mark.parametrize("flag", ["--tau-neg=-inf", "--tau-pos=inf"])
+    def test_infinite_threshold_is_an_input_error(self, capsys, barbell_file, flag):
+        # an infinite threshold would be echoed as -Infinity, which is not JSON
+        code, out, err = run_main(capsys, "rewire", barbell_file, flag)
+        assert code == 2 and out == ""
+        assert "thresholds must be finite" in err
+
+
+class TestEdgelessGraph:
+    """A graph without edges is an input error for every command."""
+
+    @pytest.fixture()
+    def lone_vertex(self, tmp_path):
+        path = tmp_path / "lone.json"
+        path.write_text('{"n": 1, "edges": []}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["curvature", "rewire"])
+    def test_rejected_on_input(self, capsys, lone_vertex, command):
+        code, out, err = run_main(capsys, command, lone_vertex)
+        assert (code, out) == (2, "")
+        assert "graph has no edges" in err
+
+    def test_simulate_rejects_it(self, capsys, lone_vertex, tmp_path):
+        features, spec = tmp_path / "x.csv", tmp_path / "spec.json"
+        features.write_text("1.0\n")
+        spec.write_text('{"layers": []}')
+        args = ("--features", str(features), "--spec", str(spec))
+        code, out, err = run_main(capsys, "simulate", lone_vertex, *args)
+        assert (code, out) == (2, "")
+        assert "graph has no edges" in err
+
+    @pytest.mark.parametrize("family", ["path", "complete"])
+    def test_one_vertex_family_is_not_generated(self, capsys, family):
+        code, out, err = run_main(capsys, "generate", "--family", family, "--n", "1")
+        assert (code, out) == (2, "")
+        assert "graph has no edges" in err
+
+    def test_erdos_renyi_needs_two_vertices(self, capsys):
+        args = ("--family", "erdos_renyi", "--n", "0", "--p", "0.5", "--seed", "0")
+        code, out, err = run_main(capsys, "generate", *args)
+        assert (code, out) == (2, "")
+        assert "at least 2 vertices" in err
+
 
 class TestGoldenHashes:
     """stdout sha256 of `curvature`, `rewire` and `simulate` on fixed inputs,

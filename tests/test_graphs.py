@@ -13,7 +13,6 @@ from orckit.graphs import (
     enumerate_connected_five_vertex,
     from_edges,
     generate,
-    neighborhoods,
     parse_edge_list,
     parse_graph_json,
 )
@@ -115,6 +114,11 @@ class TestParseGraphJson:
         with pytest.raises(GraphInvalid):
             parse_graph_json('{"n": 2, "edges": [[0, 5]]}')
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_edgeless_graph_rejected(self, n):
+        with pytest.raises(GraphInvalid, match="graph has no edges"):
+            parse_graph_json(f'{{"n": {n}, "edges": []}}')
+
     def test_too_few_edges_rejected_before_allocating(self):
         # n = 3,000,000 with one edge cannot be connected; adjacency for it
         # would take hundreds of MB
@@ -182,6 +186,18 @@ class TestGenerators:
         g = generate("erdos_renyi", n=6, p=1.0, seed=0)
         assert len(g.edges) == 15
 
+    @pytest.mark.parametrize("family", ["complete", "path"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_give_no_edges(self, family, n):
+        with pytest.raises(GraphInvalid, match="graph has no edges"):
+            generate(family, n=n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_erdos_renyi_needs_two_vertices(self, n):
+        # rejected before any draw, not reported as 1000 disconnected tries
+        with pytest.raises(GraphInvalid, match="at least 2 vertices"):
+            generate("erdos_renyi", n=n, p=0.5, seed=0)
+
     def test_erdos_renyi_unsatisfiable(self):
         with pytest.raises(Unsatisfiable):
             generate("erdos_renyi", n=5, p=0.0, seed=0)
@@ -236,16 +252,14 @@ class TestBfs:
             bfs_distances(g, 3)
 
 
-def test_neighborhoods_extended_includes_self():
-    g = generate("path", n=3)
-    nb, nbt = neighborhoods(g, 1)
-    assert nb == {0, 2}
-    assert nbt == {0, 1, 2}
-
-
 def test_edge_list_roundtrip():
     g = generate("barbell", k=4)
     assert parse_edge_list(g.to_edge_list_text()).edges == g.edges
+
+
+def test_from_edges_rejects_edgeless_graph():
+    with pytest.raises(GraphInvalid, match="graph has no edges"):
+        from_edges(1, [])
 
 
 def test_from_edges_matches_generate():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from kernel_reference import dense_walk_counts
 
 from orckit.curvature import bottleneck_sets, edge_report
 from orckit.diagnostics import smoothing_metrics
@@ -380,9 +381,12 @@ class TestInfluence:
         spec = identity_spec(1, 4, "sum")
         for name, g in corpus_entries:
             for depth in range(5):
-                dense = walk_counts(g, depth)
+                dense = dense_walk_counts(g, depth)
+                assert walk_counts(g, depth) == dense, f"{name} depth {depth}"
                 for u in range(g.vertex_count):
-                    assert _walk_row(g, depth, u) == dense[u], f"{name} depth {depth} u={u}"
+                    # the local row holds exactly the nonzero entries: u's depth-ball
+                    ball = {w: c for w, c in enumerate(dense[u]) if c}
+                    assert _walk_row(g, depth, u) == ball, f"{name} depth {depth} u={u}"
                     total = sum(dense[u])
                     expected = [F(c, total) for c in dense[u]]
                     assert influence_distribution(g, spec, depth, u) == expected
@@ -397,7 +401,7 @@ class TestInfluence:
 class TestAlphaBeta:
     def test_path_edge(self, ratio_bounds_hold):
         g = generate("path", n=3)
-        counts = walk_counts(g, 2)
+        counts = dense_walk_counts(g, 2)
         ab, alpha_check, beta_check = ratio_bounds_hold(g, counts, edge_report(g, 0, 1))
         assert ab.alpha == F(2, 5)
         assert ab.beta == F(2, 7)
@@ -412,7 +416,7 @@ class TestAlphaBeta:
 
     def test_double_star_centers(self, ratio_bounds_hold):
         g = generate("double_star", a=3, b=3)
-        ab, alpha_check, _ = ratio_bounds_hold(g, walk_counts(g, 2), edge_report(g, 0, 1))
+        ab, alpha_check, _ = ratio_bounds_hold(g, dense_walk_counts(g, 2), edge_report(g, 0, 1))
         assert ab.alpha == F(1, 6)
         s_size = len(bottleneck_sets(g, 0, 1).s_statement)
         assert F(s_size + 2, ab.row_sum_u) == F(1, 4)
@@ -433,10 +437,10 @@ class TestAlphaBeta:
         graphs = [generate("cocktail_party", m=3), generate("erdos_renyi", n=12, p=0.4, seed=9)]
         graphs += [generate("erdos_renyi", n=15, p=0.3, seed=s) for s in range(3)]
         for g in graphs:
-            counts = walk_counts(g, 2)
+            counts = dense_walk_counts(g, 2)
             for u, v in g.edges:
                 ab, _, _ = ratio_bounds_hold(g, counts, edge_report(g, u, v))
-                # the closed form agrees with rows of the dense (A+I)^2
+                # the local walk rows agree with rows of the dense (A+I)^2
                 assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v)
 
     def test_structural_bound_uses_the_connecting_set(self):

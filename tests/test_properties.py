@@ -2,8 +2,9 @@
 `wasserstein1` against the simplex oracle on edges and on non-adjacent
 pairs, the edge cost levels against BFS, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
-every structural bound of `run_suite` beyond the fixed corpus, and the
-one-layer gap bounds under drawn layer specs and features.
+every structural bound of `run_suite` beyond the fixed corpus, the
+one-layer gap bounds under drawn layer specs and features, and the local
+walk rows and alpha/beta against the dense (A+I)^k product.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
@@ -11,12 +12,12 @@ these tests are as deterministic as the rest of the suite.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from kernel_reference import bottleneck_sets_from_sets, edge_levels_match_bfs
+from kernel_reference import bottleneck_sets_from_sets, dense_walk_counts, edge_levels_match_bfs
 
 from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite, verify_one_layer
 from orckit.graphs import bfs_distances, from_edges
-from orckit.mpnn import LayerSpec, Update
+from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta
 from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -105,6 +106,20 @@ def test_structural_bounds_hold_beyond_the_corpus(g):
     # every structural check is exact, so a violation here is a counterexample
     report = run_suite(corpus=[("g", g)], trials=0)
     assert report.violations == (), [c.to_json_obj() for c in report.violations]
+
+
+@PROPERTY
+@given(connected_graphs())
+def test_walk_rows_match_dense_walk_counts(walk_count_ratios, g):
+    for depth in range(5):
+        dense = dense_walk_counts(g, depth)
+        for u in range(g.vertex_count):
+            assert _walk_row(g, depth, u) == {w: c for w, c in enumerate(dense[u]) if c}
+    counts = dense_walk_counts(g, 2)
+    for u, v in g.edges:
+        ab = alpha_beta(g, u, v)
+        assert (ab.alpha, ab.beta) == walk_count_ratios(g, counts, u, v)
+        assert (ab.row_sum_u, ab.row_sum_v) == (sum(counts[u]), sum(counts[v]))
 
 
 def _matrices(rows, cols, bound):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from orckit.curvature import curvature_profile
@@ -23,6 +25,13 @@ class TestConfig:
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValueError):
             RewireConfig(tau_neg=0.5, tau_pos=0.2)
+
+    @pytest.mark.parametrize(
+        "taus", [(-math.inf, 0.99), (-0.5, math.inf), (-math.inf, math.inf), (math.nan, 0.99)]
+    )
+    def test_thresholds_must_be_finite(self, taus):
+        with pytest.raises(ValueError, match="finite"):
+            RewireConfig(tau_neg=taus[0], tau_pos=taus[1])
 
     def test_budgets_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -63,6 +72,33 @@ def test_out_of_band_count():
     profile = curvature_profile(generate("barbell", k=3))
     assert out_of_band_count(profile, RewireConfig()) == 1
     assert out_of_band_count(profile, RewireConfig(tau_neg=-1.0, tau_pos=0.99)) == 0
+
+
+# thresholds on and between exact curvature values; the floats -1/3 and 1/3
+# are not the Fractions -1/3 and 1/3, so a rounded comparison differs there
+BAND_THRESHOLDS = [(-0.5, 0.99), (-0.3, 0.99), (-1 / 3, 1 / 3), (-1.0, 0.5), (-0.25, 0.0), (-2.0, 1.0)]
+
+
+def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_profiles):
+    """kappa_histogram and the out-of-band split against the Fraction
+    arithmetic and Fraction-vs-float comparisons they replaced."""
+    cases = [(g, corpus_profiles[name]) for name, g in corpus_entries]
+    for seed in range(12):
+        g = generate("erdos_renyi", n=100, p=0.08, seed=seed)
+        cases.append((g, curvature_profile(g)))
+    for g, profile in cases:
+        expected = [0] * HISTOGRAM_BINS
+        for r in profile.reports:
+            expected[min(int((r.kappa + 2) * 4), HISTOGRAM_BINS - 1)] += 1
+        assert kappa_histogram(profile) == tuple(expected)
+        for tau_neg, tau_pos in BAND_THRESHOLDS:
+            cfg = RewireConfig(tau_neg=tau_neg, tau_pos=tau_pos)
+            below = sum(1 for r in profile.reports if r.kappa < tau_neg)
+            above = sum(1 for r in profile.reports if r.kappa > tau_pos)
+            assert out_of_band_count(profile, cfg) == below + above
+            if below + above:
+                _, step = rewire_step(g, profile, cfg)
+                assert step.out_of_band_before == below + above
 
 
 class TestRewireStep:
