@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import curvature_profile, profile_to_json
-from .diagnostics import run_suite, smoothing_metrics
+from .diagnostics import MAX_TRIALS, run_suite, smoothing_metrics
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
     MAX_DEMO_ITERATIONS,
@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the bound-check suite over the corpus")
     p.add_argument("--suite", default="all")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200, help=f"at most {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--threads", type=int, default=1, help="0 means auto")
     p.add_argument("--fail-fast", action="store_true")

@@ -6,10 +6,13 @@ from `transport.wasserstein1`. For adjacent pairs that solve is local: every
 support distance is 0-3 and follows from adjacency, because any p in N_u
 reaches any q in N_v through p-u-v-q.
 
-`curvature_profile` visits the edges grouped by their smaller endpoint u
-(the order of `g.edges`) and builds one `NeighborIndex` of u per group; the
-W1 solve and the bottleneck sets of every edge (u, v) read their masks from
-it, so no per-edge structure is built twice.
+`curvature_profile` groups the edges under their endpoint of higher degree
+u (the smaller id on a tie) and builds one `NeighborIndex` of u per group;
+the W1 solve and the bottleneck sets of every edge (u, v) read their masks
+and the cached cost levels of the rows q in N_v from it, so no per-edge
+structure is built twice. The rows of every edge's problem are then the
+smaller neighbourhood, which sets the cost of all per-row work. The reports
+come back in the order of `g.edges`.
 """
 
 from __future__ import annotations
@@ -119,40 +122,53 @@ def edge_report(
 
 
 def curvature_profile(g: Graph) -> CurvatureProfile:
-    """One report per edge in canonical order. The edges come grouped by
-    their smaller endpoint u, and each group shares one index of u, dropped
-    when the group ends."""
-    reports = []
-    index = None
-    for u, v in g.edges:
-        if index is None or index.u != u:
-            index = NeighborIndex(g, u)
-        reports.append(edge_report(g, u, v, index=index))
+    """One report per edge, in the order of g.edges. Each edge is grouped
+    under its endpoint u of higher degree (the smaller id on a tie), so the
+    rows of its W1 problem are the smaller neighbourhood; the edges of a
+    group share one index of u, dropped when the group ends."""
+    adjacency = g.adjacency
+    groups: dict[int, list[int]] = {}
+    for k, (a, b) in enumerate(g.edges):
+        u = a if len(adjacency[a]) >= len(adjacency[b]) else b
+        groups.setdefault(u, []).append(k)
+    reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
+    for u, ks in groups.items():
+        index = NeighborIndex(g, u)
+        for k in ks:
+            a, b = g.edges[k]
+            reports[k] = edge_report(g, u, b if a == u else a, index=index)
     return CurvatureProfile(reports=tuple(reports))
 
 
 def _max_matching(options: list[int]) -> int:
     """Maximum bipartite matching size; options[i] is the mask of the
-    columns row i may take (Kuhn's augmenting paths)."""
+    columns row i may take (Kuhn's augmenting paths, searched depth first
+    on an explicit stack, so a path may be as long as the graph allows)."""
     owner: dict[int, int] = {}  # column bit -> its matched row
-    seen = 0
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        while True:
+    count = 0
+    for root in range(len(options)):
+        seen = 0
+        path = [root]  # the rows of the alternating path being searched
+        taken = []  # taken[t]: the column path[t] tries, owned by path[t + 1]
+        while path:
+            i = path[-1]
             free = options[i] & ~seen
             if not free:
-                return False
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
             bit = free & -free
             seen |= bit
-            if bit not in owner or augment(owner[bit]):
-                owner[bit] = i
-                return True
-
-    count = 0
-    for i in range(len(options)):
-        seen = 0
-        count += augment(i)
+            taken.append(bit)
+            if bit in owner:
+                path.append(owner[bit])
+                continue
+            # every row on the path takes the column it tried
+            for row, col in zip(path, taken):
+                owner[col] = row
+            count += 1
+            break
     return count
 
 
@@ -160,7 +176,9 @@ def bottleneck_sets(
     g: Graph, u: int, v: int, index: NeighborIndex | None = None
 ) -> BottleneckSets:
     """The sets of edge (u, v), read from u's NeighborIndex (built here when
-    index is None) as in the W1 solve: the columns are N_u, the rows q in N_v.
+    index is None) as in the W1 solve: the columns are N_u, and each row q in
+    N_v is its cached `levels(q)`, whose cost-0 cell marks a common
+    neighbour and whose cost-1 cells are q's neighbours in N_u.
 
     With N~ the closed neighbourhood, S_statement holds every edge between
     N~_u - {v} and N~_v - {u}: the edge (u, v) itself, the edges from u and
@@ -173,17 +191,18 @@ def bottleneck_sets(
         raise NotAnEdge(f"({u},{v}) is not an edge")
     if index is None:
         index = NeighborIndex(g, u)
-    cols, pos, near = g.adjacency[u], index.pos, index.near
-    skip_v = ~pos[v]
+    cols, levels = g.adjacency[u], index.levels
+    skip_v = ~index.pos[v]
     found = {(u, v) if u < v else (v, u)}
     common = 0
     exclusive = []
     for q in g.adjacency[v]:
         if q == u:
             continue
-        ones = near.get(q, 0) & skip_v
-        if q in pos:
-            common |= pos[q]
+        row = levels(q)
+        ones = row.get(1, 0) & skip_v
+        if 0 in row:
+            common |= row[0]
             found.add((u, q) if u < q else (q, u))
             found.add((v, q) if v < q else (q, v))
         else:

@@ -437,6 +437,9 @@ class SuiteReport:
 
 
 MULTILAYER_DEPTH = 6
+# Each one-layer trial keeps its checks in the report, so memory and report
+# size grow linearly with the trial count.
+MAX_TRIALS = 10_000
 
 
 def _suite_checks(
@@ -500,13 +503,16 @@ def run_suite(
     multilayer bound runs one seeded draw per graph.
     Results are deterministic for a fixed (corpus, trials, seed); with
     fail_fast the report is truncated at the first violation. An unknown
-    suite or a negative trials or seed raises ValueError.
+    suite, a negative trials or seed, or trials above MAX_TRIALS raises
+    ValueError before any work is done.
     """
     if suite != "all" and suite not in CHECK_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     for label, value in (("trials", trials), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{label} must be a non-negative integer, got {value}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     want = set(CHECK_NAMES) if suite == "all" else {suite}
     entries = list(default_corpus() if corpus is None else corpus)
     checks: list[BoundCheck] = []

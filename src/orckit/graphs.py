@@ -219,10 +219,11 @@ class NeighborIndex:
     p's bit for p in N_u, and near[w] is the mask of u's neighbours adjacent
     to w, for each w within two hops of u. Building both costs the sum of
     the degrees in N_u, and the index holds nothing beyond u's 2-hop
-    neighbourhood.
+    neighbourhood. levels(q) is row q of an edge's cost levels (see
+    `_LevelRows`): a plain dict lookup once the row is cached.
     """
 
-    __slots__ = ("g", "u", "pos", "near", "full", "_levels")
+    __slots__ = ("pos", "near", "full", "levels")
 
     def __init__(self, g: Graph, u: int):
         adjacency = g.adjacency
@@ -233,38 +234,45 @@ class NeighborIndex:
             pos[p] = bit
             for w in adjacency[p]:
                 near[w] = near.get(w, 0) | bit
-        self.g, self.u = g, u
         self.pos, self.near = pos, near
         self.full = (1 << len(adjacency[u])) - 1
-        self._levels: dict[int, dict[int, int]] = {}
+        self.levels = _LevelRows(adjacency, pos, near, self.full).__getitem__
 
-    def levels(self, q: int) -> dict[int, int]:
-        """{d: mask of u's neighbours at hop distance d from q}, empty masks
-        left out, for q a neighbour of some v in N_u.
 
-        Any p in N_u reaches such a q along p-u-v-q, so d(p, q) <= 3, and
-        the shorter cases are local: 0 if p == q, 1 if p and q are adjacent,
-        2 if they share a neighbour. The rows of the edges (u, v) overlap,
-        so each q is worked out once per index.
-        """
-        found = self._levels.get(q)
-        if found is None:
-            near = self.near.get
-            d0 = self.pos.get(q, 0)
-            d1 = near(q, 0)
-            shared = 0  # the neighbours of u that share a neighbour with q
-            for w in self.g.adjacency[q]:
-                shared |= near(w, 0)
-            d2 = shared & ~(d0 | d1)
-            d3 = self.full & ~(d0 | d1 | shared)
-            found = {0: d0} if d0 else {}
-            if d1:
-                found[1] = d1
-            if d2:
-                found[2] = d2
-            if d3:
-                found[3] = d3
-            self._levels[q] = found
+class _LevelRows(dict):
+    """The rows of one NeighborIndex of u, keyed by q: {d: mask of u's
+    neighbours at hop distance d from q}, empty masks left out, for q a
+    neighbour of some v in N_u.
+
+    Any p in N_u reaches such a q along p-u-v-q, so d(p, q) <= 3, and the
+    shorter cases are local: 0 if p == q, 1 if p and q are adjacent, 2 if
+    they share a neighbour. The rows of the edges (u, v) overlap, so each q
+    is worked out once, on its first lookup.
+    """
+
+    __slots__ = ("adjacency", "pos", "near", "full")
+
+    def __init__(self, adjacency, pos: dict[int, int], near: dict[int, int], full: int):
+        super().__init__()
+        self.adjacency, self.pos, self.near, self.full = adjacency, pos, near, full
+
+    def __missing__(self, q: int) -> dict[int, int]:
+        near = self.near.get
+        d0 = self.pos.get(q, 0)
+        d1 = near(q, 0)
+        shared = 0  # the neighbours of u that share a neighbour with q
+        for w in self.adjacency[q]:
+            shared |= near(w, 0)
+        d2 = shared & ~(d0 | d1)
+        d3 = self.full & ~(d0 | d1 | shared)
+        found = {0: d0} if d0 else {}
+        if d1:
+            found[1] = d1
+        if d2:
+            found[2] = d2
+        if d3:
+            found[3] = d3
+        self[q] = found
         return found
 
 

@@ -11,9 +11,13 @@ floats anywhere.
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
 on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
 of the columns at each cost. For an edge those are the 0-3 hop-distance
-masks of u's `graphs.NeighborIndex`, read from adjacency alone; for any
-other pair a dense BFS distance matrix goes through `_cost_levels`. The
-oracle takes arbitrary measures, so tests can pose problems of their own.
+masks of u's `graphs.NeighborIndex`, read from adjacency alone, and the
+starting dual follows from the edge's structure (`_edge_start`: column
+minima 0 on the common neighbours, 1 elsewhere); for any other pair a
+dense BFS distance matrix goes through `_cost_levels` and the generic
+`_starting_dual`. Every solve ends with one pass over the plan
+(`_plan_cost`) that checks its marginals and sums its cost. The oracle
+takes arbitrary measures, so tests can pose problems of their own.
 """
 
 from __future__ import annotations
@@ -93,46 +97,87 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
 
     The integer problem is built directly on the scale T = lcm(deg u, deg v).
     For an edge (u, v) the rows are N_v and the columns N_u (W1 is
-    symmetric), and each row's cost levels are its hop-distance masks from
-    u's `NeighborIndex`; `curvature_profile` passes one index to all the
-    edges of u, and a call without one builds its own. Any other pair takes
-    its distances from BFS.
+    symmetric), each row's cost levels are its hop-distance masks from u's
+    `NeighborIndex`, and the solver starts from `_edge_start`. Every per-row
+    step of the solver scales with the row count, so `curvature_profile`
+    passes u as the endpoint of higher degree, with one index for all of
+    u's edges; a call without one builds its own. Any other pair takes its
+    distances from BFS and the generic `_starting_dual`.
     """
     if g.has_edge(u, v):
         if index is None:
             index = NeighborIndex(g, u)
         rows, cols = g.adjacency[v], g.adjacency[u]
         levels = list(map(index.levels, rows))
+        col_pot, tight = _edge_start(index, v, levels)
     else:
         rows, cols = g.adjacency[u], g.adjacency[v]
         levels = _cost_levels(_support_distances(g, rows, cols))
+        col_pot, tight = _starting_dual(levels)
     m, n = len(rows), len(cols)
     T = lcm(m, n)
     supplies = [T // m] * m
     demands = [T // n] * n
-    flow = _min_cost_flow(supplies, demands, levels)
-    _check_marginals(flow, supplies, demands)
+    flow = _min_cost_flow(supplies, demands, levels, col_pot, tight)
+    return Fraction(_plan_cost(flow, supplies, demands, levels), T)
+
+
+def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]]):
+    """The starting dual of edge (u, v), from its structure alone: the
+    column minima as {cost: mask} and each row's tight columns, as
+    `_starting_dual(levels)` would find them by scanning every cell.
+
+    The rows are N_v and the columns N_u. Row u (a neighbour of v) is at
+    distance 1 from every column, so no column minimum exceeds 1, and a
+    cost-0 cell (q, p) needs p == q, so only the common neighbours N_u & N_v
+    (u's neighbours adjacent to v, `index.near[v]`) have minimum 0. A cell
+    is tight when its cost equals its column's minimum: cost 0, or cost 1
+    off the common columns.
+    """
+    common = index.near.get(v, 0)
+    rest = index.full ^ common  # never empty: it holds v's own column
+    col_pot = {0: common, 1: rest} if common else {1: rest}
+    tight = [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels]
+    return col_pot, tight
+
+
+def _starting_dual(levels: list[dict[int, int]]):
+    """The generic starting dual: sinks at their column minima, sources at
+    0, and per row the mask of its cells whose cost meets the minimum."""
+    col_pot = _column_minima(levels)
+    tight = []
+    for row_levels in levels:
+        mask = 0
+        for c, cells in row_levels.items():
+            mask |= cells & col_pot.get(c, 0)
+        tight.append(mask)
+    return col_pot, tight
+
+
+def _plan_cost(
+    flow: list[dict[int, int]], supplies: list[int], demands: list[int], levels: list[dict[int, int]]
+) -> int:
+    """The integer cost of a plan, after checking in the same pass that its
+    entries are non-negative and its row and column sums are the supplies
+    and the demands; a plan that fails raises RuntimeError."""
+    cols = [0] * len(demands)
     total = 0
-    for row, row_levels in zip(flow, levels):
+    valid = len(flow) == len(supplies)
+    for row, supply, row_levels in zip(flow, supplies, levels):
+        sent = 0
         for j, amount in row.items():
+            cols[j] += amount
+            sent += amount
+            valid &= amount >= 0
             bit = 1 << j
             for c, mask in row_levels.items():
                 if mask & bit:
                     total += c * amount
                     break
-    return Fraction(total, T)
-
-
-def _check_marginals(flow: list[dict[int, int]], supplies: list[int], demands: list[int]) -> None:
-    cols = [0] * len(demands)
-    negative = False
-    for row in flow:
-        for j, amount in row.items():
-            cols[j] += amount
-            negative |= amount < 0
-    rows = [sum(row.values()) for row in flow]
-    if rows != supplies or cols != demands or negative:
+        valid &= sent == supply
+    if not valid or cols != demands:
         raise RuntimeError("transport plan marginals do not match the measures")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +188,19 @@ def _check_marginals(flow: list[dict[int, int]], supplies: list[int], demands: l
 
 
 def _min_cost_flow(
-    supplies: list[int], demands: list[int], levels: list[dict[int, int]]
+    supplies: list[int],
+    demands: list[int],
+    levels: list[dict[int, int]],
+    col_pot: dict[int, int],
+    tight: list[int],
 ) -> list[dict[int, int]]:
     """Min-cost transportation flow for non-negative integer costs.
 
     levels[i] maps each cost of row i to the mask of the columns at that
-    cost; the masks of a row cover every column once. The flow comes back
-    sparse: flow[i] maps column j to the amount on cell (i, j).
+    cost; the masks of a row cover every column once. col_pot and tight are
+    the starting dual, as `_starting_dual(levels)` gives it (or
+    `_edge_start` for an edge), and both are updated in place. The flow
+    comes back sparse: flow[i] maps column j to the amount on cell (i, j).
 
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
     arc j -> i carries flow[i][j] back at cost -c_ij. Potentials (row_pot per
@@ -187,11 +238,6 @@ def _min_cost_flow(
     supplied = sum(1 << i for i in range(m) if supply[i])
     open_cols = sum(1 << j for j in range(n) if demand[j])
     row_pot = [0] * m
-    col_pot = _column_minima(levels)
-    tight = [0] * m
-    for i, row_levels in enumerate(levels):
-        for c, mask in row_levels.items():
-            tight[i] |= mask & col_pot.get(c, 0)
     carriers = [0] * n
     phases = max(map(max, levels)) + 1  # the bound argued above
     while True:
@@ -324,28 +370,35 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
       reached row has a tight cell.
     """
     out_groups = [(value, group & out) for value, group in col_pot.items() if group & out]
-    slacks = []  # (reduced cost, row, cells) toward the out columns
     delta = None
+    best = []  # (row, cells) toward the out columns at reduced cost delta
     rows = reached
     while rows:
         low = rows & -rows
         rows ^= low
         i = low.bit_length() - 1
+        pot = row_pot[i]
         for c, mask in levels[i].items():
-            if mask & out:
+            mask &= out
+            if mask:
                 for value, group in out_groups:
-                    if mask & group:
-                        slack = c + row_pot[i] - value
-                        slacks.append((slack, i, mask & group))
+                    cells = mask & group
+                    if cells:
+                        slack = c + pot - value
                         if delta is None or slack < delta:
                             delta = slack
-    for slack, i, cells in slacks:
-        if slack == delta:
-            tight[i] |= cells
-    for i in range(len(row_pot)):
-        if not reached >> i & 1:
-            row_pot[i] += delta
-            tight[i] &= out
+                            best = [(i, cells)]
+                        elif slack == delta:
+                            best.append((i, cells))
+    for i, cells in best:
+        tight[i] |= cells
+    rows = ((1 << len(row_pot)) - 1) & ~reached
+    while rows:
+        low = rows & -rows
+        rows ^= low
+        i = low.bit_length() - 1
+        row_pot[i] += delta
+        tight[i] &= out
     raised: dict[int, int] = {}
     for value, group in col_pot.items():
         for pot, part in ((value, group & ~out), (value + delta, group & out)):

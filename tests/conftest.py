@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from orckit.curvature import curvature_profile
 from orckit.diagnostics import verify_jacobian_ratio
-from orckit.graphs import corpus
+from orckit.graphs import corpus, from_edges, generate
 from orckit.mpnn import alpha_beta
+
+ER_SWEEP = ((100, 0.08), (200, 0.05), (400, 0.03))
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +20,43 @@ def corpus_entries():
 def corpus_profiles(corpus_entries):
     # computed once; several suites reuse the exact per-edge reports
     return {name: curvature_profile(g) for name, g in corpus_entries}
+
+
+def barabasi_albert(n, m, seed):
+    """Preferential attachment: a clique on m + 1 vertices, then each new
+    vertex joins m distinct vertices drawn with probability proportional to
+    their degree. Hubs next to many leaves make its degrees very uneven."""
+    rng = random.Random(f"ba:{n}:{m}:{seed}")
+    edges = [(a, b) for a in range(m + 1) for b in range(a + 1, m + 1)]
+    ends = [x for e in edges for x in e]
+    for w in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(ends))
+        for t in sorted(targets):
+            edges.append((t, w))
+            ends += [t, w]
+    return from_edges(n, edges)
+
+
+@pytest.fixture(scope="session")
+def irregular_graphs():
+    """Named graphs whose edges mostly join endpoints of unequal degree: the
+    ER sweep of the benchmark (seed 0), stars and double stars with hubs,
+    and a Barabasi-Albert-like graph."""
+    out = [(f"er_{n}", generate("erdos_renyi", n=n, p=p, seed=0)) for n, p in ER_SWEEP]
+    out += [
+        ("star_60", generate("star", n=60)),
+        ("double_star_40_3", generate("double_star", a=40, b=3)),
+        ("double_star_25_25", generate("double_star", a=25, b=25)),
+        ("ba_150_2", barabasi_albert(150, 2, 0)),
+    ]
+    return out
+
+
+@pytest.fixture(scope="session")
+def irregular_profiles(irregular_graphs):
+    return {name: curvature_profile(g) for name, g in irregular_graphs}
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Independent references the tests hold the fast kernels to: decoded cost
-levels against BFS distances, the frozenset formulation of
+levels against BFS distances, an edge's structural starting dual against
+the generic one found by scanning every cell, the frozenset formulation of
 `curvature.bottleneck_sets` that the mask version replaced, and the dense
 (A+I)^k product that the local walk rows of `mpnn` replaced."""
 
@@ -7,7 +8,7 @@ from bisect import bisect_left
 
 from orckit.curvature import BottleneckSets
 from orckit.graphs import NeighborIndex
-from orckit.transport import _support_distances
+from orckit.transport import _edge_start, _starting_dual, _support_distances
 
 
 def decoded(levels, n):
@@ -31,6 +32,14 @@ def edge_levels_match_bfs(g, u, v):
     rows, cols = g.adjacency[v], g.adjacency[u]
     levels = [index.levels(q) for q in rows]
     return decoded(levels, len(cols)) == _support_distances(g, rows, cols)
+
+
+def edge_start_matches_generic(g, u, v):
+    """The starting dual of edge (u, v) read from its structure equals the
+    column minima and tight masks that `_starting_dual` scans for."""
+    index = NeighborIndex(g, u)
+    levels = [index.levels(q) for q in g.adjacency[v]]
+    return _edge_start(index, v, levels) == _starting_dual(levels)
 
 
 def _max_bipartite_matching(left, adj):

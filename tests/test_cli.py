@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from orckit import cli
+from orckit import cli, diagnostics
+from orckit.diagnostics import MAX_TRIALS
 from orckit.graphs import generate, parse_edge_list
 from orckit.mpnn import MAX_DEMO_ITERATIONS
 
@@ -279,6 +280,20 @@ class TestVerify:
         code, out, err = run_cli("verify", "--suite", "diameter", "--trials", "-3")
         assert code == 2
         assert out == "" and "error: trials must be a non-negative integer" in err
+
+    def test_trials_over_cap_rejected_before_any_work(self, capsys, monkeypatch):
+        def no_work(g):
+            raise AssertionError("a profile was computed")
+
+        monkeypatch.setattr(diagnostics, "curvature_profile", no_work)
+        code, out, err = run_main(capsys, "verify", "--trials", str(MAX_TRIALS + 1))
+        assert code == 2 and out == ""
+        assert f"error: trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}" in err
+
+    def test_trials_cap_is_named_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert f"at most {MAX_TRIALS}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("suite", ["diameter", "one_layer_sum"])
     def test_negative_seed_is_an_input_error(self, suite):

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 from kernel_reference import bottleneck_sets_from_sets
 
+from orckit import curvature
 from orckit.curvature import (
     NotAnEdge,
     SameVertex,
@@ -16,7 +17,7 @@ from orckit.curvature import (
     profile_to_json_obj,
     ricci_curvature,
 )
-from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, generate
+from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, from_edges, generate
 from pathlib import Path
 
 F = Fraction
@@ -140,12 +141,13 @@ class TestBottleneckSets:
                 assert bottleneck_sets(g, v, u).s_statement == expected
 
 
-    def test_matches_set_reference(self, corpus_entries, corpus_profiles):
-        # through the profile, which shares one index per smaller endpoint,
-        # and through standalone calls in both orientations
+    def test_matches_set_reference(
+        self, corpus_entries, corpus_profiles, irregular_graphs, irregular_profiles
+    ):
+        # through the profile, which shares one index per higher-degree
+        # endpoint, and through standalone calls in both orientations
         graphs = [(g, corpus_profiles[name]) for name, g in corpus_entries]
-        for g in [generate("erdos_renyi", n=n, p=p, seed=0) for n, p in ER_SWEEP] + HUBS:
-            graphs.append((g, curvature_profile(g)))
+        graphs += [(g, irregular_profiles[name]) for name, g in irregular_graphs]
         for g, profile in graphs:
             for r in profile.reports:
                 u, v = r.edge
@@ -161,13 +163,29 @@ class TestBottleneckSets:
             for v in g.adjacency[u]:
                 assert edge_report(g, u, v, index=index) == edge_report(g, u, v)
 
+    def test_matching_takes_an_augmenting_path_longer_than_the_recursion_limit(self):
+        # the greedy first pass matches Q_i to P_i, so Q_k's path runs
+        # back through all of Q_0..Q_(k-1)
+        s = bottleneck_sets(ladder(1200), 0, 1)
+        assert (s.n0, s.n1) == (0, 1201)
 
-ER_SWEEP = ((100, 0.08), (200, 0.05), (400, 0.03))
-HUBS = [
-    generate("star", n=60),
-    generate("double_star", a=40, b=3),
-    generate("double_star", a=25, b=25),
-]
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_ladder_matches_set_reference(self, k):
+        g = ladder(k)
+        assert bottleneck_sets(g, 0, 1) == bottleneck_sets_from_sets(g, 0, 1)
+        assert bottleneck_sets(g, 0, 1).n1 == k + 1
+
+
+def ladder(k):
+    """Edge (0, 1) with u = 0 adjacent to P_0..P_k and v = 1 to Q_0..Q_k
+    (ids ascending), and a cycle Q_i - P_i, Q_i - P_(i+1), Q_k - P_0 through
+    the exclusive neighbours: a perfect matching of k + 1 connecting edges."""
+    P = [2 + i for i in range(k + 1)]
+    Q = [3 + k + i for i in range(k + 1)]
+    edges = [(0, 1)] + [(0, p) for p in P] + [(1, q) for q in Q]
+    edges += [(Q[i], P[i]) for i in range(k + 1)]
+    edges += [(Q[i], P[i + 1]) for i in range(k)] + [(Q[k], P[0])]
+    return from_edges(2 * k + 4, edges)
 
 
 def s_statement_by_edge_scan(g, u, v):
@@ -209,6 +227,35 @@ class TestCurvatureProfile:
         g = generate("erdos_renyi", n=12, p=0.3, seed=5)
         profile = curvature_profile(g)
         assert tuple(r.edge for r in profile.reports) == g.edges
+
+    def test_reports_match_edge_reports_in_both_orientations(
+        self, irregular_graphs, irregular_profiles
+    ):
+        # the profile solves each edge from its higher-degree endpoint;
+        # standalone reports from either endpoint must agree
+        for name, g in irregular_graphs:
+            reports = irregular_profiles[name].reports
+            assert tuple(r.edge for r in reports) == g.edges
+            for r in reports:
+                u, v = r.edge
+                assert edge_report(g, u, v) == r
+                assert edge_report(g, v, u) == r
+
+    def test_one_index_per_grouping_vertex(self, monkeypatch):
+        g = generate("erdos_renyi", n=400, p=0.03, seed=0)
+        built = []
+
+        class Counted(NeighborIndex):
+            def __init__(self, g, u):
+                built.append(u)
+                super().__init__(g, u)
+
+        monkeypatch.setattr(curvature, "NeighborIndex", Counted)
+        curvature_profile(g)
+        deg = g.degree
+        grouping = {a if deg(a) >= deg(b) else b for a, b in g.edges}
+        assert len(built) == len(grouping)
+        assert set(built) == grouping
 
     def test_summary(self):
         s = curvature_profile(generate("barbell", k=3)).summary()

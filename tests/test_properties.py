@@ -1,6 +1,7 @@
 """Property-based checks on random connected graphs of at most 12 vertices:
 `wasserstein1` against the simplex oracle on edges and on non-adjacent
-pairs, the edge cost levels against BFS, the bitmask bottleneck sets
+pairs, the edge cost levels against BFS, the structural starting dual of
+an edge against the generic one, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
 every structural bound of `run_suite` beyond the fixed corpus, the
 one-layer gap bounds under drawn layer specs and features, and the local
@@ -12,7 +13,12 @@ these tests are as deterministic as the rest of the suite.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from kernel_reference import bottleneck_sets_from_sets, dense_walk_counts, edge_levels_match_bfs
+from kernel_reference import (
+    bottleneck_sets_from_sets,
+    dense_walk_counts,
+    edge_levels_match_bfs,
+    edge_start_matches_generic,
+)
 
 from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite, verify_one_layer
@@ -63,9 +69,12 @@ def test_edge_kernel_matches_bfs_path_and_oracle(g, data):
 @PROPERTY
 @given(connected_graphs())
 def test_closed_form_distances_match_bfs(g):
+    # and the starting dual read from the same structure
     for u, v in g.edges:
         assert edge_levels_match_bfs(g, u, v)
         assert edge_levels_match_bfs(g, v, u)
+        assert edge_start_matches_generic(g, u, v)
+        assert edge_start_matches_generic(g, v, u)
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from kernel_reference import decoded, edge_levels_match_bfs
+from kernel_reference import decoded, edge_levels_match_bfs, edge_start_matches_generic
 
 from orckit import transport
 from orckit.graphs import NeighborIndex, bfs_distances, generate
@@ -11,6 +11,7 @@ from orckit.transport import (
     LocalMeasure,
     TooLarge,
     _cost_levels,
+    _starting_dual,
     local_measure,
     wasserstein1,
     wasserstein1_oracle,
@@ -118,6 +119,13 @@ class TestWasserstein:
                 assert edge_levels_match_bfs(g, u, v)
                 assert edge_levels_match_bfs(g, v, u)
 
+    def test_structural_start_matches_generic(self, corpus_entries, irregular_graphs):
+        graphs = [g for _, g in corpus_entries] + [g for _, g in irregular_graphs]
+        for g in graphs:
+            for u, v in g.edges:
+                assert edge_start_matches_generic(g, u, v)
+                assert edge_start_matches_generic(g, v, u)
+
     def test_dense_costs_round_trip_through_levels(self):
         cost = [[0, 3, 3, 1], [2, 2, 0, 7], [5, 5, 5, 5]]
         assert _cost_levels(cost) == [{0: 0b0001, 3: 0b0110, 1: 0b1000}, {2: 0b0011, 0: 0b0100, 7: 0b1000}, {5: 0b1111}]
@@ -185,12 +193,14 @@ class TestMinCostFlow:
 
     def check(self, supplies, demands, cost, phases):
         phases[0] = 0
-        flow = transport._min_cost_flow(supplies, demands, _cost_levels(cost))
-        transport._check_marginals(flow, supplies, demands)
+        levels = _cost_levels(cost)
+        flow = transport._min_cost_flow(supplies, demands, levels, *_starting_dual(levels))
+        plan_cost = transport._plan_cost(flow, supplies, demands, levels)
         assert [sum(row.values()) for row in flow] == supplies
         assert [sum(row.get(j, 0) for row in flow) for j in range(len(demands))] == demands
         assert all(f >= 0 for row in flow for f in row.values())
         total = sum(f * cost[i][j] for i, row in enumerate(flow) for j, f in row.items())
+        assert total == plan_cost
         assert total == transport._transportation_simplex(supplies, demands, cost)
         # the docstring's bound: at most max cost + 1 phases
         assert phases[0] <= max(map(max, cost)) + 1
@@ -222,10 +232,12 @@ class TestMinCostFlow:
         self.check([1, 1, 1], [1, 1, 1], [[3, 3, 3]] * 3, phases)
 
     def test_unbalanced_problem_is_rejected(self):
+        levels = _cost_levels([[1], [1]])
         with pytest.raises(RuntimeError, match="unbalanced"):
-            transport._min_cost_flow([2, 1], [2], _cost_levels([[1], [1]]))
+            transport._min_cost_flow([2, 1], [2], levels, *_starting_dual(levels))
+        levels = [{0: 0b11}, {3: 0b11}]
         with pytest.raises(RuntimeError, match="unbalanced"):
-            transport._min_cost_flow([1, 1], [1, 2], [{0: 0b11}, {3: 0b11}])
+            transport._min_cost_flow([1, 1], [1, 2], levels, *_starting_dual(levels))
 
     @pytest.mark.parametrize(
         "flow",
@@ -237,7 +249,7 @@ class TestMinCostFlow:
     )
     def test_marginal_check_rejects_bad_plans(self, flow):
         with pytest.raises(RuntimeError, match="marginals"):
-            transport._check_marginals(flow, [2, 3], [3, 2])
+            transport._plan_cost(flow, [2, 3], [3, 2], _cost_levels([[1, 2], [0, 3]]))
 
 
 class TestOracle:
