@@ -7,23 +7,23 @@ support distance is 0-3 and follows from adjacency, because any p in N_u
 reaches any q in N_v through p-u-v-q.
 
 `curvature_profile` groups the edges under their endpoint of higher degree
-u (the smaller id on a tie) and builds one `NeighborIndex` of u per group;
-the W1 solve and the bottleneck sets of every edge (u, v) read their masks
-and the cached cost levels of the rows q in N_v from it, so no per-edge
-structure is built twice. The rows of every edge's problem are then the
-smaller neighbourhood, which sets the cost of all per-row work. The reports
-come back in the order of `g.edges`.
+u (the smaller id on a tie; standalone calls orient the same way) and builds
+one `NeighborIndex` of u per group; the W1 solve and the bottleneck counts
+of every edge (u, v) read their masks and the cached cost levels of the rows
+q in N_v from it, so no per-edge structure is built twice, and the rows of
+every edge's problem are the smaller neighbourhood. The reports come back in
+`g.edges` order. They keep counts of the lemma's connecting set S_statement,
+not its edges; `diagnostics.verify_bottleneck` judges its hypothesis.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, NeighborIndex, bfs_distances
+from .graphs import Graph, NeighborIndex, _hub_first, bfs_distances
 from .transport import wasserstein1
 
 
@@ -42,16 +42,17 @@ def frac_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class BottleneckSets:
-    """S_statement is the extended-neighborhood connecting-edge set from the
-    lemma statement; (n0, n1) are the proof-side counts: n0 mutual neighbors,
+    """s_size = |S_statement|, the extended-neighborhood connecting-edge set
+    from the lemma statement, and max_load the most edges of it meeting one
+    vertex; (n0, n1) are the proof-side counts: n0 mutual neighbors,
     n1 vertex-disjoint connecting edges between the exclusive neighborhoods
     (a maximum matching; disjointness is what makes the proof's transport
     plan feasible)."""
 
-    s_statement: tuple[tuple[int, int], ...]
+    s_size: int
+    max_load: int
     n0: int
     n1: int
-    hypothesis_holds: bool
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,11 @@ def edge_report(
     g: Graph, u: int, v: int, index: NeighborIndex | None = None
 ) -> EdgeCurvatureReport:
     """The report of edge (u, v). index is u's NeighborIndex, shared by the
-    W1 solve and the bottleneck sets; without one, a fresh one is built."""
+    W1 solve and the bottleneck counts; without one, `_hub_first`'s is built."""
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
     if index is None:
+        u, v = _hub_first(g, u, v)
         index = NeighborIndex(g, u)
     w1 = wasserstein1(g, u, v, index=index)
     sets = bottleneck_sets(g, u, v, index=index)
@@ -126,11 +128,9 @@ def curvature_profile(g: Graph) -> CurvatureProfile:
     under its endpoint u of higher degree (the smaller id on a tie), so the
     rows of its W1 problem are the smaller neighbourhood; the edges of a
     group share one index of u, dropped when the group ends."""
-    adjacency = g.adjacency
     groups: dict[int, list[int]] = {}
     for k, (a, b) in enumerate(g.edges):
-        u = a if len(adjacency[a]) >= len(adjacency[b]) else b
-        groups.setdefault(u, []).append(k)
+        groups.setdefault(_hub_first(g, a, b)[0], []).append(k)
     reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
     for u, ks in groups.items():
         index = NeighborIndex(g, u)
@@ -175,26 +175,31 @@ def _max_matching(options: list[int]) -> int:
 def bottleneck_sets(
     g: Graph, u: int, v: int, index: NeighborIndex | None = None
 ) -> BottleneckSets:
-    """The sets of edge (u, v), read from u's NeighborIndex (built here when
-    index is None) as in the W1 solve: the columns are N_u, and each row q in
-    N_v is its cached `levels(q)`, whose cost-0 cell marks a common
+    """The counts of edge (u, v), read from u's NeighborIndex as in the W1
+    solve (`_hub_first`'s when index is None): the columns are N_u, and each
+    row q in N_v is its cached `levels(q)`, whose cost-0 cell marks a common
     neighbour and whose cost-1 cells are q's neighbours in N_u.
 
     With N~ the closed neighbourhood, S_statement holds every edge between
     N~_u - {v} and N~_v - {u}: the edge (u, v) itself, the edges from u and
     v to each common neighbour, and the adjacent pairs (cost-1 cells) off
-    row u and column v. n0 counts the common neighbours (cost-0 cells); n1
-    matches the exclusive rows (N_v - N~_u) to the exclusive columns
-    (N_u - N~_v) over their cost-1 cells. All of it is symmetric in u and v.
+    row u and column v. load[w] counts those at w: 1 + n0 at u and v, 2 more
+    at a common row, 1 at each end of a cell; a common row skips the common
+    columns, since an edge inside the common set is a cell of both rows. n0
+    counts the common neighbours (cost-0 cells); n1 matches the exclusive
+    rows (N_v - N~_u) to the exclusive columns (N_u - N~_v) over their cost-1
+    cells. All of it is symmetric in u and v.
     """
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
     if index is None:
+        u, v = _hub_first(g, u, v)
         index = NeighborIndex(g, u)
     cols, levels = g.adjacency[u], index.levels
     skip_v = ~index.pos[v]
-    found = {(u, v) if u < v else (v, u)}
-    common = 0
+    common = index.near.get(v, 0)
+    n0 = common.bit_count()
+    load = {u: 1 + n0, v: 1 + n0}
     exclusive = []
     for q in g.adjacency[v]:
         if q == u:
@@ -202,30 +207,18 @@ def bottleneck_sets(
         row = levels(q)
         ones = row.get(1, 0) & skip_v
         if 0 in row:
-            common |= row[0]
-            found.add((u, q) if u < q else (q, u))
-            found.add((v, q) if v < q else (q, v))
+            load[q] = load.get(q, 0) + 2 + ones.bit_count()
+            ones &= ~common
         else:
+            load[q] = ones.bit_count()
             exclusive.append(ones)
         while ones:
             bit = ones & -ones
             ones ^= bit
             p = cols[bit.bit_length() - 1]
-            found.add((p, q) if p < q else (q, p))
-    # the tuples are g.edges' own, in its order, so reports hold no copies
-    s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
+            load[p] = load.get(p, 0) + 1
     n1 = _max_matching([ones & ~common for ones in exclusive if ones & ~common])
-
-    participation: dict[int, int] = {}
-    for a, b in s_statement:
-        participation[a] = participation.get(a, 0) + 1
-        participation[b] = participation.get(b, 0) + 1
-    # count <= n/m with n = max degree, m = min degree, in integers
-    n, m = sorted((g.degree(u), g.degree(v)), reverse=True)
-    hypothesis = all(c * m <= n for c in participation.values())
-    return BottleneckSets(
-        s_statement=s_statement, n0=common.bit_count(), n1=n1, hypothesis_holds=hypothesis
-    )
+    return BottleneckSets(sum(load.values()) // 2, max(load.values()), n0, n1)
 
 
 def profile_to_json_obj(profile: CurvatureProfile) -> dict:
@@ -240,7 +233,7 @@ def profile_to_json_obj(profile: CurvatureProfile) -> dict:
                 "kappa_float": r.kappa_float,
                 "w1": frac_str(r.w1),
                 "common_neighbors": r.sets.n0,
-                "s_size": len(r.sets.s_statement),
+                "s_size": r.sets.s_size,
                 "n0": r.sets.n0,
                 "n1": r.sets.n1,
             }
@@ -273,7 +266,7 @@ def _edge_json(r: EdgeCurvatureReport) -> str:
         f'\n      "kappa_float": {float.__repr__(r.kappa_float)},'
         f'\n      "n0": {s.n0},'
         f'\n      "n1": {s.n1},'
-        f'\n      "s_size": {len(s.s_statement)},'
+        f'\n      "s_size": {s.s_size},'
         f'\n      "u": {r.edge[0]},'
         f'\n      "v": {r.edge[1]},'
         f'\n      "w1": "{frac_str(r.w1)}"\n    }}'

@@ -1,13 +1,14 @@
 """Machine checks for the smoothing and squashing bounds.
 
-This module is the one place that states each inequality the library
-claims and its hypotheses; every check re-evaluates one on concrete graphs
-and features, from the quantities `mpnn` measures. Each bound has one
-public entry point, verify_*, which takes the edge curvature report(s) or
-the graph's curvature profile it checks and returns every check it
-decides, and run_suite is built from exactly these. A check whose
-hypothesis fails on an input is returned as a skip with a reason, never as
-a pass or an exception. Inequalities that mix exact curvature with
+This module is the one place that states each inequality the library claims
+and its hypotheses, the participation hypothesis of the bottleneck statement
+among them; every check re-evaluates one on concrete graphs and features,
+from the counts in `curvature`'s reports and the quantities `mpnn` measures.
+Each bound has one public entry point, verify_*, which takes the edge
+curvature report(s) or the graph's curvature profile it checks and returns
+every check it decides, and run_suite is built from exactly these. A check
+whose hypothesis fails on an input is returned as a skip with a reason,
+never as a pass or an exception. Inequalities that mix exact curvature with
 floating-point feature norms carry an additive 1e-9 tolerance on the bound
 side; purely structural inequalities are checked in exact rational
 arithmetic. Feature gaps use the Euclidean norm.
@@ -325,22 +326,22 @@ def verify_shared_neighbor(r: EdgeCurvatureReport, graph_name: str = "graph") ->
 def verify_bottleneck(
     r: EdgeCurvatureReport, graph_name: str = "graph"
 ) -> tuple[BoundCheck, BoundCheck]:
-    """The (statement, strong) bottleneck bounds, n = max(deg u, deg v):
+    """The (statement, strong) bottleneck bounds, n, m = max, min(deg u, deg v):
 
-    statement: |S_statement| <= n (kappa + 2) / 2, claimed only when the
-    per-vertex participation hypothesis holds (skipped otherwise);
+    statement: |S_statement| <= n (kappa + 2) / 2, claimed only under the
+    per-vertex participation hypothesis max_load <= n / m (skipped otherwise);
     strong: 3 n0 + 2 n1 <= n (kappa + 2), with n0 mutual neighbours and n1
     vertex-disjoint connecting edges.
     """
-    n = max(r.deg_u, r.deg_v)
+    n, m = max(r.deg_u, r.deg_v), min(r.deg_u, r.deg_v)
     context = f"edge=({r.edge[0]},{r.edge[1]})"
     strong_lhs = 3 * r.sets.n0 + 2 * r.sets.n1
     strong = _exact("bottleneck_strong", graph_name, context, strong_lhs, n * (r.kappa + 2))
-    if not r.sets.hypothesis_holds:
+    if r.sets.max_load * m > n:
         reason = "per-vertex participation hypothesis fails"
         return _skip("bottleneck_statement", graph_name, context, reason), strong
-    s_size, rhs = len(r.sets.s_statement), n * (r.kappa + 2) / 2
-    return _exact("bottleneck_statement", graph_name, context, s_size, rhs), strong
+    rhs = n * (r.kappa + 2) / 2
+    return _exact("bottleneck_statement", graph_name, context, r.sets.s_size, rhs), strong
 
 
 # updates drawn for one-layer trials; all certified 1-Lipschitz

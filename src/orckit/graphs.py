@@ -212,6 +212,12 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
+def _hub_first(g: Graph, u: int, v: int) -> tuple[int, int]:
+    """(u, v) led by the endpoint of higher degree, the smaller id on a tie."""
+    du, dv = len(g.adjacency[u]), len(g.adjacency[v])
+    return (u, v) if du > dv or (du == dv and u < v) else (v, u)
+
+
 class NeighborIndex:
     """Bitmask view of one vertex u's neighbourhood, for every edge (u, v).
 

@@ -137,25 +137,23 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     Candidates run p in N_u \\ N~_v against q in N_v \\ N~_u; the winner
     minimizes the max per-vertex edge count of the enlarged connecting
     set, then breaks ties lexicographically. None when no pair is absent.
+    p's edges in that set run to N_v - {u}, so with (p, q) added they number
+    len(N_p & N_v), u standing in for q; q's likewise.
     """
-    nb_u, nb_v = g.neighbor_sets[u], g.neighbor_sets[v]
+    sets = g.neighbor_sets
+    nb_u, nb_v = sets[u], sets[v]
     left = sorted(nb_u - nb_v - {v})
     right = sorted(nb_v - nb_u - {u})
     if not left or not right:
         return None
-    base: dict[int, int] = {}
-    for (a, b) in bottleneck_sets(g, u, v).s_statement:
-        base[a] = base.get(a, 0) + 1
-        base[b] = base.get(b, 0) + 1
-    base_max = max(base.values(), default=0)
+    base_max = bottleneck_sets(g, u, v).max_load
     best = None
     for p in left:
+        load_p = len(sets[p] & nb_v)
         for q in right:
             if g.has_edge(p, q):
                 continue
-            edge = (min(p, q), max(p, q))
-            loaded = max(base.get(p, 0) + 1, base.get(q, 0) + 1, base_max)
-            key = (loaded, edge)
+            key = (max(load_p, len(sets[q] & nb_u), base_max), (min(p, q), max(p, q)))
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, NeighborIndex, bfs_distances
+from .graphs import Graph, NeighborIndex, _hub_first, bfs_distances
 
 
 class TooLarge(Exception):
@@ -101,11 +101,12 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
     `NeighborIndex`, and the solver starts from `_edge_start`. Every per-row
     step of the solver scales with the row count, so `curvature_profile`
     passes u as the endpoint of higher degree, with one index for all of
-    u's edges; a call without one builds its own. Any other pair takes its
-    distances from BFS and the generic `_starting_dual`.
+    u's edges; a call without one builds `_hub_first`'s. Any other pair
+    takes its distances from BFS and the generic `_starting_dual`.
     """
     if g.has_edge(u, v):
         if index is None:
+            u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
         rows, cols = g.adjacency[v], g.adjacency[u]
         levels = list(map(index.levels, rows))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from kernel_reference import statement_edges
 
 from orckit.curvature import curvature_profile
 from orckit.diagnostics import verify_jacobian_ratio
@@ -60,6 +61,20 @@ def irregular_profiles(irregular_graphs):
 
 
 @pytest.fixture(scope="session")
+def dense_graph():
+    """ER(60, 0.6), seed 0: mean degree 35.6, about that of the dense
+    heterophilic benchmarks curvature rewiring is evaluated on."""
+    g = generate("erdos_renyi", n=60, p=0.6, seed=0)
+    assert 2 * len(g.edges) >= 30 * g.vertex_count
+    return g
+
+
+@pytest.fixture(scope="session")
+def dense_profile(dense_graph):
+    return curvature_profile(dense_graph)
+
+
+@pytest.fixture(scope="session")
 def walk_count_ratios():
     """Reference alpha/beta for edge (u, v): the maxima over rows u and v of
     counts = dense_walk_counts(g, 2), the dense (A+I)^2 of kernel_reference."""
@@ -77,16 +92,18 @@ def walk_count_ratios():
 def ratio_bounds_hold():
     """Assert every inequality on alpha/beta across the edge of report r:
     the structural step ratio <= (|S_statement| + 2) / row sum, with the
-    row sums of counts = dense_walk_counts(g, 2), and the curvature bound that
-    verify_jacobian_ratio checks. Returns (alpha_beta(g, u, v), the two
-    checks)."""
+    row sums of counts = dense_walk_counts(g, 2) and |S_statement| the
+    report's s_size (checked against `statement_edges`), and the curvature
+    bound that verify_jacobian_ratio checks. Returns (alpha_beta(g, u, v),
+    the two checks)."""
 
     def check(g, counts, r):
         u, v = r.edge
         ab = alpha_beta(g, u, v)
         row_u, row_v = sum(counts[u]), sum(counts[v])
         assert (ab.row_sum_u, ab.row_sum_v) == (row_u, row_v)
-        s_size = len(r.sets.s_statement)
+        s_size = r.sets.s_size
+        assert s_size == len(statement_edges(g, u, v))
         assert ab.alpha <= Fraction(s_size + 2, row_u)
         assert ab.beta <= Fraction(s_size + 2, row_v)
         alpha_check, beta_check = verify_jacobian_ratio(g, r)

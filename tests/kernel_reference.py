@@ -1,8 +1,9 @@
 """Independent references the tests hold the fast kernels to: decoded cost
 levels against BFS distances, an edge's structural starting dual against
-the generic one found by scanning every cell, the frozenset formulation of
-`curvature.bottleneck_sets` that the mask version replaced, and the dense
-(A+I)^k product that the local walk rows of `mpnn` replaced."""
+the generic one found by scanning every cell, the edge set S_statement and
+the frozenset formulation of `curvature.bottleneck_sets` that the mask
+counts replaced, and the dense (A+I)^k product that the local walk rows of
+`mpnn` replaced."""
 
 from bisect import bisect_left
 
@@ -58,30 +59,46 @@ def _max_bipartite_matching(left, adj):
     return sum(1 for p in left if augment(p, set()))
 
 
+def statement_edges(g, u, v):
+    """S_statement of edge (u, v) as g.edges' own tuples, in its order: every
+    edge between N~_u - {v} and N~_v - {u}, N~ the closed neighbourhood."""
+    sets = g.neighbor_sets
+    side_u = (sets[u] | {u}) - {v}
+    side_v = (sets[v] | {v}) - {u}
+    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
+    return tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
+
+
+def participation(edges):
+    """{vertex: the number of the edges that meet it}."""
+    count = {}
+    for a, b in edges:
+        count[a] = count.get(a, 0) + 1
+        count[b] = count.get(b, 0) + 1
+    return count
+
+
+def participation_hypothesis_holds(g, u, v):
+    """No vertex meets more than n/m edges of S_statement, n and m the larger
+    and the smaller degree of u and v."""
+    n, m = sorted((g.degree(u), g.degree(v)), reverse=True)
+    return all(c * m <= n for c in participation(statement_edges(g, u, v)).values())
+
+
 def bottleneck_sets_from_sets(g, u, v):
     # orientation convention: deg(hu) = n >= m = deg(hv)
     hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
-    n, m = g.degree(hu), g.degree(hv)
     sets = g.neighbor_sets
     n_u, n_v = sets[hu], sets[hv]
-
-    side_u = (n_u | {hu}) - {hv}
-    side_v = (n_v | {hv}) - {hu}
-    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
-    s_statement = tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
+    s_statement = statement_edges(g, hu, hv)
 
     n0 = len(n_u & n_v)
     excl_u = sorted(n_u - {hv} - n_v)
     excl_v = n_v - {hu} - n_u
     adj = {p: sets[p] & excl_v for p in excl_u}
     n1 = _max_bipartite_matching(excl_u, adj)
-
-    participation = {}
-    for a, b in s_statement:
-        participation[a] = participation.get(a, 0) + 1
-        participation[b] = participation.get(b, 0) + 1
-    hypothesis = all(c * m <= n for c in participation.values())
-    return BottleneckSets(s_statement=s_statement, n0=n0, n1=n1, hypothesis_holds=hypothesis)
+    max_load = max(participation(s_statement).values())
+    return BottleneckSets(s_size=len(s_statement), max_load=max_load, n0=n0, n1=n1)
 
 
 def dense_walk_counts(g, depth):

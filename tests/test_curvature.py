@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from kernel_reference import bottleneck_sets_from_sets
+from kernel_reference import (
+    bottleneck_sets_from_sets,
+    participation,
+    participation_hypothesis_holds,
+    statement_edges,
+)
 
-from orckit import curvature
+from orckit import curvature, transport
 from orckit.curvature import (
     NotAnEdge,
     SameVertex,
@@ -17,7 +22,9 @@ from orckit.curvature import (
     profile_to_json_obj,
     ricci_curvature,
 )
+from orckit.diagnostics import verify_bottleneck
 from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, from_edges, generate
+from orckit.transport import wasserstein1
 from pathlib import Path
 
 F = Fraction
@@ -103,29 +110,42 @@ class TestEdgeReport:
             edge_report(generate("path", n=3), 0, 2)
 
 
+def statement_skipped(g, u, v):
+    """Whether verify_bottleneck skips the statement bound on edge (u, v)."""
+    return verify_bottleneck(edge_report(g, u, v))[0].skipped
+
+
 class TestBottleneckSets:
     def test_double_star_centers(self):
-        s = bottleneck_sets(generate("double_star", a=3, b=3), 0, 1)
-        assert s.s_statement == ((0, 1),)
+        g = generate("double_star", a=3, b=3)
+        s = bottleneck_sets(g, 0, 1)
+        assert statement_edges(g, 0, 1) == ((0, 1),)
+        assert (s.s_size, s.max_load) == (1, 1)
         assert (s.n0, s.n1) == (0, 0)
-        assert s.hypothesis_holds
+        assert not statement_skipped(g, 0, 1)
 
     def test_triangle(self):
         # vertex 0 sits in two connecting edges while n/m = 1
-        s = bottleneck_sets(generate("complete", n=3), 0, 1)
+        g = generate("complete", n=3)
+        s = bottleneck_sets(g, 0, 1)
         assert (s.n0, s.n1) == (1, 0)
-        assert not s.hypothesis_holds
+        assert (s.s_size, s.max_load) == (3, 2)
+        assert statement_skipped(g, 0, 1)
 
     def test_barbell_bridge(self):
-        s = bottleneck_sets(generate("barbell", k=3), 2, 3)
-        assert s.s_statement == ((2, 3),)
+        g = generate("barbell", k=3)
+        s = bottleneck_sets(g, 2, 3)
+        assert statement_edges(g, 2, 3) == ((2, 3),)
+        assert (s.s_size, s.max_load) == (1, 1)
         assert (s.n0, s.n1) == (0, 0)
-        assert s.hypothesis_holds
+        assert not statement_skipped(g, 2, 3)
 
     def test_four_cycle(self):
-        s = bottleneck_sets(generate("cycle", n=4), 0, 1)
+        g = generate("cycle", n=4)
+        s = bottleneck_sets(g, 0, 1)
         assert (s.n0, s.n1) == (0, 1)
-        assert set(s.s_statement) == {(0, 1), (2, 3)}
+        assert set(statement_edges(g, 0, 1)) == {(0, 1), (2, 3)}
+        assert (s.s_size, s.max_load) == (2, 1)
 
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
@@ -137,8 +157,12 @@ class TestBottleneckSets:
         for g in graphs:
             for u, v in g.edges:
                 expected = s_statement_by_edge_scan(g, u, v)
-                assert bottleneck_sets(g, u, v).s_statement == expected
-                assert bottleneck_sets(g, v, u).s_statement == expected
+                assert statement_edges(g, u, v) == expected
+                assert statement_edges(g, v, u) == expected
+                counts = (len(expected), max(participation(expected).values()))
+                for a, b in ((u, v), (v, u)):
+                    s = bottleneck_sets(g, a, b)
+                    assert (s.s_size, s.max_load) == counts
 
 
     def test_matches_set_reference(
@@ -155,6 +179,43 @@ class TestBottleneckSets:
                 assert r.sets == expected
                 assert bottleneck_sets(g, u, v) == expected
                 assert bottleneck_sets(g, v, u) == expected
+
+    def test_counts_match_set_reference_on_a_dense_graph(self, dense_graph, dense_profile):
+        # mean degree >= 30, where S_statement grows with d^2 per edge
+        g = dense_graph
+        skipped = 0
+        for r in dense_profile.reports:
+            u, v = r.edge
+            expected = bottleneck_sets_from_sets(g, u, v)
+            assert r.sets == expected
+            assert bottleneck_sets(g, u, v) == expected
+            assert bottleneck_sets(g, v, u) == expected
+            skip = verify_bottleneck(r)[0].skipped
+            assert skip != participation_hypothesis_holds(g, u, v)
+            skipped += skip
+        # max_load is near a degree here, so the hypothesis fails on every
+        # edge; test_bottleneck_sets_match_set_reference covers both sides
+        assert skipped == len(dense_profile.reports)
+
+    def test_standalone_calls_index_the_higher_degree_endpoint(self, monkeypatch):
+        # double_star(3, 3): leaf 2 hangs off centre 0, and the centres 0
+        # and 1 tie on degree 3, which goes to the smaller id
+        g = generate("double_star", a=3, b=3)
+        built = []
+
+        class Recorded(NeighborIndex):
+            def __init__(self, g, u):
+                built.append(u)
+                super().__init__(g, u)
+
+        monkeypatch.setattr(curvature, "NeighborIndex", Recorded)
+        monkeypatch.setattr(transport, "NeighborIndex", Recorded)
+        for a, b in ((2, 0), (1, 0)):
+            wasserstein1(g, a, b)
+            ricci_curvature(g, a, b)
+            edge_report(g, a, b)
+            bottleneck_sets(g, a, b)
+        assert built == [0] * 8
 
     def test_shared_index_gives_the_same_report(self):
         g = generate("erdos_renyi", n=40, p=0.15, seed=3)

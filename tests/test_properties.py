@@ -18,10 +18,12 @@ from kernel_reference import (
     dense_walk_counts,
     edge_levels_match_bfs,
     edge_start_matches_generic,
+    participation_hypothesis_holds,
+    statement_edges,
 )
 
 from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
-from orckit.diagnostics import run_suite, verify_one_layer
+from orckit.diagnostics import run_suite, verify_bottleneck, verify_one_layer
 from orckit.graphs import bfs_distances, from_edges
 from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta
 from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
@@ -86,6 +88,8 @@ def test_bottleneck_sets_match_set_reference(g):
         expected = bottleneck_sets_from_sets(g, u, v)
         assert r.sets == expected
         assert bottleneck_sets(g, v, u) == expected
+        # diagnostics states the participation hypothesis on the counts
+        assert verify_bottleneck(r)[0].skipped != participation_hypothesis_holds(g, u, v)
 
 
 @PROPERTY
@@ -105,8 +109,8 @@ def test_reports_are_invariant_under_relabelling(g, data):
         assert (s.kappa, s.w1) == (r.kappa, r.w1)
         assert {s.deg_u, s.deg_v} == {r.deg_u, r.deg_v}
         assert (s.sets.n0, s.sets.n1) == (r.sets.n0, r.sets.n1)
-        assert s.sets.hypothesis_holds == r.sets.hypothesis_holds
-        assert set(s.sets.s_statement) == {image(e) for e in r.sets.s_statement}
+        assert (s.sets.s_size, s.sets.max_load) == (r.sets.s_size, r.sets.max_load)
+        assert set(statement_edges(h, *s.edge)) == {image(e) for e in statement_edges(g, *r.edge)}
 
 
 @PROPERTY

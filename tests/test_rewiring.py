@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from kernel_reference import participation, statement_edges
 
 from orckit.curvature import curvature_profile
 from orckit.graphs import generate
@@ -8,6 +9,7 @@ from orckit.rewiring import (
     HISTOGRAM_BINS,
     NoActionPossible,
     RewireConfig,
+    _support_candidate,
     kappa_histogram,
     out_of_band_count,
     rewire_loop,
@@ -99,6 +101,37 @@ def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_p
             if below + above:
                 _, step = rewire_step(g, profile, cfg)
                 assert step.out_of_band_before == below + above
+
+
+def support_candidate_from_statement_edges(g, u, v):
+    """The support candidate by the rule it was first written with: the
+    participation of every vertex in S_statement, and each pair's load
+    max(base[p] + 1, base[q] + 1, base_max)."""
+    nb_u, nb_v = g.neighbor_sets[u], g.neighbor_sets[v]
+    left = sorted(nb_u - nb_v - {v})
+    right = sorted(nb_v - nb_u - {u})
+    base = participation(statement_edges(g, u, v))
+    base_max = max(base.values(), default=0)
+    keys = [
+        (max(base.get(p, 0) + 1, base.get(q, 0) + 1, base_max), (min(p, q), max(p, q)))
+        for p in left
+        for q in right
+        if not g.has_edge(p, q)
+    ]
+    return min(keys)[1] if keys else None
+
+
+def test_support_candidate_matches_statement_edge_rule(
+    corpus_entries, irregular_graphs, dense_graph
+):
+    graphs = [g for _, g in corpus_entries] + [g for _, g in irregular_graphs] + [dense_graph]
+    found = 0
+    for g in graphs:
+        for u, v in g.edges:
+            expected = support_candidate_from_statement_edges(g, u, v)
+            assert _support_candidate(g, u, v) == expected, (u, v)
+            found += expected is not None
+    assert found > 0
 
 
 class TestRewireStep:
