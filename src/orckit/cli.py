@@ -2,26 +2,27 @@
 
 Exit codes: 0 success, 1 a checked inequality was violated, 2 usage or
 input error. stdout carries data (when --out is absent); diagnostics go
-to stderr. JSON output is key-sorted with a fixed layout, so repeated
-runs with the same inputs are byte-identical. verify streams its report
-in chunks (`SuiteReport.write_json`) with the same bytes as the one-string
-rendering the other commands use. --threads is accepted and reported on
-stderr only; it changes neither the work nor the output.
+to stderr. Every command writes its data through `_output` as `emit`
+renders it: key-sorted JSON with a fixed layout, so repeated runs with the
+same inputs are byte-identical. Input errors come before the output opens,
+so they leave no --out file. --threads is accepted and reported on stderr
+only; it changes neither the work nor the output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .curvature import curvature_profile, profile_to_json
+from .curvature import curvature_profile
 from .diagnostics import MAX_TRIALS, run_suite, smoothing_metrics
+from .emit import write_obj, write_profile, write_suite
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
     MAX_DEMO_ITERATIONS,
@@ -38,15 +39,15 @@ from .rewiring import RewireConfig, rewire_loop
 _INPUT_ERRORS = (GraphError, SpecError, DimensionMismatch, OSError, ValueError)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """The write function of the file out, or of stdout when out is None;
+    sys.stdout is looked up here, so a redirected stdout receives the text."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            yield f.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
 def _is_json(path: str | None, fmt: str) -> bool:
@@ -59,10 +60,12 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_graph_json(text) if _is_json(path, fmt) else parse_edge_list(text)
 
 
-def _graph_text(g: Graph, path: str | None, fmt: str) -> str:
-    if _is_json(path, fmt):
-        return _dump_json(_echo_vertex_ids(g.to_json_obj(), g))
-    return g.to_edge_list_text()
+def _write_graph(g: Graph, out: str | None, fmt: str) -> None:
+    with _output(out) as write:
+        if _is_json(out, fmt):
+            write_obj(_echo_vertex_ids(g.to_json_obj(), g), write)
+        else:
+            write(g.to_edge_list_text())
 
 
 def _resolve_threads(requested: int) -> int:
@@ -78,7 +81,7 @@ def _cmd_generate(args) -> int:
         if value is not None:
             params[key] = value
     g = generate(args.family, **params)
-    _emit(_graph_text(g, args.out, args.format), args.out)
+    _write_graph(g, args.out, args.format)
     return 0
 
 
@@ -87,7 +90,8 @@ def _cmd_curvature(args) -> int:
     threads = _resolve_threads(args.threads)
     profile = curvature_profile(g)
     print(f"threads used: {threads}", file=sys.stderr)
-    _emit(profile_to_json(profile, _echo_vertex_ids({}, g)), args.out)
+    with _output(args.out) as write:
+        write_profile(profile, _echo_vertex_ids({}, g), write)
     return 0
 
 
@@ -100,11 +104,8 @@ def _cmd_verify(args) -> int:
         fail_fast=args.fail_fast,
     )
     print(f"threads used: {threads}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as f:
-            report.write_json(f.write)
-    else:
-        report.write_json(sys.stdout.write)
+    with _output(args.out) as write:
+        write_suite(report, write)
     violations = report.violations
     if violations:
         print(f"{len(violations)} bound violation(s)", file=sys.stderr)
@@ -159,7 +160,8 @@ def _cmd_simulate(args) -> int:
         report = _simulate_report(g, trajectory, demo=False)
     if args.layers_out:
         _write_layers(trajectory, args.layers_out)
-    _emit(_dump_json(report), args.out)
+    with _output(args.out) as write:
+        write_obj(report, write)
     if args.demo_smoothing and not report["monotone"]:
         print("demo energy series is not monotone", file=sys.stderr)
         return 1
@@ -179,12 +181,14 @@ def _cmd_rewire(args) -> int:
     if args.out_graph:
         # the input's labels, if sparse, so the file reads back to this graph
         labelled = replace(rewired, id_map=g.id_map)
-        _emit(_graph_text(labelled, args.out_graph, "auto"), args.out_graph)
+        _write_graph(labelled, args.out_graph, "auto")
     if args.out_trace:
-        _emit(_dump_json(_echo_vertex_ids(trace.to_json_obj(), g)), args.out_trace)
+        with _output(args.out_trace) as write:
+            write_obj(_echo_vertex_ids(trace.to_json_obj(), g), write)
     if not (args.out_graph or args.out_trace):
         combined = {"graph": rewired.to_json_obj(), "trace": trace.to_json_obj()}
-        _emit(_dump_json(_echo_vertex_ids(combined, g)), None)
+        with _output(None) as write:
+            write_obj(_echo_vertex_ids(combined, g), write)
     return 0
 
 

@@ -13,12 +13,12 @@ of every edge (u, v) read their masks and the cached cost levels of the rows
 q in N_v from it, so no per-edge structure is built twice, and the rows of
 every edge's problem are the smaller neighbourhood. The reports come back in
 `g.edges` order. They keep counts of the lemma's connecting set S_statement,
-not its edges; `diagnostics.verify_bottleneck` judges its hypothesis.
+not its edges; `diagnostics.verify_bottleneck` judges its hypothesis, and
+`emit.write_profile` renders a profile as JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -219,65 +219,3 @@ def bottleneck_sets(
             load[p] = load.get(p, 0) + 1
     n1 = _max_matching([ones & ~common for ones in exclusive if ones & ~common])
     return BottleneckSets(sum(load.values()) // 2, max(load.values()), n0, n1)
-
-
-def profile_to_json_obj(profile: CurvatureProfile) -> dict:
-    """Schema-shaped dict: rationals as "p/q" strings with advisory floats."""
-    edges = []
-    for r in profile.reports:
-        edges.append(
-            {
-                "u": r.edge[0],
-                "v": r.edge[1],
-                "kappa": frac_str(r.kappa),
-                "kappa_float": r.kappa_float,
-                "w1": frac_str(r.w1),
-                "common_neighbors": r.sets.n0,
-                "s_size": r.sets.s_size,
-                "n0": r.sets.n0,
-                "n1": r.sets.n1,
-            }
-        )
-    return {"edges": edges, "summary": _summary_obj(profile)}
-
-
-def _summary_obj(profile: CurvatureProfile) -> dict:
-    s = profile.summary()
-    return {
-        "edge_count": s["edge_count"],
-        "kappa_min": frac_str(s["kappa_min"]),
-        "kappa_min_float": float(s["kappa_min"]),
-        "kappa_max": frac_str(s["kappa_max"]),
-        "kappa_max_float": float(s["kappa_max"]),
-        "kappa_mean": frac_str(s["kappa_mean"]),
-        "kappa_mean_float": float(s["kappa_mean"]),
-        "negative_count": s["negative_count"],
-        "positive_count": s["positive_count"],
-    }
-
-
-def _edge_json(r: EdgeCurvatureReport) -> str:
-    """One element of profile_to_json_obj's "edges" as json.dumps(sort_keys=True,
-    indent=2) renders it: a fixed template whose keys are in sorted order."""
-    s = r.sets
-    return (
-        f'    {{\n      "common_neighbors": {s.n0},'
-        f'\n      "kappa": "{frac_str(r.kappa)}",'
-        f'\n      "kappa_float": {float.__repr__(r.kappa_float)},'
-        f'\n      "n0": {s.n0},'
-        f'\n      "n1": {s.n1},'
-        f'\n      "s_size": {s.s_size},'
-        f'\n      "u": {r.edge[0]},'
-        f'\n      "v": {r.edge[1]},'
-        f'\n      "w1": "{frac_str(r.w1)}"\n    }}'
-    )
-
-
-def profile_to_json(profile: CurvatureProfile, tail: dict) -> str:
-    """json.dumps({**profile_to_json_obj(profile), **tail}, sort_keys=True,
-    indent=2) + "\n", for tail keys that sort after "summary" (the CLI's
-    vertex_ids). The edges go through `_edge_json`; json.dumps renders only
-    the summary and the tail, whose opening brace is dropped."""
-    rest = json.dumps({"summary": _summary_obj(profile), **tail}, sort_keys=True, indent=2)[2:]
-    edges = ",\n".join(map(_edge_json, profile.reports))
-    return f'{{\n  "edges": [\n{edges}\n  ],\n{rest}\n'

@@ -11,17 +11,16 @@ whose hypothesis fails on an input is returned as a skip with a reason,
 never as a pass or an exception. Inequalities that mix exact curvature with
 floating-point feature norms carry an additive 1e-9 tolerance on the bound
 side; purely structural inequalities are checked in exact rational
-arithmetic. Feature gaps use the Euclidean norm.
+arithmetic. Feature gaps use the Euclidean norm. A SuiteReport is data;
+`emit.write_suite` renders it as JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,73 +68,6 @@ class BoundCheck:
     @property
     def violated(self) -> bool:
         return self.holds is False
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "graph": self.graph,
-            "context": self.context,
-            "holds": self.holds,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "tolerance": self.tolerance,
-            "lhs": _value_obj(self.lhs),
-            "rhs": _value_obj(self.rhs),
-            "slack": _value_obj(self.slack),
-        }
-
-
-def _value_obj(x: Fraction | float | None) -> dict | None:
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return {"exact": frac_str(x), "float": float(x)}
-    return {"exact": None, "float": float(x)}
-
-
-def _json_float(x: float) -> str:
-    """json's float rule: repr, with NaN and the infinities spelled as
-    JavaScript constants."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _value_json(x: Fraction | float | None) -> str:
-    """_value_obj(x) as json.dumps(indent=2) renders it at a check's key depth."""
-    if x is None:
-        return "null"
-    exact = f'"{frac_str(x)}"' if isinstance(x, Fraction) else "null"
-    return f'{{\n        "exact": {exact},\n        "float": {_json_float(float(x))}\n      }}'
-
-
-# checks rendered per write call: fewer, larger writes are faster than one
-# per check, and a batch stays a few hundred kB
-_WRITE_BATCH = 512
-
-_JSON_CONST = {True: "true", False: "false", None: "null"}
-
-
-def _check_json(c: BoundCheck) -> str:
-    """c.to_json_obj() as json.dumps(sort_keys=True, indent=2) renders it as
-    an element of the report's "checks" list: a fixed template whose keys
-    are in sorted order."""
-    return (
-        f'    {{\n      "context": {_json_str(c.context)},'
-        f'\n      "graph": {_json_str(c.graph)},'
-        f'\n      "holds": {_JSON_CONST[c.holds]},'
-        f'\n      "lhs": {_value_json(c.lhs)},'
-        f'\n      "name": {_json_str(c.name)},'
-        f'\n      "reason": {_json_str(c.reason)},'
-        f'\n      "rhs": {_value_json(c.rhs)},'
-        f'\n      "skipped": {_JSON_CONST[c.skipped]},'
-        f'\n      "slack": {_value_json(c.slack)},'
-        f'\n      "tolerance": {_json_float(c.tolerance)}\n    }}'
-    )
 
 
 def _exact(name: str, graph: str, context: str, lhs: Fraction, rhs: Fraction) -> BoundCheck:
@@ -402,39 +334,6 @@ class SuiteReport:
             "skipped": sum(1 for c in self.checks if c.skipped),
             "by_name": by_name,
         }
-
-    def to_json_obj(self) -> dict:
-        return {**self._envelope(), "checks": [c.to_json_obj() for c in self.checks]}
-
-    def _envelope(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "norm": "euclidean",
-            "tolerance": TOLERANCE,
-            "summary": self.summary(),
-        }
-
-    def write_json(self, write: Callable[[str], object]) -> None:
-        """Write json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
-        through write, _WRITE_BATCH checks at a time, without building either
-        the object tree or the whole string.
-
-        "checks" sorts first among the envelope keys, so the checks come
-        straight after the opening brace; json.dumps renders the small rest
-        of the envelope, whose opening brace is dropped.
-        """
-        rest = json.dumps(self._envelope(), sort_keys=True, indent=2)[2:]
-        if not self.checks:
-            write(f'{{\n  "checks": [],\n{rest}\n')
-            return
-        write('{\n  "checks": [\n')
-        for i in range(0, len(self.checks), _WRITE_BATCH):
-            if i:
-                write(",\n")
-            write(",\n".join(map(_check_json, self.checks[i : i + _WRITE_BATCH])))
-        write(f"\n  ],\n{rest}\n")
 
 
 MULTILAYER_DEPTH = 6

@@ -143,29 +143,41 @@ def identity_spec(channels: int, layers: int, aggregator: str) -> MpnnSpec:
     return MpnnSpec(layers=(layer,) * layers)
 
 
-def _parse_update(obj: dict) -> Update:
+def _matrix(value, what: str) -> np.ndarray:
+    """value as a 2-d float matrix; anything else is a SpecError."""
+    try:
+        matrix = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be a matrix of numbers") from None
+    if matrix.ndim != 2:
+        raise SpecError(f"{what} must be a 2-d matrix")
+    return matrix
+
+
+def _parse_update(obj) -> Update:
+    if not isinstance(obj, dict):
+        raise SpecError(f"an update must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "identity":
         return Update("identity")
     if kind == "linear":
-        if "matrix" not in obj:
-            raise SpecError('linear update needs a "matrix"')
-        return Update("linear", matrix=np.array(obj["matrix"], dtype=float))
+        return Update("linear", matrix=_matrix(obj.get("matrix"), "linear update matrix"))
     if kind == "clamp":
-        if "bound" not in obj or obj["bound"] <= 0:
+        bound = obj.get("bound")
+        if not isinstance(bound, float) or bound <= 0:
             raise SpecError('clamp update needs a positive "bound"')
-        return Update("clamp", bound=float(obj["bound"]))
+        return Update("clamp", bound=bound)
     if kind == "abs":
         return Update("abs")
     if kind == "leaky":
-        slope = float(obj.get("slope", 0.01))
-        if abs(slope) > 1:
-            raise SpecError("leaky slope must have magnitude <= 1")
+        slope = obj.get("slope", 0.01)
+        if not isinstance(slope, float) or abs(slope) > 1:
+            raise SpecError("leaky slope must be a number of magnitude <= 1")
         return Update("leaky", slope=slope)
     if kind == "composition":
         parts = obj.get("parts")
-        if not parts:
-            raise SpecError('composition update needs non-empty "parts"')
+        if not isinstance(parts, list) or not parts:
+            raise SpecError('composition update needs a non-empty "parts" list')
         return Update("composition", parts=tuple(_parse_update(p) for p in parts))
     raise SpecError(f"unknown update kind {kind!r}")
 
@@ -177,21 +189,20 @@ def _reject_constant(name: str):
 def parse_spec(text: str) -> MpnnSpec:
     """Parse the layer-spec JSON: {"layers": [{"aggregator", "message", "update"}]}."""
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        # every number a float: an integer too large for one is inf, not an OverflowError
+        obj = json.loads(text, parse_constant=_reject_constant, parse_int=float)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
         raise SpecError('spec JSON must be an object with a "layers" list')
     layers = []
     for i, lo in enumerate(obj["layers"]):
+        if not isinstance(lo, dict):
+            raise SpecError(f"layer {i} must be an object, got {lo!r}")
         agg = lo.get("aggregator")
         if agg not in ("sum", "mean"):
             raise SpecError(f'layer {i}: aggregator must be "sum" or "mean"')
-        if "message" not in lo:
-            raise SpecError(f'layer {i}: missing "message" matrix')
-        message = np.array(lo["message"], dtype=float)
-        if message.ndim != 2:
-            raise SpecError(f"layer {i}: message must be a 2-d matrix")
+        message = _matrix(lo.get("message"), f"layer {i}: message")
         update = _parse_update(lo.get("update", {"kind": "identity"}))
         layers.append(LayerSpec(aggregator=agg, message=message, update=update))
     return MpnnSpec(layers=tuple(layers))

@@ -1,0 +1,79 @@
+"""The dict shapes of the CLI's two large reports. `orckit.emit` streams
+them from fixed templates; the tests hold its bytes to
+json.dumps(shape, sort_keys=True, indent=2) + "\\n" of these."""
+
+from fractions import Fraction
+
+from orckit.curvature import frac_str
+from orckit.diagnostics import TOLERANCE
+
+
+def profile_to_json_obj(profile) -> dict:
+    """Schema-shaped dict: rationals as "p/q" strings with advisory floats."""
+    edges = []
+    for r in profile.reports:
+        edges.append(
+            {
+                "u": r.edge[0],
+                "v": r.edge[1],
+                "kappa": frac_str(r.kappa),
+                "kappa_float": r.kappa_float,
+                "w1": frac_str(r.w1),
+                "common_neighbors": r.sets.n0,
+                "s_size": r.sets.s_size,
+                "n0": r.sets.n0,
+                "n1": r.sets.n1,
+            }
+        )
+    return {"edges": edges, "summary": _summary_obj(profile)}
+
+
+def _summary_obj(profile) -> dict:
+    s = profile.summary()
+    return {
+        "edge_count": s["edge_count"],
+        "kappa_min": frac_str(s["kappa_min"]),
+        "kappa_min_float": float(s["kappa_min"]),
+        "kappa_max": frac_str(s["kappa_max"]),
+        "kappa_max_float": float(s["kappa_max"]),
+        "kappa_mean": frac_str(s["kappa_mean"]),
+        "kappa_mean_float": float(s["kappa_mean"]),
+        "negative_count": s["negative_count"],
+        "positive_count": s["positive_count"],
+    }
+
+
+def check_obj(c) -> dict:
+    """One BoundCheck of a suite report."""
+    return {
+        "name": c.name,
+        "graph": c.graph,
+        "context": c.context,
+        "holds": c.holds,
+        "skipped": c.skipped,
+        "reason": c.reason,
+        "tolerance": c.tolerance,
+        "lhs": value_obj(c.lhs),
+        "rhs": value_obj(c.rhs),
+        "slack": value_obj(c.slack),
+    }
+
+
+def value_obj(x) -> dict | None:
+    if x is None:
+        return None
+    if isinstance(x, Fraction):
+        return {"exact": frac_str(x), "float": float(x)}
+    return {"exact": None, "float": float(x)}
+
+
+def suite_report_obj(report) -> dict:
+    return {
+        "suite": report.suite,
+        "trials": report.trials,
+        "seed": report.seed,
+        "norm": "euclidean",
+        "tolerance": TOLERANCE,
+        "summary": report.summary(),
+        "checks": [check_obj(c) for c in report.checks],
+    }

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from emit_reference import check_obj
 from kernel_reference import dense_walk_counts
 
 from orckit.curvature import curvature_profile, edge_report
@@ -120,7 +121,7 @@ def test_criterion_05_one_layer_gap_bound(corpus_entries):
     totals = {}
     for aggregator in ("sum", "mean"):
         suite = run_suite(corpus=corpus_entries, trials=200, seed=1, suite=f"one_layer_{aggregator}")
-        assert suite.violations == (), [c.to_json_obj() for c in suite.violations]
+        assert suite.violations == (), [check_obj(c) for c in suite.violations]
         ran = [c for c in suite.checks if not c.skipped]
         assert ran, "no positively curved edge was ever drawn"
         totals[aggregator] = len(ran)
@@ -158,7 +159,7 @@ def test_criterion_06_multilayer_gap_bound():
             results = verify_multilayer(g, spec, x, profile, name)
             assert len(results) == 6 * len(g.edges)
             bad = [c for c in results if not c.holds]
-            assert not bad, f"{name}: {[c.to_json_obj() for c in bad]}"
+            assert not bad, f"{name}: {[check_obj(c) for c in bad]}"
             checks += len(results)
     report("06", f"{checks} layer-gap checks over K4..K8 and cocktail parties, 0 violations")
 
@@ -248,7 +249,7 @@ def test_criterion_10_diameter_bound(corpus_entries, corpus_profiles):
         if min(r.kappa for r in profile.reports) <= 0:
             continue
         check = verify_diameter(g, profile, name)
-        assert check.holds, check.to_json_obj()
+        assert check.holds, check_obj(check)
         eligible += 1
     assert eligible > 0
     report("10", f"diameter <= floor(2/delta) on all {eligible} positively curved corpus graphs")

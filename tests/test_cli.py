@@ -358,6 +358,27 @@ class TestSimulate:
         assert code == 2
         assert out == "" and "error:" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"layers": [1]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": 5}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": null}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": 3}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1%s]]}]}' % ("0" * 400),
+        ],
+        ids=["layer", "update", "clamp_bound", "linear_matrix", "huge_integer"],
+    )
+    def test_malformed_spec_is_an_input_error(self, capsys, tmp_path, spec):
+        graph, feats, spec_file = tmp_path / "p3.txt", tmp_path / "x.csv", tmp_path / "spec.json"
+        graph.write_text("0 1\n1 2\n")
+        feats.write_text("1\n2\n3\n")
+        spec_file.write_text(spec)
+        args = ("simulate", str(graph), "--features", str(feats), "--spec", str(spec_file))
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_demo_mode(self):
         code, out, _ = run_cli("simulate", "--demo-smoothing")
         assert code == 0
@@ -473,6 +494,50 @@ class TestEdgelessGraph:
         code, out, err = run_main(capsys, "generate", *args)
         assert (code, out) == (2, "")
         assert "at least 2 vertices" in err
+
+
+class TestOutputPath:
+    """Every command writes through one output path: an --out file holds the
+    bytes stdout would, and an input error leaves no --out file."""
+
+    @pytest.fixture()
+    def graph_file(self, tmp_path):
+        path = tmp_path / "barbell.txt"
+        path.write_text(generate("barbell", k=3).to_edge_list_text())
+        return str(path)
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, graph_file):
+        for args in (
+            ("generate", "--family", "barbell", "--k", "3", "--format", "json"),
+            ("curvature", graph_file),
+            ("simulate", "--demo-smoothing"),
+        ):
+            code, out, _ = run_main(capsys, *args)
+            target = tmp_path / "out"
+            assert run_main(capsys, *args, "--out", str(target))[:2] == (code, ""), args
+            assert target.read_bytes() == out.encode(), args
+
+    def test_trace_file_holds_the_rendered_trace(self, capsys, tmp_path, graph_file):
+        code, out, _ = run_main(capsys, "rewire", graph_file)
+        target = tmp_path / "trace.json"
+        assert run_main(capsys, "rewire", graph_file, "--out-trace", str(target))[:2] == (code, "")
+        trace = json.loads(out)["trace"]
+        assert target.read_bytes() == (json.dumps(trace, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_input_error_leaves_no_out_file(self, capsys, tmp_path, graph_file):
+        bad_thresholds = ("--tau-neg", "0.5", "--tau-pos", "0.2")
+        for args in (
+            ("generate", "--family", "mystery", "--out"),
+            ("curvature", str(tmp_path / "missing.txt"), "--out"),
+            ("verify", "--trials", "-3", "--out"),
+            ("simulate", "--demo-smoothing", "--demo-iterations", "-3", "--out"),
+            ("rewire", graph_file, *bad_thresholds, "--out-graph"),
+            ("rewire", graph_file, *bad_thresholds, "--out-trace"),
+        ):
+            target = tmp_path / "out.json"
+            code, out, err = run_main(capsys, *args, str(target))
+            assert (code, out) == (2, "") and "error: " in err, args
+            assert not target.exists(), args
 
 
 class TestGoldenHashes:

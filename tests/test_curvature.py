@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from emit_reference import profile_to_json_obj
 from kernel_reference import (
     bottleneck_sets_from_sets,
     participation,
@@ -18,11 +19,10 @@ from orckit.curvature import (
     curvature_profile,
     edge_report,
     frac_str,
-    profile_to_json,
-    profile_to_json_obj,
     ricci_curvature,
 )
 from orckit.diagnostics import verify_bottleneck
+from orckit.emit import _WRITE_BATCH, write_profile
 from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, from_edges, generate
 from orckit.transport import wasserstein1
 from pathlib import Path
@@ -328,7 +328,7 @@ class TestCurvatureProfile:
 
     def test_json_obj_matches_schema(self):
         profile = curvature_profile(generate("barbell", k=3))
-        obj = profile_to_json_obj(profile)
+        obj = json.loads(profile_text(profile, {}))
         jsonschema.validate(obj, SCHEMA)
         bridge = [e for e in obj["edges"] if (e["u"], e["v"]) == (2, 3)][0]
         assert bridge["kappa"] == "-2/3"
@@ -336,13 +336,24 @@ class TestCurvatureProfile:
         assert bridge["s_size"] == 1
 
 
-def test_profile_json_matches_json_dumps(corpus_entries, corpus_profiles):
-    # the template renders exactly what json.dumps(indent=2) renders
-    for name, g in corpus_entries[::5]:
-        profile = corpus_profiles[name]
+def profile_text(profile, tail):
+    parts = []
+    write_profile(profile, tail, parts.append)
+    return "".join(parts)
+
+
+def test_profile_json_matches_json_dumps(
+    corpus_entries, corpus_profiles, irregular_graphs, irregular_profiles
+):
+    # the template renders exactly what json.dumps(indent=2) renders, also
+    # across the batch joins of profiles longer than one write batch
+    cases = [(name, g, corpus_profiles[name]) for name, g in corpus_entries[::5]]
+    cases += [(name, g, irregular_profiles[name]) for name, g in irregular_graphs]
+    assert max(len(profile.reports) for _, _, profile in cases) > 2 * _WRITE_BATCH
+    for name, g, profile in cases:
         for tail in ({}, {"vertex_ids": [3 * i + 1 for i in range(g.vertex_count)]}):
             expected = json.dumps({**profile_to_json_obj(profile), **tail}, sort_keys=True, indent=2)
-            assert profile_to_json(profile, tail) == expected + "\n", name
+            assert profile_text(profile, tail) == expected + "\n", name
 
 
 def test_kappa_equals_one_minus_w1_on_a_corpus_slice(corpus_entries, corpus_profiles):

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from emit_reference import suite_report_obj
 from hypothesis import given, settings, strategies as st
 from kernel_reference import dense_walk_counts
 
 from orckit import diagnostics
 from orckit.curvature import curvature_profile, edge_report, ricci_curvature
 from orckit.diagnostics import (
-    _WRITE_BATCH,
     CHECK_NAMES,
     TOLERANCE,
     BoundCheck,
@@ -27,6 +27,7 @@ from orckit.diagnostics import (
     verify_one_layer,
     verify_shared_neighbor,
 )
+from orckit.emit import _WRITE_BATCH, write_suite
 from orckit.graphs import generate
 from orckit.mpnn import LayerSpec, MpnnSpec, Update, forward, identity_spec
 
@@ -306,10 +307,18 @@ class TestBottleneckBound:
         assert (strong.lhs, strong.rhs) == (2, F(4))
 
 
+def written_check(check: BoundCheck) -> dict:
+    """check as a one-check suite report renders it, after the report's bytes
+    are checked against the reference shape."""
+    report = SuiteReport(suite="all", trials=0, seed=0, checks=(check,))
+    _assert_writes_as_dumps(report)
+    return json.loads(suite_text(report))["checks"][0]
+
+
 class TestBoundCheckShape:
     def test_exact_json(self):
         check = diameter_check(generate("complete", n=3))
-        obj = check.to_json_obj()
+        obj = written_check(check)
         assert obj["name"] == "diameter"
         assert obj["holds"] is True
         assert obj["lhs"] == {"exact": "1/1", "float": 1.0}
@@ -318,7 +327,7 @@ class TestBoundCheckShape:
     def test_approx_json(self):
         g = generate("complete", n=3)
         check = one_layer_check(g, identity_spec(1, 1, "sum"), np.ones((3, 1)), (0, 1))
-        obj = check.to_json_obj()
+        obj = written_check(check)
         assert obj["lhs"]["exact"] is None
         assert obj["tolerance"] == 1e-9
 
@@ -366,7 +375,8 @@ class TestRunSuite:
         entries = [("k3", generate("complete", n=3)), ("b3", generate("barbell", k=3))]
         a = run_suite(corpus=entries, trials=4, seed=5)
         b = run_suite(corpus=entries, trials=4, seed=5)
-        assert a.to_json_obj() == b.to_json_obj()
+        assert suite_report_obj(a) == suite_report_obj(b)
+        assert suite_text(a) == suite_text(b)
 
     def test_summary_tallies_match(self):
         report = run_suite(corpus=[("b3", generate("barbell", k=3))], trials=3, seed=2)
@@ -382,11 +392,15 @@ class TestRunSuite:
         assert not report.violations
 
 
-def _assert_writes_as_dumps(report: SuiteReport) -> None:
+def suite_text(report: SuiteReport) -> str:
     parts = []
-    report.write_json(parts.append)
-    written = "".join(parts)
-    dumped = json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    write_suite(report, parts.append)
+    return "".join(parts)
+
+
+def _assert_writes_as_dumps(report: SuiteReport) -> None:
+    written = suite_text(report)
+    dumped = json.dumps(suite_report_obj(report), sort_keys=True, indent=2) + "\n"
     if written != dumped:
         # a short window, not pytest's diff of two large strings, which
         # would make every failing example slow to shrink
@@ -442,8 +456,9 @@ def suite_reports(draw):
 
 
 class TestWriteJson:
-    """The streamed writer must give json.dumps(to_json_obj(), sort_keys=True,
-    indent=2) + newline byte for byte; `verify`'s golden hash rests on it."""
+    """The streamed writer must give json.dumps(suite_report_obj(report),
+    sort_keys=True, indent=2) + newline byte for byte; `verify`'s golden hash
+    rests on it."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(suite_reports())

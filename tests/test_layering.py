@@ -2,8 +2,9 @@
 
 graphs, transport and curvature measure; mpnn measures features and walk
 counts; diagnostics states and judges the bounds; rewiring acts on
-curvature; cli wires them together. A lower layer that imports a higher one
-would let a bound or a rewiring rule leak into a measurement.
+curvature; emit renders results as text; cli wires them together. A lower
+layer that imports a higher one would let a bound or a rewiring rule leak
+into a measurement, and a second renderer would let the bytes drift.
 """
 
 import ast
@@ -36,6 +37,20 @@ def package_imports(path):
     return found
 
 
+def json_renders(path):
+    """Whether the module at path calls json.dumps or imports json.encoder."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "dumps":
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("json"):
+            if node.module == "json.encoder" or "dumps" in {a.name for a in node.names}:
+                return True
+        elif isinstance(node, ast.Import) and "json.encoder" in {a.name for a in node.names}:
+            return True
+    return False
+
+
 IMPORTS = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
 
 
@@ -53,4 +68,13 @@ def test_measurement_layers_import_only_below(module, allowed):
 
 def test_only_cli_imports_diagnostics_and_rewiring():
     importers = {module for module, deps in IMPORTS.items() if deps & {"diagnostics", "rewiring"}}
-    assert importers == {"cli"}
+    assert importers == {"cli", "emit"}
+
+
+def test_only_cli_imports_emit():
+    assert {module for module, deps in IMPORTS.items() if "emit" in deps} == {"cli"}
+
+
+def test_only_emit_renders_json():
+    renderers = {path.stem for path in PACKAGE.glob("*.py") if json_renders(path)}
+    assert renderers == {"emit"}

@@ -100,6 +100,14 @@ class TestParseSpec:
         spec = parse_spec(text)
         assert [l.update.kind for l in spec.layers] == ["clamp", "leaky", "composition"]
 
+    def test_integers_are_numbers(self):
+        layers = [
+            {"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": 2}},
+            {"aggregator": "sum", "message": [[1]], "update": {"kind": "leaky", "slope": 0}},
+        ]
+        spec = parse_spec(json.dumps({"layers": layers}))
+        assert (spec.layers[0].update.bound, spec.layers[1].update.slope) == (2.0, 0.0)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -115,6 +123,21 @@ class TestParseSpec:
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "composition", "parts": []}}]}',
             '{"layers": [{"aggregator": "sum", "message": [[NaN]]}]}',
             '{"layers": [{"aggregator": "sum", "message": [[-Infinity]]}]}',
+            '{"layers": [1]}',
+            '{"layers": [null]}',
+            '{"layers": [{"aggregator": "sum", "message": [[{}]]}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": 5}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "composition", "parts": [3]}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "composition", "parts": {"a": 1}}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": "x"}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": null}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": [1]}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp"}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "leaky", "slope": null}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "leaky", "slope": "0.5"}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": 3}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": [1, 2]}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": [[{}]]}}]}',
         ],
     )
     def test_rejects(self, text):

@@ -12,6 +12,7 @@ these tests are as deterministic as the rest of the suite.
 """
 
 import numpy as np
+from emit_reference import check_obj
 from hypothesis import given, settings, strategies as st
 from kernel_reference import (
     bottleneck_sets_from_sets,
@@ -118,7 +119,7 @@ def test_reports_are_invariant_under_relabelling(g, data):
 def test_structural_bounds_hold_beyond_the_corpus(g):
     # every structural check is exact, so a violation here is a counterexample
     report = run_suite(corpus=[("g", g)], trials=0)
-    assert report.violations == (), [c.to_json_obj() for c in report.violations]
+    assert report.violations == (), [check_obj(c) for c in report.violations]
 
 
 @PROPERTY
@@ -163,4 +164,4 @@ def test_one_layer_bounds_hold_beyond_the_corpus(g, data):
     reports = [r for r in curvature_profile(g).reports if r.kappa > 0]
     checks = verify_one_layer(g, layer, x, reports, "g")
     assert len(checks) == len(reports)
-    assert not [c for c in checks if c.violated], [c.to_json_obj() for c in checks if c.violated]
+    assert not [c for c in checks if c.violated], [check_obj(c) for c in checks if c.violated]
