@@ -11,9 +11,11 @@ u (the smaller id on a tie; standalone calls orient the same way) and builds
 one `NeighborIndex` of u per group; the W1 solve and the bottleneck counts
 of every edge (u, v) read their masks and the cached cost levels of the rows
 q in N_v from it, so no per-edge structure is built twice, and the rows of
-every edge's problem are the smaller neighbourhood. The reports come back in
-`g.edges` order. They keep counts of the lemma's connecting set S_statement,
-not its edges; `diagnostics.verify_bottleneck` judges its hypothesis, and
+every edge's problem are the smaller neighbourhood. Given a memo, as the
+rewiring loop passes, an edge whose problem is unchanged since an earlier
+profile keeps its report. The reports come back in `g.edges` order. They
+keep counts of the lemma's connecting set S_statement, not its edges;
+`diagnostics.verify_bottleneck` judges its hypothesis, and
 `emit.write_profile` renders a profile as JSON.
 """
 
@@ -123,20 +125,44 @@ def edge_report(
     )
 
 
-def curvature_profile(g: Graph) -> CurvatureProfile:
+def curvature_profile(g: Graph, memo: dict | None = None) -> CurvatureProfile:
     """One report per edge, in the order of g.edges. Each edge is grouped
     under its endpoint u of higher degree (the smaller id on a tie), so the
     rows of its W1 problem are the smaller neighbourhood; the edges of a
-    group share one index of u, dropped when the group ends."""
+    group share one index of u, dropped when the group ends.
+
+    memo, when given, carries reports from one profile to the next, as
+    `rewiring.rewire_loop` does across its steps. It maps the hub-first edge
+    (u, v) to (N_u, N_v, levels, report), levels being the rows
+    `index.levels(q)` for q in N_v, and an edge reuses the stored report
+    only when all three inputs are equal; otherwise it is solved and stored
+    afresh. That is exact: the W1 solve reads the rows and, from the index,
+    `near[v]` (the OR of the rows' cost-0 masks) and `full` (fixed by N_u);
+    `bottleneck_sets` reads the same rows, that mask and `pos[v]` (fixed by
+    N_u); the degrees are the lengths of N_u and N_v. Every reuse is checked
+    by equality, so a stale entry, left by a removed edge, an earlier
+    iteration or a rolled-back step, can only miss, never mislead.
+    """
     groups: dict[int, list[int]] = {}
     for k, (a, b) in enumerate(g.edges):
         groups.setdefault(_hub_first(g, a, b)[0], []).append(k)
     reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
+    adjacency = g.adjacency
     for u, ks in groups.items():
         index = NeighborIndex(g, u)
         for k in ks:
             a, b = g.edges[k]
-            reports[k] = edge_report(g, u, b if a == u else a, index=index)
+            v = b if a == u else a
+            if memo is None:
+                reports[k] = edge_report(g, u, v, index=index)
+                continue
+            inputs = (adjacency[u], adjacency[v], list(map(index.levels, adjacency[v])))
+            entry = memo.get((u, v))
+            if entry is not None and entry[:3] == inputs:
+                reports[k] = entry[3]
+            else:
+                reports[k] = edge_report(g, u, v, index=index)
+                memo[u, v] = (*inputs, reports[k])
     return CurvatureProfile(reports=tuple(reports))
 
 

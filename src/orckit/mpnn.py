@@ -13,6 +13,7 @@ inequalities its quantities enter live in `diagnostics`.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,13 +145,16 @@ def identity_spec(channels: int, layers: int, aggregator: str) -> MpnnSpec:
 
 
 def _matrix(value, what: str) -> np.ndarray:
-    """value as a 2-d float matrix; anything else is a SpecError."""
+    """value as a 2-d matrix of finite floats; anything else is a SpecError.
+    A JSON null reads as NaN here, and an integer beyond a float as inf."""
     try:
         matrix = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise SpecError(f"{what} must be a matrix of numbers") from None
     if matrix.ndim != 2:
         raise SpecError(f"{what} must be a 2-d matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise SpecError(f"{what} must hold finite numbers")
     return matrix
 
 
@@ -164,15 +168,15 @@ def _parse_update(obj) -> Update:
         return Update("linear", matrix=_matrix(obj.get("matrix"), "linear update matrix"))
     if kind == "clamp":
         bound = obj.get("bound")
-        if not isinstance(bound, float) or bound <= 0:
-            raise SpecError('clamp update needs a positive "bound"')
+        if not isinstance(bound, float) or not 0 < bound < math.inf:
+            raise SpecError('clamp update needs a positive finite "bound"')
         return Update("clamp", bound=bound)
     if kind == "abs":
         return Update("abs")
     if kind == "leaky":
         slope = obj.get("slope", 0.01)
-        if not isinstance(slope, float) or abs(slope) > 1:
-            raise SpecError("leaky slope must be a number of magnitude <= 1")
+        if not isinstance(slope, float) or not abs(slope) <= 1:
+            raise SpecError('leaky update needs a finite "slope" of magnitude <= 1')
         return Update("leaky", slope=slope)
     if kind == "composition":
         parts = obj.get("parts")

@@ -3,9 +3,11 @@
 Edges whose curvature exceeds tau_pos get trimmed (most positive first);
 edges below tau_neg get one extra support edge bridging their exclusive
 neighborhoods, placed to spread load rather than concentrate it on one
-vertex. The loop recomputes curvature every iteration and rolls back any
-step that increases the number of out-of-band edges, so the out-of-band
-count is non-increasing across accepted steps.
+vertex. The loop profiles every graph it makes and rolls back any step
+that increases the number of out-of-band edges, so the out-of-band count
+is non-increasing across accepted steps. Its profiles share one per-edge
+memo: an edge whose local W1 problem a step left as it was keeps its
+report, and only the edges the step touched are solved again.
 """
 
 from __future__ import annotations
@@ -206,13 +208,16 @@ def rewire_step(
 
 
 def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
-    """Iterate rewire_step with fresh curvature until nothing changes.
+    """Iterate rewire_step with the new graph's curvature until nothing
+    changes; each profile reuses the reports of the edges the step left
+    untouched (see `curvature_profile`).
 
     Stops at max_iterations, when no edge is out of band, when a step
     cannot act, or after reverting a step that raised the out-of-band
     count (that step is recorded with rolled_back set).
     """
-    profile = curvature_profile(g)
+    memo: dict = {}  # per-edge reports shared by every profile of this loop
+    profile = curvature_profile(g, memo)
     initial = out_of_band_count(profile, cfg)
     steps: list[RewireStep] = []
     current, current_profile, current_oob = g, profile, initial
@@ -223,7 +228,7 @@ def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
             break
         if candidate.edges == current.edges:
             break
-        new_profile = curvature_profile(candidate)
+        new_profile = curvature_profile(candidate, memo)
         new_oob = out_of_band_count(new_profile, cfg)
         record = dataclasses.replace(
             record,

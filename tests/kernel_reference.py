@@ -2,13 +2,14 @@
 levels against BFS distances, an edge's structural starting dual against
 the generic one found by scanning every cell, the edge set S_statement and
 the frozenset formulation of `curvature.bottleneck_sets` that the mask
-counts replaced, and the dense (A+I)^k product that the local walk rows of
-`mpnn` replaced."""
+counts replaced, the dense (A+I)^k product that the local walk rows of
+`mpnn` replaced, and the count of edge problems a graph edit changes, from
+dense BFS cost matrices."""
 
 from bisect import bisect_left
 
 from orckit.curvature import BottleneckSets
-from orckit.graphs import NeighborIndex
+from orckit.graphs import NeighborIndex, bfs_distances
 from orckit.transport import _edge_start, _starting_dual, _support_distances
 
 
@@ -111,3 +112,25 @@ def dense_walk_counts(g, depth):
             [sum(row[t] * base[t][j] for t in range(n)) for j in range(n)] for row in result
         ]
     return result
+
+
+def _edge_problems(g):
+    """{(u, v): (N_u, N_v, cost matrix)} per edge, u the endpoint of higher
+    degree (the smaller id on a tie); the matrix holds the BFS distance from
+    each row q in N_v to each column p in N_u, both in adjacency order."""
+    dist = [bfs_distances(g, s) for s in range(g.vertex_count)]
+    out = {}
+    for a, b in g.edges:
+        da, db = g.degree(a), g.degree(b)
+        u, v = (a, b) if (da, -a) > (db, -b) else (b, a)
+        rows, cols = g.adjacency[v], g.adjacency[u]
+        out[u, v] = (rows, cols, [[dist[q][p] for p in cols] for q in rows])
+    return out
+
+
+def changed_edge_problems(before, after):
+    """How many edges of `after` pose a W1 problem (hub-first orientation,
+    supports and cost matrix) other than the one the same edge posed in
+    `before`; an edge new to `after` counts."""
+    old = _edge_problems(before)
+    return sum(1 for key, problem in _edge_problems(after).items() if old.get(key) != problem)

@@ -358,6 +358,18 @@ class TestSimulate:
         assert code == 2
         assert out == "" and "error:" in err
 
+    @pytest.mark.parametrize("message", ["[[null]]", "[[1e400]]"], ids=["null", "inf"])
+    def test_non_finite_spec_number_is_a_spec_error(self, capsys, tmp_path, message):
+        # blamed on the spec field, not on the layer output it would spoil
+        graph, feats, spec_file = tmp_path / "p3.txt", tmp_path / "x.csv", tmp_path / "spec.json"
+        graph.write_text("0 1\n1 2\n")
+        feats.write_text("1\n2\n3\n")
+        spec_file.write_text('{"layers": [{"aggregator": "sum", "message": %s}]}' % message)
+        args = ("simulate", str(graph), "--features", str(feats), "--spec", str(spec_file))
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: layer 0: message") and "not finite" not in err
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -5,6 +5,8 @@ counts; diagnostics states and judges the bounds; rewiring acts on
 curvature; emit renders results as text; cli wires them together. A lower
 layer that imports a higher one would let a bound or a rewiring rule leak
 into a measurement, and a second renderer would let the bytes drift.
+Reports carried between profiles live only in a rewiring loop, so a
+one-shot profile keeps nothing once it returns.
 """
 
 import ast
@@ -78,3 +80,30 @@ def test_only_cli_imports_emit():
 def test_only_emit_renders_json():
     renderers = {path.stem for path in PACKAGE.glob("*.py") if json_renders(path)}
     assert renderers == {"emit"}
+
+
+def memo_passers(path):
+    """Whether the module at path calls curvature_profile with a memo."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "curvature_profile":
+            if len(node.args) > 1 or any(k.arg == "memo" for k in node.keywords):
+                return True
+    return False
+
+
+def test_only_rewiring_passes_a_memo():
+    assert {path.stem for path in PACKAGE.glob("*.py") if memo_passers(path)} == {"rewiring"}
+
+
+def test_curvature_keeps_no_module_level_state():
+    """curvature binds only imports, classes and functions at module level,
+    decorates no function with a cache and gives none a mutable default."""
+    tree = ast.parse((PACKAGE / "curvature.py").read_text())
+    definitions = (ast.Import, ast.ImportFrom, ast.ClassDef, ast.FunctionDef)
+    body = tree.body[1:] if isinstance(tree.body[0], ast.Expr) else tree.body  # the docstring
+    assert all(isinstance(node, definitions) for node in body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            assert not any("cache" in ast.unparse(d) for d in node.decorator_list), node.name
+            defaults = node.args.defaults + node.args.kw_defaults
+            assert all(d is None or isinstance(d, ast.Constant) for d in defaults), node.name

@@ -138,11 +138,32 @@ class TestParseSpec:
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": 3}}]}',
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": [1, 2]}}]}',
             '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": [[{}]]}}]}',
+            # non-finite numbers: null reads as NaN, 1e400 as inf
+            '{"layers": [{"aggregator": "sum", "message": [[null]]}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1e400]]}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "linear", "matrix": [[null]]}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "clamp", "bound": 1e400}}]}',
+            '{"layers": [{"aggregator": "sum", "message": [[1]], "update": {"kind": "leaky", "slope": -1e400}}]}',
         ],
     )
     def test_rejects(self, text):
         with pytest.raises(SpecError):
             parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "layer, field",
+        [
+            ('"message": [[null]]', "layer 0: message"),
+            ('"message": [[1]], "update": {"kind": "linear", "matrix": [[1, null]]}', "linear update matrix"),
+            ('"message": [[1]], "update": {"kind": "clamp", "bound": 1e400}', '"bound"'),
+            ('"message": [[1]], "update": {"kind": "leaky", "slope": 1e400}', '"slope"'),
+        ],
+    )
+    def test_non_finite_names_the_field(self, layer, field):
+        text = '{"layers": [{"aggregator": "sum", %s}]}' % layer
+        with pytest.raises(SpecError, match="finite") as err:
+            parse_spec(text)
+        assert field in str(err.value)
 
 
 class TestForward:

@@ -3,8 +3,9 @@
 pairs, the edge cost levels against BFS, the structural starting dual of
 an edge against the generic one, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
-every structural bound of `run_suite` beyond the fixed corpus, the
-one-layer gap bounds under drawn layer specs and features, and the local
+the reports a memo carries across random edits against fresh ones, every
+structural bound of `run_suite` beyond the fixed corpus, the one-layer gap
+bounds under drawn layer specs and features, and the local
 walk rows and alpha/beta against the dense (A+I)^k product.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
@@ -25,7 +26,7 @@ from kernel_reference import (
 
 from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite, verify_bottleneck, verify_one_layer
-from orckit.graphs import bfs_distances, from_edges
+from orckit.graphs import GraphInvalid, bfs_distances, from_edges
 from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta
 from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
 
@@ -112,6 +113,34 @@ def test_reports_are_invariant_under_relabelling(g, data):
         assert (s.sets.n0, s.sets.n1) == (r.sets.n0, r.sets.n1)
         assert (s.sets.s_size, s.sets.max_load) == (r.sets.s_size, r.sets.max_load)
         assert set(statement_edges(h, *s.edge)) == {image(e) for e in statement_edges(g, *r.edge)}
+
+
+def _toggled(g, pairs):
+    """g with each drawn pair added when absent and removed when present,
+    skipping a removal that would disconnect it."""
+    for a, b in pairs:
+        if a == b:
+            continue
+        e = (min(a, b), max(a, b))
+        edges = [f for f in g.edges if f != e] if g.has_edge(a, b) else [*g.edges, e]
+        try:
+            g = from_edges(g.vertex_count, edges)
+        except GraphInvalid:
+            continue
+    return g
+
+
+@PROPERTY
+@given(connected_graphs(), st.data())
+def test_memo_reuse_matches_fresh_profiles(g, data):
+    """A memo filled by earlier graphs, its entries stale wherever an edit
+    reached, yields the fresh profile of every edited graph."""
+    vertex = st.integers(0, g.vertex_count - 1)
+    memo = {}
+    assert curvature_profile(g, memo) == curvature_profile(g)
+    for _ in range(3):
+        g = _toggled(g, data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4)))
+        assert curvature_profile(g, memo).reports == curvature_profile(g).reports
 
 
 @PROPERTY

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import pytest
-from kernel_reference import participation, statement_edges
+from kernel_reference import changed_edge_problems, participation, statement_edges
 
+from orckit import curvature
 from orckit.curvature import curvature_profile
 from orckit.graphs import generate
 from orckit.rewiring import (
     HISTOGRAM_BINS,
     NoActionPossible,
     RewireConfig,
+    RewireTrace,
     _support_candidate,
     kappa_histogram,
     out_of_band_count,
@@ -221,3 +224,75 @@ class TestRewireLoop:
         for step in obj["steps"]:
             assert len(step["histogram_before"]) == HISTOGRAM_BINS
             assert isinstance(step["out_of_band_before"], int)
+
+
+def rewire_loop_fresh(g, cfg):
+    """The rewiring loop with a fresh `curvature_profile` for every graph,
+    no report carried from one step to the next."""
+    profile = curvature_profile(g)
+    initial = current_oob = out_of_band_count(profile, cfg)
+    steps = []
+    for _ in range(cfg.max_iterations):
+        try:
+            candidate, record = rewire_step(g, profile, cfg)
+        except NoActionPossible:
+            break
+        if candidate.edges == g.edges:
+            break
+        new_profile = curvature_profile(candidate)
+        new_oob = out_of_band_count(new_profile, cfg)
+        record = dataclasses.replace(
+            record, out_of_band_after=new_oob, histogram_after=kappa_histogram(new_profile)
+        )
+        if new_oob > current_oob:
+            steps.append(dataclasses.replace(record, rolled_back=True))
+            break
+        steps.append(record)
+        g, profile, current_oob = candidate, new_profile, new_oob
+    return g, RewireTrace(cfg, tuple(steps), initial, current_oob)
+
+
+# the golden rewire input and arguments of the benchmark
+GOLDEN_CONFIG = RewireConfig(tau_neg=-0.3, additions_per_step=3, max_iterations=1)
+
+
+@pytest.mark.parametrize(
+    "g, cfg",
+    [
+        (generate("barbell", k=3), RewireConfig()),
+        (generate("barbell", k=4), RewireConfig()),
+        (generate("barbell", k=5), RewireConfig()),  # rolls its step back
+        (generate("complete", n=4), RewireConfig(tau_pos=0.5)),  # removals
+        (
+            generate("erdos_renyi", n=100, p=0.08, seed=0),
+            dataclasses.replace(GOLDEN_CONFIG, max_iterations=3),
+        ),
+    ],
+    ids=["barbell_3", "barbell_4", "barbell_5_rollback", "k4_removals", "er_100"],
+)
+def test_loop_reusing_reports_matches_fresh_profiles(g, cfg):
+    final, trace = rewire_loop(g, cfg)
+    ref_final, ref_trace = rewire_loop_fresh(g, cfg)
+    assert final.edges == ref_final.edges
+    assert trace == ref_trace
+    assert trace.steps  # every case acts at least once
+
+
+def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
+    """On the golden rewire input, the loop's first profile solves every edge
+    and the post-step one only the edges whose problem the step changed."""
+    g = generate("erdos_renyi", n=100, p=0.08, seed=0)
+    after, _ = rewire_step(g, curvature_profile(g), GOLDEN_CONFIG)
+    changed = changed_edge_problems(g, after)
+    calls = []
+    solve = curvature.edge_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "edge_report", counted)
+    final, trace = rewire_loop(g, GOLDEN_CONFIG)
+    assert final.edges == after.edges and not trace.steps[0].rolled_back
+    assert len(calls) == len(g.edges) + changed
+    assert 0 < changed < len(after.edges)
