@@ -106,9 +106,9 @@ def _cmd_verify(args) -> int:
     print(f"threads used: {threads}", file=sys.stderr)
     with _output(args.out) as write:
         write_suite(report, write)
-    violations = report.violations
+    violations = report.summary()["violations"]
     if violations:
-        print(f"{len(violations)} bound violation(s)", file=sys.stderr)
+        print(f"{violations} bound violation(s)", file=sys.stderr)
         return 1
     return 0
 

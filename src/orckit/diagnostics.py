@@ -18,7 +18,9 @@ arithmetic. Feature gaps use the Euclidean norm. A SuiteReport is data;
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +28,16 @@ import numpy as np
 
 from .curvature import CurvatureProfile, EdgeCurvatureReport, curvature_profile, frac_str
 from .graphs import Graph, bfs_distances, corpus as default_corpus
-from .mpnn import LayerSpec, MpnnSpec, Update, alpha_beta, edge_gaps, forward, vertex_norms
+from .mpnn import (
+    LayerSpec,
+    MpnnSpec,
+    Update,
+    WalkRows,
+    alpha_beta,
+    edge_gaps,
+    forward,
+    vertex_norms,
+)
 
 TOLERANCE = 1e-9
 
@@ -70,9 +81,12 @@ class BoundCheck:
         return self.holds is False
 
 
-def _exact(name: str, graph: str, context: str, lhs: Fraction, rhs: Fraction) -> BoundCheck:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return BoundCheck(name, graph, context, lhs, rhs, lhs <= rhs, rhs - lhs, 0.0)
+def _exact(name: str, graph: str, context: str, lhs: Fraction, num: int, den: int) -> BoundCheck:
+    """The exact check lhs <= num / den, den > 0, decided on the integer
+    cross-products; the only Fractions built are the reported rhs and slack."""
+    a, b = lhs.numerator, lhs.denominator
+    rhs, slack = Fraction(num, den), Fraction(num * b - a * den, b * den)
+    return BoundCheck(name, graph, context, lhs, rhs, a * den <= num * b, slack, 0.0)
 
 
 def _approx(name: str, graph: str, context: str, lhs: float, rhs: float) -> BoundCheck:
@@ -142,6 +156,9 @@ def verify_one_layer(
     big_l = layer.update.lipschitz()
     big_m = layer.operator_bound()
     norms = vertex_norms(x0)
+    # the largest norm over each vertex's neighbours; N_u and N_v hold v and
+    # u, so C over the two closed neighbourhoods is the larger at u and v
+    near = [max(map(norms.__getitem__, nbrs), default=0.0) for nbrs in g.adjacency]
     checks = []
     for r, gap in zip(reports, edge_gaps(x1, [r.edge for r in reports])):
         (u, v), kappa = r.edge, r.kappa
@@ -150,8 +167,7 @@ def verify_one_layer(
             reason = f"kappa({u},{v}) = {frac_str(kappa)} is not positive"
             checks.append(_skip(name, graph_name, context, reason))
             continue
-        # N_u and N_v hold v and u: together they are the closed neighbourhoods
-        big_c = max(norms[p] for p in g.adjacency[u] + g.adjacency[v])
+        big_c = max(near[u], near[v])
         rhs = _one_layer_rhs(layer.aggregator, kappa, max(r.deg_u, r.deg_v), big_l, big_c, big_m)
         checks.append(_approx(name, graph_name, context, gap, rhs))
     return checks
@@ -211,7 +227,7 @@ def verify_multilayer(
 
 
 def verify_jacobian_ratio(
-    g: Graph, r: EdgeCurvatureReport, graph_name: str = "graph"
+    g: Graph, r: EdgeCurvatureReport, graph_name: str = "graph", rows: WalkRows | None = None
 ) -> tuple[BoundCheck, BoundCheck]:
     """Check the two-layer Jacobian mass ratios across the edge (u, v) of r.
 
@@ -221,16 +237,18 @@ def verify_jacobian_ratio(
     That is the pairing the derivation supports; the paper's statement,
     with the other endpoint's row sum, is not asserted. The ratios do not
     depend on the linear sum stack (see `mpnn.alpha_beta`), so the context
-    always names the window starting at layer k=0.
+    always names the window starting at layer k=0. rows, a `WalkRows` table
+    of g, is passed on to `alpha_beta`.
     """
     u, v = r.edge
-    ab = alpha_beta(g, u, v)
-    kappa_form = max(r.deg_u, r.deg_v) * (r.kappa + 2) + 4
-    alpha_rhs, beta_rhs = kappa_form / (2 * ab.row_sum_u), kappa_form / (2 * ab.row_sum_v)
-    context = f"edge=({u},{v}) k=0 side="
+    ab = alpha_beta(g, u, v, rows)
+    # n (kappa + 2) + 4 over kappa's denominator: kappa = p/q
+    p, q = r.kappa.numerator, r.kappa.denominator
+    kappa_form = max(r.deg_u, r.deg_v) * (p + 2 * q) + 4 * q
+    name, context = "jacobian_ratio", f"edge=({u},{v}) k=0 side="
     return (
-        _exact("jacobian_ratio", graph_name, context + "alpha", ab.alpha, alpha_rhs),
-        _exact("jacobian_ratio", graph_name, context + "beta", ab.beta, beta_rhs),
+        _exact(name, graph_name, context + "alpha", ab.alpha, kappa_form, 2 * q * ab.row_sum_u),
+        _exact(name, graph_name, context + "beta", ab.beta, kappa_form, 2 * q * ab.row_sum_v),
     )
 
 
@@ -243,16 +261,16 @@ def verify_diameter(g: Graph, profile: CurvatureProfile, graph_name: str = "grap
     diameter = 0
     for s in range(g.vertex_count):
         diameter = max(diameter, max(bfs_distances(g, s)))
-    bound = math.floor(Fraction(2) / delta)
+    bound = 2 * delta.denominator // delta.numerator  # floor(2 / delta), delta > 0
     context = f"delta={frac_str(delta)}"
-    return _exact("diameter", graph_name, context, Fraction(diameter), Fraction(bound))
+    return _exact("diameter", graph_name, context, Fraction(diameter), bound, 1)
 
 
 def verify_shared_neighbor(r: EdgeCurvatureReport, graph_name: str = "graph") -> BoundCheck:
     """Shared-neighbour bound: kappa(u,v) <= |N_u cap N_v| / max(deg u, deg v)."""
-    rhs = Fraction(r.sets.n0, max(r.deg_u, r.deg_v))
+    n = max(r.deg_u, r.deg_v)
     context = f"edge=({r.edge[0]},{r.edge[1]})"
-    return _exact("shared_neighbor", graph_name, context, r.kappa, rhs)
+    return _exact("shared_neighbor", graph_name, context, r.kappa, r.sets.n0, n)
 
 
 def verify_bottleneck(
@@ -267,13 +285,16 @@ def verify_bottleneck(
     """
     n, m = max(r.deg_u, r.deg_v), min(r.deg_u, r.deg_v)
     context = f"edge=({r.edge[0]},{r.edge[1]})"
-    strong_lhs = 3 * r.sets.n0 + 2 * r.sets.n1
-    strong = _exact("bottleneck_strong", graph_name, context, strong_lhs, n * (r.kappa + 2))
+    # n (kappa + 2) = n (p + 2q) / q for kappa = p/q
+    q = r.kappa.denominator
+    bound = n * (r.kappa.numerator + 2 * q)
+    strong_lhs = Fraction(3 * r.sets.n0 + 2 * r.sets.n1)
+    strong = _exact("bottleneck_strong", graph_name, context, strong_lhs, bound, q)
     if r.sets.max_load * m > n:
         reason = "per-vertex participation hypothesis fails"
         return _skip("bottleneck_statement", graph_name, context, reason), strong
-    rhs = n * (r.kappa + 2) / 2
-    return _exact("bottleneck_statement", graph_name, context, r.sets.s_size, rhs), strong
+    statement_lhs = Fraction(r.sets.s_size)
+    return _exact("bottleneck_statement", graph_name, context, statement_lhs, bound, 2 * q), strong
 
 
 # updates drawn for one-layer trials; all certified 1-Lipschitz
@@ -316,22 +337,21 @@ class SuiteReport:
     def violations(self) -> tuple[BoundCheck, ...]:
         return tuple(c for c in self.checks if c.violated)
 
+    @cached_property
+    def _outcomes(self) -> Counter:
+        """How many checks have each (name, holds): the one pass over the
+        checks that every tally of summary() is read from."""
+        return Counter((c.name, c.holds) for c in self.checks)
+
     def summary(self) -> dict:
-        by_name: dict[str, dict[str, int]] = {}
-        for name in CHECK_NAMES:
-            by_name[name] = {"passed": 0, "violated": 0, "skipped": 0}
-        for c in self.checks:
-            row = by_name.setdefault(c.name, {"passed": 0, "violated": 0, "skipped": 0})
-            if c.holds is None:
-                row["skipped"] += 1
-            elif c.holds:
-                row["passed"] += 1
-            else:
-                row["violated"] += 1
+        by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
+        for (name, holds), count in self._outcomes.items():
+            row = by_name.setdefault(name, {"passed": 0, "violated": 0, "skipped": 0})
+            row["skipped" if holds is None else "passed" if holds else "violated"] += count
         return {
             "total": len(self.checks),
-            "violations": len(self.violations),
-            "skipped": sum(1 for c in self.checks if c.skipped),
+            "violations": sum(row["violated"] for row in by_name.values()),
+            "skipped": sum(row["skipped"] for row in by_name.values()),
             "by_name": by_name,
         }
 
@@ -351,13 +371,15 @@ def _suite_checks(
     positive = [[r for r in profile.reports if r.kappa > 0] for profile in profiles]
 
     for gi, ((name, g), profile) in enumerate(zip(entries, profiles)):
+        rows = WalkRows(g)  # filled only by the jacobian_ratio checks
         for r in profile.reports:
             if "shared_neighbor" in want:
                 yield verify_shared_neighbor(r, name)
             if {"bottleneck_statement", "bottleneck_strong"} & want:
                 yield from verify_bottleneck(r, name)
             if "jacobian_ratio" in want:
-                yield from verify_jacobian_ratio(g, r, name)
+                yield from verify_jacobian_ratio(g, r, name, rows)
+        del rows  # the graph's structural checks are done
         if "diameter" in want:
             yield verify_diameter(g, profile, name)
         if "multilayer" in want:

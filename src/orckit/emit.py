@@ -91,11 +91,16 @@ def _json_float(x: float) -> str:
 
 
 def _value_json(x: Fraction | float | None) -> str:
-    """A check's lhs, rhs or slack: null, or its exact "p/q" and float."""
+    """A check's lhs, rhs or slack: null, or its exact "p/q" and float. A
+    Fraction's float is numerator / denominator, the correctly rounded
+    quotient Fraction.__float__ also returns, without its dispatch."""
     if x is None:
         return "null"
-    exact = f'"{frac_str(x)}"' if isinstance(x, Fraction) else "null"
-    return f'{{\n        "exact": {exact},\n        "float": {_json_float(float(x))}\n      }}'
+    if isinstance(x, Fraction):
+        exact, number = f'"{frac_str(x)}"', x.numerator / x.denominator
+    else:
+        exact, number = "null", float(x)
+    return f'{{\n        "exact": {exact},\n        "float": {_json_float(number)}\n      }}'
 
 
 def _check_json(c: BoundCheck) -> str:

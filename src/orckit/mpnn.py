@@ -253,16 +253,22 @@ def forward(g: Graph, x: np.ndarray, spec: MpnnSpec) -> list[np.ndarray]:
 def vertex_norms(x: np.ndarray) -> list[float]:
     """The Euclidean norm |X_p| of every feature row, in vertex order.
 
-    Taken row by row on purpose: np.linalg.norm(x, axis=1) differs from it
-    by an ulp or two on about a tenth of random rows, which would move the
+    Taken row by row as sqrt(row . row), which is what np.linalg.norm
+    computes on a contiguous 1-d row, so the bits are its bits without its
+    per-call overhead. The rows are made contiguous first: a strided row
+    takes another dot kernel, whose sum can differ in the last bit.
+    np.linalg.norm(x, axis=1) sums the squares another way and differs by
+    an ulp or two on about a tenth of random rows, which would move the
     bounds built on C and so the bytes of `orckit verify`.
     """
-    return [float(np.linalg.norm(row)) for row in x]
+    return [math.sqrt(row.dot(row)) for row in np.ascontiguousarray(x)]
 
 
 def edge_gaps(x: np.ndarray, edges: Iterable[tuple[int, int]]) -> tuple[float, ...]:
-    """The Euclidean gap |X_u - X_v| across each (u, v) of edges, in order."""
-    return tuple(float(np.linalg.norm(x[u] - x[v])) for u, v in edges)
+    """The Euclidean gap |X_u - X_v| across each (u, v) of edges, in order,
+    as sqrt(d . d) of the (contiguous) difference d, bit for bit
+    np.linalg.norm(d) (see `vertex_norms`)."""
+    return tuple(math.sqrt(d.dot(d)) for d in (x[u] - x[v] for u, v in edges))
 
 
 # Every step keeps its state and its gap row, so memory, time and report size
@@ -402,18 +408,44 @@ class AlphaBeta:
     row_sum_v: int
 
 
-def alpha_beta(g: Graph, u: int, v: int) -> AlphaBeta:
+class WalkRows(dict):
+    """The rows of (A+I)^2 of one graph g, keyed by vertex u: (row, row sum),
+    the row as `_walk_row(g, 2, u)` gives it, each built on its first lookup.
+
+    Made per graph and dropped with it: a table kept for a whole corpus, or
+    keyed by id(g), would outlive its graphs and grow with the corpus.
+    """
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, u: int) -> tuple[dict[int, int], int]:
+        row = _walk_row(self.g, 2, u)
+        self[u] = entry = (row, sum(row.values()))
+        return entry
+
+
+def alpha_beta(g: Graph, u: int, v: int, rows: WalkRows | None = None) -> AlphaBeta:
     """Jacobian mass ratios across the edge (u, v), two sum layers deep.
 
     For any linear sum stack the (a, b) Jacobian block is ((A+I)^2)_ab times
     one layer product, which cancels out of every ratio, so no spec is
-    needed: alpha and beta read rows u and v of (A+I)^2 from `_walk_row`.
-    Raises ValueError when (u, v) is not an edge of g.
+    needed: alpha and beta read rows u and v of (A+I)^2. They come from
+    rows, a `WalkRows` table of g shared by the calls over g's edges, so
+    each row is built once per graph; without one the call builds its own
+    two rows. Raises ValueError when (u, v) is not an edge of g or rows is
+    the table of another graph.
     """
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    row_u, row_v = _walk_row(g, 2, u), _walk_row(g, 2, v)
-    row_sum_u, row_sum_v = sum(row_u.values()), sum(row_v.values())
+    if rows is None:
+        rows = WalkRows(g)
+    elif rows.g is not g:
+        raise ValueError("rows is the walk-row table of another graph")
+    (row_u, row_sum_u), (row_v, row_sum_v) = rows[u], rows[v]
     # every sender in N~_v lies within two hops of u, so inside row u's ball
     alpha = Fraction(max(row_u[q] for q in (*g.adjacency[v], v) if q != u), row_sum_u)
     beta = Fraction(max(row_v[p] for p in (*g.adjacency[u], u) if p != v), row_sum_v)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from emit_reference import suite_report_obj
 from hypothesis import given, settings, strategies as st
 from kernel_reference import dense_walk_counts
 
-from orckit import diagnostics
+from orckit import diagnostics, mpnn
 from orckit.curvature import curvature_profile, edge_report, ricci_curvature
 from orckit.diagnostics import (
     CHECK_NAMES,
@@ -29,7 +30,7 @@ from orckit.diagnostics import (
 )
 from orckit.emit import _WRITE_BATCH, write_suite
 from orckit.graphs import generate
-from orckit.mpnn import LayerSpec, MpnnSpec, Update, forward, identity_spec
+from orckit.mpnn import LayerSpec, MpnnSpec, Update, WalkRows, alpha_beta, forward, identity_spec
 
 F = Fraction
 
@@ -231,6 +232,83 @@ class TestJacobianRatio:
                         BoundCheck("jacobian_ratio", name, context, lhs, rhs, holds, slack, 0.0)
                     )
         assert list(report.checks) == expected
+
+
+def fraction_formula_checks(g, r, graph_name):
+    """The shared-neighbour, bottleneck and Jacobian-ratio checks of the edge
+    report r, stated in Fraction arithmetic: the reference for the integer
+    cross-products the verify_* functions decide them by."""
+
+    def exact(name, context, lhs, rhs):
+        lhs, rhs = Fraction(lhs), Fraction(rhs)
+        return BoundCheck(name, graph_name, context, lhs, rhs, lhs <= rhs, rhs - lhs, 0.0)
+
+    (u, v), kappa, sets = r.edge, r.kappa, r.sets
+    n, m = max(r.deg_u, r.deg_v), min(r.deg_u, r.deg_v)
+    edge = f"edge=({u},{v})"
+    checks = [exact("shared_neighbor", edge, kappa, Fraction(sets.n0, n))]
+    if sets.max_load * m <= n:
+        checks.append(exact("bottleneck_statement", edge, sets.s_size, n * (kappa + 2) / 2))
+    checks.append(exact("bottleneck_strong", edge, 3 * sets.n0 + 2 * sets.n1, n * (kappa + 2)))
+    ab = alpha_beta(g, u, v)
+    kappa_form = n * (kappa + 2) + 4
+    for side, lhs, row_sum in (("alpha", ab.alpha, ab.row_sum_u), ("beta", ab.beta, ab.row_sum_v)):
+        rhs = kappa_form / (2 * row_sum)
+        checks.append(exact("jacobian_ratio", f"{edge} k=0 side={side}", lhs, rhs))
+    return checks
+
+
+class TestComputedOnce:
+    """The verify path builds each walk row once per graph and decides its
+    exact checks on integers, with the results of the direct formulas."""
+
+    def test_corpus_verify_builds_each_walk_row_once(self, corpus_entries, monkeypatch):
+        built = Counter()
+        walk_row = mpnn._walk_row
+
+        def counted(g, depth, u):
+            built[id(g), u] += 1  # corpus_entries keeps every graph, so no id is reused
+            return walk_row(g, depth, u)
+
+        monkeypatch.setattr(mpnn, "_walk_row", counted)
+        run_suite(corpus=corpus_entries, trials=2, seed=1)
+        assert len(built) == sum(g.vertex_count for _, g in corpus_entries)
+        assert max(built.values()) == 1
+
+    @pytest.mark.parametrize("graphs", ["corpus", "irregular", "dense"])
+    def test_integer_checks_equal_fraction_formulas(self, request, graphs):
+        if graphs == "corpus":
+            entries = request.getfixturevalue("corpus_entries")
+            profiles = request.getfixturevalue("corpus_profiles")
+        elif graphs == "irregular":
+            entries = request.getfixturevalue("irregular_graphs")
+            profiles = request.getfixturevalue("irregular_profiles")
+        else:
+            entries = [("dense", request.getfixturevalue("dense_graph"))]
+            profiles = {"dense": request.getfixturevalue("dense_profile")}
+        for name, g in entries:
+            rows = WalkRows(g)
+            for r in profiles[name].reports:
+                checks = [verify_shared_neighbor(r, name), *verify_bottleneck(r, name)]
+                checks = [c for c in checks if not c.skipped]
+                checks += verify_jacobian_ratio(g, r, name, rows)
+                assert checks == fraction_formula_checks(g, r, name)
+                # equal values could still be floats, which emit would render
+                # without their exact "p/q"
+                values = [x for c in checks for x in (c.lhs, c.rhs, c.slack)]
+                assert all(type(x) is Fraction for x in values)
+
+    def test_alpha_beta_with_and_without_rows_on_two_graphs(self):
+        # the two graphs share vertex ids, so rows filed under the wrong
+        # graph would give wrong ratios
+        graphs = [generate("erdos_renyi", n=15, p=0.3, seed=0), generate("double_star", a=3, b=4)]
+        tables = [WalkRows(g) for g in graphs]
+        for _ in range(2):
+            for g, rows in zip(graphs, tables):
+                for u, v in g.edges:
+                    assert alpha_beta(g, u, v, rows) == alpha_beta(g, u, v)
+        with pytest.raises(ValueError, match="another graph"):
+            alpha_beta(graphs[0], *graphs[0].edges[0], tables[1])
 
 
 def diameter_check(g):
@@ -453,6 +531,25 @@ def suite_reports(draw):
         seed=draw(st.integers(min_value=0)),
         checks=tuple(checks) + (_FILLER,) * padding,
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(suite_reports())
+def test_summary_tallies_each_check_once(report):
+    by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
+    for c in report.checks:
+        row = by_name.setdefault(c.name, {"passed": 0, "violated": 0, "skipped": 0})
+        row["skipped" if c.skipped else "violated" if c.violated else "passed"] += 1
+    expected = {
+        "total": len(report.checks),
+        "violations": len(report.violations),
+        "skipped": sum(c.skipped for c in report.checks),
+        "by_name": by_name,
+    }
+    first = report.summary()
+    assert first == expected
+    first["by_name"].clear()  # a caller's copy, not the report's tallies
+    assert report.summary() == expected
 
 
 class TestWriteJson:

@@ -6,10 +6,12 @@ curvature; emit renders results as text; cli wires them together. A lower
 layer that imports a higher one would let a bound or a rewiring rule leak
 into a measurement, and a second renderer would let the bytes drift.
 Reports carried between profiles live only in a rewiring loop, so a
-one-shot profile keeps nothing once it returns.
+one-shot profile keeps nothing once it returns; walk rows and norms live
+only as long as the graph or trial they were computed for.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,14 @@ def test_curvature_keeps_no_module_level_state():
             assert not any("cache" in ast.unparse(d) for d in node.decorator_list), node.name
             defaults = node.args.defaults + node.args.kw_defaults
             assert all(d is None or isinstance(d, ast.Constant) for d in defaults), node.name
+
+
+@pytest.mark.parametrize("module", ["mpnn", "diagnostics"])
+def test_walks_and_checks_keep_no_module_level_container(module):
+    """A dict, list or set bound at module level is shared by every graph in
+    the process, so a cache kept there outlives the graphs it describes and
+    its memory grows with the corpus."""
+    namespace = vars(importlib.import_module(f"orckit.{module}"))
+    containers = (dict, list, set)
+    held = [k for k, v in namespace.items() if not k.startswith("__") and isinstance(v, containers)]
+    assert held == []

@@ -5,8 +5,9 @@ an edge against the generic one, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
 the reports a memo carries across random edits against fresh ones, every
 structural bound of `run_suite` beyond the fixed corpus, the one-layer gap
-bounds under drawn layer specs and features, and the local
-walk rows and alpha/beta against the dense (A+I)^k product.
+bounds under drawn layer specs and features, the local
+walk rows and alpha/beta against the dense (A+I)^k product, and the
+feature norms and gaps against np.linalg.norm bit for bit.
 
 `derandomize=True` makes hypothesis draw the same examples on every run, so
 these tests are as deterministic as the rest of the suite.
@@ -27,7 +28,7 @@ from kernel_reference import (
 from orckit.curvature import bottleneck_sets, curvature_profile, ricci_curvature
 from orckit.diagnostics import run_suite, verify_bottleneck, verify_one_layer
 from orckit.graphs import GraphInvalid, bfs_distances, from_edges
-from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta
+from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta, edge_gaps, vertex_norms
 from orckit.transport import local_measure, wasserstein1, wasserstein1_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -194,3 +195,30 @@ def test_one_layer_bounds_hold_beyond_the_corpus(g, data):
     checks = verify_one_layer(g, layer, x, reports, "g")
     assert len(checks) == len(reports)
     assert not [c for c in checks if c.violated], [check_obj(c) for c in checks if c.violated]
+
+
+# zeros of both signs, subnormals and magnitudes whose squares stay finite
+_SPECIAL_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1e150, -1e150])
+
+
+@PROPERTY
+@given(st.data())
+def test_norms_and_gaps_are_np_linalg_norm_bit_for_bit(data):
+    """vertex_norms and edge_gaps take sqrt(d . d) themselves; each value
+    must be float(np.linalg.norm(...)) of the same row to the last bit, in
+    either memory layout of x. Entries are standard normal, whose sums of
+    squares round in the last bit, with drawn ones overwritten by special
+    values."""
+    n, channels = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal((n, channels))
+    cell = st.integers(0, n * channels - 1)
+    for i, value in data.draw(st.lists(st.tuples(cell, _SPECIAL_ENTRIES), max_size=n * channels)):
+        x.flat[i] = value
+    if data.draw(st.booleans()):
+        x = np.asfortranarray(x)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(pair, max_size=8))
+    expected = [float(np.linalg.norm(row)).hex() for row in x]
+    assert [norm.hex() for norm in vertex_norms(x)] == expected
+    expected = [float(np.linalg.norm(x[u] - x[v])).hex() for u, v in edges]
+    assert [gap.hex() for gap in edge_gaps(x, edges)] == expected
