@@ -53,7 +53,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
     """One evaluated inequality, normalized to the orientation lhs <= rhs.
 
@@ -126,8 +126,9 @@ def smoothing_metrics(g: Graph, trajectory: Sequence[np.ndarray]) -> SmoothingRe
 def _one_layer_rhs(aggregator: str, kappa: Fraction, n: int, L: float, C: float, M: float) -> float:
     """(1 - kappa) * h(kappa) with the aggregator's explicit h:
     h = 2 L C M n for sum, h = L C M ((n + 1)/(kappa n) + 2n/(n kappa + 1))
-    for mean, which falls to 0 as kappa -> 1."""
-    kf = float(kappa)
+    for mean, which falls to 0 as kappa -> 1. kappa's float is the quotient
+    Fraction.__float__ also returns, without its dispatch."""
+    kf = kappa.numerator / kappa.denominator
     if aggregator == "sum":
         h = 2.0 * L * C * M * n
     else:
@@ -163,7 +164,7 @@ def verify_one_layer(
     for r, gap in zip(reports, edge_gaps(x1, [r.edge for r in reports])):
         (u, v), kappa = r.edge, r.kappa
         context = f"{prefix}edge=({u},{v}) kappa={frac_str(kappa)}"
-        if kappa <= 0:
+        if kappa.numerator <= 0:  # a Fraction's denominator is positive
             reason = f"kappa({u},{v}) = {frac_str(kappa)} is not positive"
             checks.append(_skip(name, graph_name, context, reason))
             continue

@@ -2,7 +2,12 @@
 plus a newline renders it. The two large reports, a curvature profile and a
 suite report, are streamed from fixed per-item templates with those bytes
 (their dict shapes are in `tests/emit_reference.py`), so neither the object
-tree nor the whole string is built. Only `cli` imports this module."""
+tree nor the whole string is built. A suite report repeats few distinct
+values, so each write_suite call renders each distinct one once: the value
+block of each exact Fraction, keyed by (numerator, denominator), and the
+text around a check's values, keyed by (name, reason, holds, tolerance, the
+tolerance's sign). Both caches die with the call. Only `cli` imports this
+module."""
 
 from __future__ import annotations
 
@@ -20,8 +25,6 @@ Write = Callable[[str], object]
 # items rendered per write call: fewer, larger writes are faster than one
 # per item, and a batch stays a few hundred kB
 _WRITE_BATCH = 512
-
-_JSON_CONST = {True: "true", False: "false", None: "null"}
 
 
 def write_obj(obj, write: Write) -> None:
@@ -49,7 +52,7 @@ def write_suite(report: SuiteReport, write: Write) -> None:
         "tolerance": TOLERANCE,
         "summary": report.summary(),
     }
-    _write_list("checks", report.checks, _check_json, rest, write)
+    _write_list("checks", report.checks, _check_renderer(), rest, write)
 
 
 def _write_list(key: str, items: Sequence, render: Callable, rest: dict, write: Write) -> None:
@@ -85,35 +88,58 @@ def _edge_json(r: EdgeCurvatureReport) -> str:
     )
 
 
-def _json_float(x: float) -> str:
-    """json's float rule: repr, and json's own spelling of NaN and +-inf."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+def _value_block(exact: str, number: float) -> str:
+    """A check's lhs, rhs or slack that is not null: its exact "p/q" (or
+    null) and its float, by json's float rule: repr, and json's own spelling
+    of NaN and +-inf."""
+    number_text = float.__repr__(number) if math.isfinite(number) else json.dumps(number)
+    return f'{{\n        "exact": {exact},\n        "float": {number_text}\n      }}'
 
 
-def _value_json(x: Fraction | float | None) -> str:
-    """A check's lhs, rhs or slack: null, or its exact "p/q" and float. A
-    Fraction's float is numerator / denominator, the correctly rounded
-    quotient Fraction.__float__ also returns, without its dispatch."""
-    if x is None:
-        return "null"
-    if isinstance(x, Fraction):
-        exact, number = f'"{frac_str(x)}"', x.numerator / x.denominator
-    else:
-        exact, number = "null", float(x)
-    return f'{{\n        "exact": {exact},\n        "float": {_json_float(number)}\n      }}'
-
-
-def _check_json(c: BoundCheck) -> str:
-    """One element of "checks", as `_edge_json` is one of "edges"."""
+def _check_frame(c: BoundCheck) -> tuple[str, str, str, str]:
+    """The text of one element of "checks" that follows its graph, lhs, rhs
+    and slack: all of it that depends on neither context, graph nor the
+    three values."""
     return (
-        f'    {{\n      "context": {_json_str(c.context)},'
-        f'\n      "graph": {_json_str(c.graph)},'
-        f'\n      "holds": {_JSON_CONST[c.holds]},'
-        f'\n      "lhs": {_value_json(c.lhs)},'
-        f'\n      "name": {_json_str(c.name)},'
-        f'\n      "reason": {_json_str(c.reason)},'
-        f'\n      "rhs": {_value_json(c.rhs)},'
-        f'\n      "skipped": {_JSON_CONST[c.skipped]},'
-        f'\n      "slack": {_value_json(c.slack)},'
-        f'\n      "tolerance": {_json_float(c.tolerance)}\n    }}'
+        f',\n      "holds": {json.dumps(c.holds)},\n      "lhs": ',
+        f',\n      "name": {_json_str(c.name)},\n      "reason": {_json_str(c.reason)},\n      "rhs": ',
+        f',\n      "skipped": {json.dumps(c.skipped)},\n      "slack": ',
+        f',\n      "tolerance": {json.dumps(c.tolerance)}\n    }}',
     )
+
+
+def _check_renderer() -> Callable[[BoundCheck], str]:
+    """A renderer of one element of "checks", as `_edge_json` is one of
+    "edges", with its own caches (see the module docstring). Fractions are
+    keyed by their integers because Fraction.__hash__ is slow; a frame's key
+    holds the tolerance's sign because -0.0 == 0.0. A Fraction's float is
+    numerator / denominator, the correctly rounded quotient
+    Fraction.__float__ also returns, without its dispatch."""
+    blocks: dict[tuple[int, int], str] = {}
+    frames: dict[tuple, tuple[str, str, str, str]] = {}
+
+    def value(x: Fraction | float | None) -> str:
+        if x is None:
+            return "null"
+        if type(x) is float or not isinstance(x, Fraction):
+            return _value_block("null", float(x))
+        key = x.as_integer_ratio()
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _value_block(f'"{frac_str(x)}"', key[0] / key[1])
+        return block
+
+    def render(c: BoundCheck) -> str:
+        tolerance = c.tolerance
+        key = (c.name, c.reason, c.holds, tolerance, math.copysign(1.0, tolerance))
+        frame = frames.get(key)
+        if frame is None:
+            frame = frames[key] = _check_frame(c)
+        holds, name, skipped, end = frame
+        return (
+            f'    {{\n      "context": {_json_str(c.context)},'
+            f'\n      "graph": {_json_str(c.graph)}'
+            f"{holds}{value(c.lhs)}{name}{value(c.rhs)}{skipped}{value(c.slack)}{end}"
+        )
+
+    return render

@@ -510,6 +510,27 @@ _CHECKS = st.builds(
     tolerance=_FLOATS,
     reason=_TEXT,
 )
+# A few values, each drawn many times, so that a report repeats Fractions
+# (as distinct but equal objects), frames and tolerances as the corpus
+# report does; a cached rendering that is keyed too coarsely then shows.
+_POOL_FLOATS = st.sampled_from([0.0, -0.0, 0.25, math.nan, math.inf, -math.inf])
+_POOL_VALUES = st.one_of(
+    st.none(),
+    _POOL_FLOATS,
+    st.sampled_from([(1, 3), (-2, 1), (0, 1), (6, 4)]).map(lambda pq: F(*pq)),
+)
+_POOL_CHECKS = st.builds(
+    BoundCheck,
+    name=st.sampled_from(CHECK_NAMES[:2]),
+    graph=st.sampled_from(["g", "h"]),
+    context=st.sampled_from(["", "edge=(0,1)"]),
+    lhs=_POOL_VALUES,
+    rhs=_POOL_VALUES,
+    holds=st.sampled_from([True, False, None]),
+    slack=_POOL_VALUES,
+    tolerance=st.sampled_from([0.0, -0.0, TOLERANCE, math.nan, math.inf]),
+    reason=st.sampled_from(["", "not positive"]),
+)
 # 0, 1 and many checks, on both sides of every write-batch boundary
 _COUNTS = st.sampled_from(
     [0, 1, 2, _WRITE_BATCH - 1, _WRITE_BATCH, _WRITE_BATCH + 1, 2 * _WRITE_BATCH + 3]
@@ -518,12 +539,12 @@ _FILLER = BoundCheck("shared_neighbor", "g", "edge=(0,1)", F(1, 2), F(2, 3), Tru
 
 
 @st.composite
-def suite_reports(draw):
+def suite_reports(draw, checks=_CHECKS, max_drawn=6):
     """A SuiteReport of a few drawn checks, padded with a fixed one up to a
     drawn count: a failure in a drawn check then shrinks to a small report
     quickly, and one at a batch boundary still shows."""
     count = draw(_COUNTS)
-    checks = draw(st.lists(_CHECKS, max_size=6))
+    checks = draw(st.lists(checks, max_size=max_drawn))
     padding = max(0, count - len(checks))
     return SuiteReport(
         suite=draw(_TEXT),
@@ -561,6 +582,34 @@ class TestWriteJson:
     @given(suite_reports())
     def test_drawn_reports_match_dumps(self, report):
         _assert_writes_as_dumps(report)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.lists(suite_reports(_POOL_CHECKS, max_drawn=40), min_size=1, max_size=3))
+    def test_reports_of_repeated_values_match_dumps(self, reports):
+        # several reports in a row: nothing one call renders may reach the next
+        for report in reports:
+            _assert_writes_as_dumps(report)
+
+    def test_every_cached_rendering_matches_dumps(self):
+        third, other_third = F(1, 3), F(2, 6)
+        assert third == other_third and third is not other_third
+        name, reason = "one_layer_sum", "why"
+        checks = (
+            BoundCheck(name, "g", "a", third, F(1, 2), True, F(1, 6), 0.0, reason),
+            BoundCheck(name, "g", "b", F(1, 4), other_third, True, F(1, 12), 0.0, reason),
+            BoundCheck(name, "g", "c", third, third, True, F(0), -0.0, reason),
+            BoundCheck(name, "h", "d", 0.0, -0.0, False, math.nan, TOLERANCE, reason),
+            BoundCheck(name, "h", "e", math.inf, -math.inf, None, -0.0, TOLERANCE, reason),
+            BoundCheck(name, "h", "f", None, None, None, None, 0.0, reason),
+            BoundCheck(name, "h", "g", -0.0, math.nan, True, math.inf, -0.0, reason),
+        )
+        first = SuiteReport("all", 1, 0, checks)
+        text = suite_text(first)
+        assert '"tolerance": 0.0\n' in text and '"tolerance": -0.0\n' in text
+        assert text.count('"exact": "1/3"') == 4
+        _assert_writes_as_dumps(first)
+        # the same frames and values in a second call, in the other order
+        _assert_writes_as_dumps(SuiteReport("all", 1, 0, checks[::-1]))
 
     def test_corpus_report_matches_dumps(self, corpus_entries):
         report = run_suite(corpus=corpus_entries, trials=200, seed=1)

@@ -7,7 +7,8 @@ layer that imports a higher one would let a bound or a rewiring rule leak
 into a measurement, and a second renderer would let the bytes drift.
 Reports carried between profiles live only in a rewiring loop, so a
 one-shot profile keeps nothing once it returns; walk rows and norms live
-only as long as the graph or trial they were computed for.
+only as long as the graph or trial they were computed for, and emit's render
+caches only as long as the write_suite call that fills them.
 """
 
 import ast
@@ -111,11 +112,12 @@ def test_curvature_keeps_no_module_level_state():
             assert all(d is None or isinstance(d, ast.Constant) for d in defaults), node.name
 
 
-@pytest.mark.parametrize("module", ["mpnn", "diagnostics"])
+@pytest.mark.parametrize("module", ["mpnn", "diagnostics", "emit"])
 def test_walks_and_checks_keep_no_module_level_container(module):
-    """A dict, list or set bound at module level is shared by every graph in
-    the process, so a cache kept there outlives the graphs it describes and
-    its memory grows with the corpus."""
+    """A dict, list or set bound at module level is shared by every graph and
+    every report in the process, so a cache kept there outlives the graphs
+    it describes, its memory grows with the corpus, and a rendering cached
+    for one report could be written into the next."""
     namespace = vars(importlib.import_module(f"orckit.{module}"))
     containers = (dict, list, set)
     held = [k for k, v in namespace.items() if not k.startswith("__") and isinstance(v, containers)]
