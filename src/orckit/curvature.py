@@ -42,7 +42,7 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BottleneckSets:
     """s_size = |S_statement|, the extended-neighborhood connecting-edge set
     from the lemma statement, and max_load the most edges of it meeting one
@@ -57,7 +57,7 @@ class BottleneckSets:
     n1: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeCurvatureReport:
     edge: tuple[int, int]
     kappa: Fraction
@@ -136,12 +136,13 @@ def curvature_profile(g: Graph, memo: dict | None = None) -> CurvatureProfile:
     (u, v) to (N_u, N_v, levels, report), levels being the rows
     `index.levels(q)` for q in N_v, and an edge reuses the stored report
     only when all three inputs are equal; otherwise it is solved and stored
-    afresh. That is exact: the W1 solve reads the rows and, from the index,
-    `near[v]` (the OR of the rows' cost-0 masks) and `full` (fixed by N_u);
-    `bottleneck_sets` reads the same rows, that mask and `pos[v]` (fixed by
-    N_u); the degrees are the lengths of N_u and N_v. Every reuse is checked
-    by equality, so a stale entry, left by a removed edge, an earlier
-    iteration or a rolled-back step, can only miss, never mislead.
+    afresh. That is exact: the W1 solve reads the rows, u's position in N_v
+    (fixed by N_v) and, from the index, `near[v]` (the OR of the rows'
+    cost-0 masks) and `full` (fixed by N_u); `bottleneck_sets` reads the
+    same rows, that mask and `pos[v]` (fixed by N_u); the degrees are the
+    lengths of N_u and N_v. Every reuse is checked by equality, so a stale
+    entry, left by a removed edge, an earlier iteration or a rolled-back
+    step, can only miss, never mislead.
     """
     groups: dict[int, list[int]] = {}
     for k, (a, b) in enumerate(g.edges):

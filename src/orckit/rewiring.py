@@ -13,9 +13,9 @@ report, and only the edges the step touched are solved again.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curvature import CurvatureProfile, bottleneck_sets, curvature_profile
 from .graphs import Graph, GraphInvalid, from_edges
@@ -121,11 +121,18 @@ def kappa_histogram(profile: CurvatureProfile) -> tuple[int, ...]:
 
 
 def _out_of_band(profile: CurvatureProfile, cfg: RewireConfig) -> tuple[list, list]:
-    """(reports below tau_neg, reports above tau_pos), compared exactly: each
-    threshold is converted to a Fraction once, not once per comparison."""
-    tau_neg, tau_pos = Fraction(cfg.tau_neg), Fraction(cfg.tau_pos)
-    below = [r for r in profile.reports if r.kappa < tau_neg]
-    above = [r for r in profile.reports if r.kappa > tau_pos]
+    """(reports below tau_neg, reports above tau_pos), compared exactly in
+    integers: kappa = p/q < a/b, with q, b > 0, exactly when p b < a q, and a
+    float threshold is the ratio a/b of `as_integer_ratio()`."""
+    a, b = cfg.tau_neg.as_integer_ratio()
+    c, d = cfg.tau_pos.as_integer_ratio()
+    below, above = [], []
+    for r in profile.reports:
+        p, q = r.kappa.numerator, r.kappa.denominator
+        if p * b < a * q:
+            below.append(r)
+        elif p * d > c * q:
+            above.append(r)
     return below, above
 
 
@@ -184,8 +191,7 @@ def rewire_step(
 
     work = g
     removed: list[tuple[int, int]] = []
-    too_pos.sort(key=lambda r: (-r.kappa, r.edge))
-    for r in too_pos[: cfg.removals_per_step]:
+    for r in heapq.nsmallest(cfg.removals_per_step, too_pos, key=lambda r: (-r.kappa, r.edge)):
         kept = [e for e in work.edges if e != r.edge]
         try:
             work = from_edges(work.vertex_count, kept)
@@ -195,8 +201,7 @@ def rewire_step(
         removed.append(r.edge)
 
     added: list[tuple[int, int]] = []
-    too_neg.sort(key=lambda r: (r.kappa, r.edge))
-    for r in too_neg[: cfg.additions_per_step]:
+    for r in heapq.nsmallest(cfg.additions_per_step, too_neg, key=lambda r: (r.kappa, r.edge)):
         candidate = _support_candidate(work, *r.edge)
         if candidate is None:
             continue

@@ -12,16 +12,19 @@ floats anywhere.
 on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
 of the columns at each cost. For an edge those are the 0-3 hop-distance
 masks of u's `graphs.NeighborIndex`, read from adjacency alone, and the
-starting dual follows from the edge's structure (`_edge_start`: column
-minima 0 on the common neighbours, 1 elsewhere); for any other pair a
-dense BFS distance matrix goes through `_cost_levels` and the generic
-`_starting_dual`. Every solve ends with one pass over the plan
-(`_plan_cost`) that checks its marginals and sums its cost. The oracle
-takes arbitrary measures, so tests can pose problems of their own.
+starting dual follows from the edge's structure (`_edge_start`: the best
+dual in which only u's row leaves potential 0, each column at its least
+cost over the other rows, capped by u's row); for any other pair a dense
+BFS distance matrix goes through `_cost_levels` and the generic
+`_starting_dual`, every row at 0 and every column at its minimum. Every
+solve ends with one pass over the plan (`_plan_cost`) that checks its
+marginals and sums its cost. The oracle takes arbitrary measures, so tests
+can pose problems of their own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -98,11 +101,12 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
     The integer problem is built directly on the scale T = lcm(deg u, deg v).
     For an edge (u, v) the rows are N_v and the columns N_u (W1 is
     symmetric), each row's cost levels are its hop-distance masks from u's
-    `NeighborIndex`, and the solver starts from `_edge_start`. Every per-row
-    step of the solver scales with the row count, so `curvature_profile`
-    passes u as the endpoint of higher degree, with one index for all of
-    u's edges; a call without one builds `_hub_first`'s. Any other pair
-    takes its distances from BFS and the generic `_starting_dual`.
+    `NeighborIndex`, and the solver starts from `_edge_start`, which also
+    reads u's position in N_v. Every per-row step of the solver scales with
+    the row count, so `curvature_profile` passes u as the endpoint of higher
+    degree, with one index for all of u's edges; a call without one builds
+    `_hub_first`'s. Any other pair takes its distances from BFS and the
+    generic `_starting_dual`.
     """
     if g.has_edge(u, v):
         if index is None:
@@ -110,49 +114,84 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
             index = NeighborIndex(g, u)
         rows, cols = g.adjacency[v], g.adjacency[u]
         levels = list(map(index.levels, rows))
-        col_pot, tight = _edge_start(index, v, levels)
+        start = _edge_start(index, v, levels, bisect_left(rows, u))
     else:
         rows, cols = g.adjacency[u], g.adjacency[v]
         levels = _cost_levels(_support_distances(g, rows, cols))
-        col_pot, tight = _starting_dual(levels)
+        start = _starting_dual(levels)
     m, n = len(rows), len(cols)
     T = lcm(m, n)
     supplies = [T // m] * m
     demands = [T // n] * n
-    flow = _min_cost_flow(supplies, demands, levels, col_pot, tight)
+    flow = _min_cost_flow(supplies, demands, levels, *start)
     return Fraction(_plan_cost(flow, supplies, demands, levels), T)
 
 
-def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]]):
+def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u: int):
     """The starting dual of edge (u, v), from its structure alone: the
-    column minima as {cost: mask} and each row's tight columns, as
-    `_starting_dual(levels)` would find them by scanning every cell.
+    column potentials as {value: mask}, each row's tight columns and the
+    row potentials. It is the best dual in which every row but u's stays at
+    potential 0.
 
-    The rows are N_v and the columns N_u. Row u (a neighbour of v) is at
-    distance 1 from every column, so no column minimum exceeds 1, and a
-    cost-0 cell (q, p) needs p == q, so only the common neighbours N_u & N_v
-    (u's neighbours adjacent to v, `index.near[v]`) have minimum 0. A cell
-    is tight when its cost equals its column's minimum: cost 0, or cost 1
-    off the common columns.
+    The rows are N_v, u's row (position at_u) among them, and the columns
+    N_u. Every other row q is at potential 0, so column j can start at most
+    at its least cost over those rows: 0 on the common neighbours
+    N_u & N_v (`index.near[v]`; a cost-0 cell (q, p) needs p == q), then 1,
+    2 or 3, read from the ORs of their cost-1 and cost-2 masks. Row u costs
+    1 in every column, so with potential h_u it caps every column at
+    1 + h_u. Raising h_u from t - 2 to t - 1 (t in {2, 3}) lifts the k_t
+    columns whose other-row minimum is >= t by one each: the dual objective
+    gains D k_t - S, D = T/n per column and S = T/m per row, which is
+    positive exactly when m k_t > n. k_t falls as t grows, so h_u counts the
+    t that pass. A cell is tight when its reduced cost is zero: on a row q
+    where its cost meets its column's potential, on row u in the columns
+    at the cap. With h_u = 0, as on dense edges, the columns are 0 on
+    the common neighbours and 1 elsewhere, and every row's tight cells are
+    its cost-0 cells and its cost-1 cells off the common columns.
     """
     common = index.near.get(v, 0)
-    rest = index.full ^ common  # never empty: it holds v's own column
-    col_pot = {0: common, 1: rest} if common else {1: rest}
-    tight = [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels]
-    return col_pot, tight
+    others = levels[:at_u] + levels[at_u + 1 :]
+    ones = 0
+    for row in others:
+        ones |= row.get(1, 0)
+    m, n = len(levels), index.full.bit_count()
+    far = index.full & ~(common | ones)  # other-row minimum >= 2
+    if m * far.bit_count() <= n:  # h_u = 0
+        rest = index.full ^ common  # never empty: it holds v's own column
+        col_pot = {0: common, 1: rest} if common else {1: rest}
+        return col_pot, [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels], None
+    twos = 0
+    for row in others:
+        twos |= row.get(2, 0)
+    threes = far & ~twos
+    h_u = 2 if m * threes.bit_count() > n else 1
+    # far splits into 2 and 3 only once row u's cap allows 3
+    groups = (common, ones & ~common) + ((far,) if h_u == 1 else (far & twos, threes))
+    col_pot = {c: mask for c, mask in enumerate(groups) if mask}
+    tight = _tight_masks(levels, col_pot)
+    tight[at_u] = col_pot[1 + h_u]
+    row_pot = [0] * m
+    row_pot[at_u] = h_u
+    return col_pot, tight, row_pot
 
 
 def _starting_dual(levels: list[dict[int, int]]):
     """The generic starting dual: sinks at their column minima, sources at
     0, and per row the mask of its cells whose cost meets the minimum."""
     col_pot = _column_minima(levels)
+    return col_pot, _tight_masks(levels, col_pot)
+
+
+def _tight_masks(levels: list[dict[int, int]], col_pot: dict[int, int]) -> list[int]:
+    """Per row at potential 0, the mask of its cells whose cost equals their
+    column's potential."""
     tight = []
     for row_levels in levels:
         mask = 0
         for c, cells in row_levels.items():
             mask |= cells & col_pot.get(c, 0)
         tight.append(mask)
-    return col_pot, tight
+    return tight
 
 
 def _plan_cost(
@@ -194,14 +233,17 @@ def _min_cost_flow(
     levels: list[dict[int, int]],
     col_pot: dict[int, int],
     tight: list[int],
+    row_pot: list[int] | None = None,
 ) -> list[dict[int, int]]:
     """Min-cost transportation flow for non-negative integer costs.
 
     levels[i] maps each cost of row i to the mask of the columns at that
-    cost; the masks of a row cover every column once. col_pot and tight are
-    the starting dual, as `_starting_dual(levels)` gives it (or
-    `_edge_start` for an edge), and both are updated in place. The flow
-    comes back sparse: flow[i] maps column j to the amount on cell (i, j).
+    cost; the masks of a row cover every column once. col_pot, tight and
+    row_pot are the starting dual, as `_starting_dual(levels)` gives it
+    (row_pot None: every row at 0) or `_edge_start` for an edge; it must be
+    feasible and tight must hold exactly its zero-reduced-cost cells. All
+    three are updated in place. The flow comes back sparse: flow[i] maps
+    column j to the amount on cell (i, j).
 
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
     arc j -> i carries flow[i][j] back at cost -c_ij. Potentials (row_pot per
@@ -213,18 +255,26 @@ def _min_cost_flow(
     source with supply left either reaches a sink with demand left, and that
     path is augmented, or fails; then the Hungarian dual step (Kuhn 1955,
     `_raise_potentials`) makes a new arc tight and the search runs again.
+    Arcs without a search (a supplied row's tight cell into an open column)
+    are taken first, by every row at the start and after a dual step only
+    by the rows it gave new tight cells: after a failed search no supplied
+    row has a tight cell into an open column, and a dual step only adds
+    tight cells to the rows that search reached.
 
     At most C dual steps run, C = max c_ij, so at most C + 1 phases, four
     for an edge's 0-3 distances:
-    - Sources start at potential 0 and each sink at its column minimum, so
-      no reduced cost starts negative.
+    - The start is feasible: no reduced cost starts negative, and every
+      sink starts at potential >= 0.
     - A source with supply left is a root of every search, so it is always
-      reached and its potential never moves from 0.
+      reached and its potential h_i never moves from its start.
     - A sink with demand left is never reached by a failed search, and
       demand only falls, so every dual step so far raised such a sink's
       potential by delta >= 1 (reduced costs are integers).
-    - That potential starts >= 0 and stays <= c_ij + 0 <= C for any source
-      i with supply left, so there is room for at most C steps.
+    - That potential stays <= c_ij + h_i for any source i with supply left,
+      and c_ij + h_i <= C: the generic start has every h_i = 0, and
+      `_edge_start` lifts only row u, whose cost is 1 everywhere, and to h_u
+      only if some column costs >= 1 + h_u in every other row. So there is
+      room for at most C steps.
     """
     m, n = len(supplies), len(demands)
     left = sum(supplies)
@@ -238,15 +288,17 @@ def _min_cost_flow(
     # rows with supply left, columns with demand left
     supplied = sum(1 << i for i in range(m) if supply[i])
     open_cols = sum(1 << j for j in range(n) if demand[j])
-    row_pot = [0] * m
+    if row_pot is None:
+        row_pot = [0] * m
     carriers = [0] * n
     phases = max(map(max, levels)) + 1  # the bound argued above
+    scan = supplied
     while True:
         # one-arc paths need no search; they appear only where tight grows.
         # Rows with the fewest open tight columns go first, so fewer of them
         # find those columns already full and need a search.
         order = []
-        rows = supplied
+        rows = supplied & scan
         while rows:
             low = rows & -rows
             rows ^= low
@@ -338,7 +390,7 @@ def _min_cost_flow(
         phases -= 1
         if phases == 0:
             raise RuntimeError("min-cost flow ran past its phase bound")
-        _raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
+        scan =_raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
 
 
 def _column_minima(levels: list[dict[int, int]]) -> dict[int, int]:
@@ -357,8 +409,9 @@ def _column_minima(levels: list[dict[int, int]]) -> dict[int, int]:
     return groups
 
 
-def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
-    """The dual step after a failed search, in place.
+def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
+    """The dual step after a failed search, in place; returns the mask of
+    the rows that gained tight cells.
 
     reached masks the rows the search reached and out the columns it did
     not. delta is the least reduced cost from a reached row to an out
@@ -391,8 +444,10 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
                             best = [(i, cells)]
                         elif slack == delta:
                             best.append((i, cells))
+    grown = 0
     for i, cells in best:
         tight[i] |= cells
+        grown |= 1 << i
     rows = ((1 << len(row_pot)) - 1) & ~reached
     while rows:
         low = rows & -rows
@@ -407,6 +462,7 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
                 raised[pot] = raised.get(pot, 0) | part
     col_pot.clear()
     col_pot.update(raised)
+    return grown
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Independent references the tests hold the fast kernels to: decoded cost
 levels against BFS distances, an edge's structural starting dual against
-the generic one found by scanning every cell, the edge set S_statement and
-the frozenset formulation of `curvature.bottleneck_sets` that the mask
-counts replaced, the dense (A+I)^k product that the local walk rows of
-`mpnn` replaced, and the count of edge problems a graph edit changes, from
-dense BFS cost matrices."""
+its BFS cost matrix and the generic start found by scanning every cell,
+the transportation dual's objective and feasibility, the edge set
+S_statement and the frozenset formulation of `curvature.bottleneck_sets`
+that the mask counts replaced, the dense (A+I)^k product that the local
+walk rows of `mpnn` replaced, and the count of edge problems a graph edit
+changes, from dense BFS cost matrices."""
 
 from bisect import bisect_left
+from math import lcm
+from operator import mul
 
 from orckit.curvature import BottleneckSets
 from orckit.graphs import NeighborIndex, bfs_distances
@@ -36,12 +39,45 @@ def edge_levels_match_bfs(g, u, v):
     return decoded(levels, len(cols)) == _support_distances(g, rows, cols)
 
 
-def edge_start_matches_generic(g, u, v):
-    """The starting dual of edge (u, v) read from its structure equals the
-    column minima and tight masks that `_starting_dual` scans for."""
+def all_distances(g):
+    """dist[a][b], the BFS hop distance between every pair of vertices."""
+    return [bfs_distances(g, s) for s in range(g.vertex_count)]
+
+
+def dual_value(supplies, demands, row_pot, col_values):
+    """The transportation dual objective sum d_j g_j - sum s_i h_i."""
+    return sum(map(mul, demands, col_values)) - sum(map(mul, supplies, row_pot))
+
+
+def dual_feasible(cost, row_pot, col_values):
+    """Every reduced cost c_ij + h_i - g_j is non-negative."""
+    return all(c + h >= gj for row, h in zip(cost, row_pot) for c, gj in zip(row, col_values))
+
+
+def edge_start_holds(g, u, v, dist):
+    """The starting dual that edge (u, v) reads from its structure (rows
+    N_v, columns N_u), held to the dense BFS cost matrix of those supports,
+    dist being `all_distances(g)`: it is dual-feasible on every cell, its
+    tight masks are exactly the cells of zero reduced cost, and its dual
+    value is at least that of `_starting_dual`, whose columns sit at their
+    minima and whose rows all sit at 0."""
     index = NeighborIndex(g, u)
-    levels = [index.levels(q) for q in g.adjacency[v]]
-    return _edge_start(index, v, levels) == _starting_dual(levels)
+    rows, cols = g.adjacency[v], g.adjacency[u]
+    m, n = len(rows), len(cols)
+    levels = [index.levels(q) for q in rows]
+    cost = [[dist[q][p] for p in cols] for q in rows]
+    col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
+    row_pot = row_pot or [0] * m
+    col_values = decoded([col_pot], n)[0]
+    zero = [sum(1 << j for j in range(n) if cost[i][j] + row_pot[i] == col_values[j]) for i in range(m)]
+    T = lcm(m, n)
+    supplies, demands = [T // m] * m, [T // n] * n
+    generic = decoded([_starting_dual(levels)[0]], n)[0]
+    return (
+        dual_feasible(cost, row_pot, col_values)
+        and tight == zero
+        and dual_value(supplies, demands, row_pot, col_values) >= dual_value(supplies, demands, [0] * m, generic)
+    )
 
 
 def _max_bipartite_matching(left, adj):
@@ -118,7 +154,7 @@ def _edge_problems(g):
     """{(u, v): (N_u, N_v, cost matrix)} per edge, u the endpoint of higher
     degree (the smaller id on a tie); the matrix holds the BFS distance from
     each row q in N_v to each column p in N_u, both in adjacency order."""
-    dist = [bfs_distances(g, s) for s in range(g.vertex_count)]
+    dist = all_distances(g)
     out = {}
     for a, b in g.edges:
         da, db = g.degree(a), g.degree(b)

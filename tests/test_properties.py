@@ -1,7 +1,7 @@
 """Property-based checks on random connected graphs of at most 12 vertices:
 `wasserstein1` against the simplex oracle on edges and on non-adjacent
 pairs, the edge cost levels against BFS, the structural starting dual of
-an edge against the generic one, the bitmask bottleneck sets
+an edge against its BFS cost matrix, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
 the reports a memo carries across random edits against fresh ones, every
 structural bound of `run_suite` beyond the fixed corpus, the one-layer gap
@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from kernel_reference import (
     bottleneck_sets_from_sets,
     dense_walk_counts,
+    all_distances,
     edge_levels_match_bfs,
-    edge_start_matches_generic,
+    edge_start_holds,
     participation_hypothesis_holds,
     statement_edges,
 )
@@ -75,11 +76,12 @@ def test_edge_kernel_matches_bfs_path_and_oracle(g, data):
 @given(connected_graphs())
 def test_closed_form_distances_match_bfs(g):
     # and the starting dual read from the same structure
+    dist = all_distances(g)
     for u, v in g.edges:
         assert edge_levels_match_bfs(g, u, v)
         assert edge_levels_match_bfs(g, v, u)
-        assert edge_start_matches_generic(g, u, v)
-        assert edge_start_matches_generic(g, v, u)
+        assert edge_start_holds(g, u, v, dist)
+        assert edge_start_holds(g, v, u, dist)
 
 
 @PROPERTY

@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 from kernel_reference import changed_edge_problems, participation, statement_edges
 
-from orckit import curvature
+from orckit import curvature, rewiring
 from orckit.curvature import curvature_profile
-from orckit.graphs import generate
+from orckit.graphs import from_edges, generate
 from orckit.rewiring import (
     HISTOGRAM_BINS,
     NoActionPossible,
     RewireConfig,
     RewireTrace,
+    _out_of_band,
     _support_candidate,
     kappa_histogram,
     out_of_band_count,
@@ -98,12 +100,14 @@ def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_p
         assert kappa_histogram(profile) == tuple(expected)
         for tau_neg, tau_pos in BAND_THRESHOLDS:
             cfg = RewireConfig(tau_neg=tau_neg, tau_pos=tau_pos)
-            below = sum(1 for r in profile.reports if r.kappa < tau_neg)
-            above = sum(1 for r in profile.reports if r.kappa > tau_pos)
-            assert out_of_band_count(profile, cfg) == below + above
-            if below + above:
+            below = [r for r in profile.reports if r.kappa < tau_neg]
+            above = [r for r in profile.reports if r.kappa > tau_pos]
+            assert _out_of_band(profile, cfg) == (below, above)
+            count = len(below) + len(above)
+            assert out_of_band_count(profile, cfg) == count
+            if count:
                 _, step = rewire_step(g, profile, cfg)
-                assert step.out_of_band_before == below + above
+                assert step.out_of_band_before == count
 
 
 def support_candidate_from_statement_edges(g, u, v):
@@ -161,6 +165,22 @@ class TestRewireStep:
         assert step.removed == ((0, 1),)
         assert step.added == ()
         assert len(new_g.edges) == 2
+
+    def test_picks_follow_the_sorted_order_on_tied_kappas(self, monkeypatch):
+        # K5 (kappas 3/5 and 3/4) with two trees hung off it (-14/15, -2/3, 0)
+        tails = [(0, 5), (5, 6), (5, 7), (6, 8), (6, 9), (7, 10), (7, 11), (1, 12), (12, 13), (12, 14)]
+        g = from_edges(15, [*itertools.combinations(range(5), 2), *tails])
+        profile = curvature_profile(g)
+        below = sorted((r for r in profile.reports if r.kappa < -0.5), key=lambda r: (r.kappa, r.edge))
+        above = sorted((r for r in profile.reports if r.kappa > 0.5), key=lambda r: (-r.kappa, r.edge))
+        # each budget ends inside a run of equal kappas
+        assert below[2].kappa == below[3].kappa and above[3].kappa == above[4].kappa
+        picked = []
+        monkeypatch.setattr(rewiring, "_support_candidate", lambda work, u, v: picked.append((u, v)))
+        cfg = RewireConfig(tau_neg=-0.5, tau_pos=0.5, additions_per_step=3, removals_per_step=4)
+        _, step = rewire_step(g, profile, cfg)
+        assert step.removed == tuple(r.edge for r in above[:4])
+        assert picked == [r.edge for r in below[:3]]
 
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)

@@ -3,14 +3,23 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from kernel_reference import decoded, edge_levels_match_bfs, edge_start_matches_generic
+from kernel_reference import (
+    all_distances,
+    decoded,
+    dual_feasible,
+    dual_value,
+    edge_levels_match_bfs,
+    edge_start_holds,
+)
 
 from orckit import transport
-from orckit.graphs import NeighborIndex, bfs_distances, generate
+from orckit.curvature import curvature_profile
+from orckit.graphs import NeighborIndex, _hub_first, bfs_distances, generate
 from orckit.transport import (
     LocalMeasure,
     TooLarge,
     _cost_levels,
+    _edge_start,
     _starting_dual,
     local_measure,
     wasserstein1,
@@ -119,12 +128,13 @@ class TestWasserstein:
                 assert edge_levels_match_bfs(g, u, v)
                 assert edge_levels_match_bfs(g, v, u)
 
-    def test_structural_start_matches_generic(self, corpus_entries, irregular_graphs):
+    def test_structural_start_against_bfs_costs(self, corpus_entries, irregular_graphs):
         graphs = [g for _, g in corpus_entries] + [g for _, g in irregular_graphs]
         for g in graphs:
+            dist = all_distances(g)
             for u, v in g.edges:
-                assert edge_start_matches_generic(g, u, v)
-                assert edge_start_matches_generic(g, v, u)
+                assert edge_start_holds(g, u, v, dist)
+                assert edge_start_holds(g, v, u, dist)
 
     def test_dense_costs_round_trip_through_levels(self):
         cost = [[0, 3, 3, 1], [2, 2, 0, 7], [5, 5, 5, 5]]
@@ -174,36 +184,67 @@ def skipping_problem(rng):
     return supplies, demands, [[3 * c for c in row] for row in cost]
 
 
+def edge_problems(g):
+    """((supplies, demands, cost), start) for every edge of g as
+    `wasserstein1` poses it: hub-first, rows N_v, columns N_u, and the
+    structural start (its levels, column potentials, tight masks and row
+    potentials) from u's index."""
+    for a, b in g.edges:
+        u, v = _hub_first(g, a, b)
+        index = NeighborIndex(g, u)
+        rows = g.adjacency[v]
+        m, n = len(rows), len(g.adjacency[u])
+        levels = [index.levels(q) for q in rows]
+        col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
+        T = lcm(m, n)
+        start = (levels, col_pot, tight, row_pot or [0] * m)
+        yield ([T // m] * m, [T // n] * n, decoded(levels, n)), start
+
+
+@pytest.fixture
+def phases(monkeypatch):
+    """Counts the solver's dual steps."""
+    calls = [0]
+    original = transport._raise_potentials
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(transport, "_raise_potentials", counted)
+    return calls
+
+
 class TestMinCostFlow:
     """The solver on its mask input, each problem posed as a dense matrix
-    and converted by `_cost_levels`."""
+    and converted by `_cost_levels`, or as an edge's levels with its
+    structural start."""
 
-    @pytest.fixture
-    def phases(self, monkeypatch):
-        """Counts the solver's dual steps."""
-        calls = [0]
-        original = transport._raise_potentials
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(transport, "_raise_potentials", counted)
-        return calls
-
-    def check(self, supplies, demands, cost, phases):
+    def check(self, supplies, demands, cost, phases, start=None):
+        """Solve from start, `_starting_dual`'s when None, and certify the
+        plan: its marginals and cost, and the final potentials as a dual
+        that is feasible on every cell and worth exactly the plan's cost.
+        Problems without a start are also held to the simplex."""
         phases[0] = 0
-        levels = _cost_levels(cost)
-        flow = transport._min_cost_flow(supplies, demands, levels, *_starting_dual(levels))
+        generic = start is None
+        if generic:
+            levels = _cost_levels(cost)
+            start = (levels, *_starting_dual(levels), [0] * len(supplies))
+        levels, col_pot, tight, row_pot = start
+        flow = transport._min_cost_flow(supplies, demands, levels, col_pot, tight, row_pot)
         plan_cost = transport._plan_cost(flow, supplies, demands, levels)
         assert [sum(row.values()) for row in flow] == supplies
         assert [sum(row.get(j, 0) for row in flow) for j in range(len(demands))] == demands
         assert all(f >= 0 for row in flow for f in row.values())
         total = sum(f * cost[i][j] for i, row in enumerate(flow) for j, f in row.items())
         assert total == plan_cost
-        assert total == transport._transportation_simplex(supplies, demands, cost)
+        col_values = decoded([col_pot], len(demands))[0]
+        assert dual_feasible(cost, row_pot, col_values)
+        assert dual_value(supplies, demands, row_pot, col_values) == plan_cost
         # the docstring's bound: at most max cost + 1 phases
         assert phases[0] <= max(map(max, cost)) + 1
+        if generic:
+            assert total == transport._transportation_simplex(supplies, demands, cost)
 
     @pytest.mark.parametrize("max_cost", [3, 10])
     def test_matches_simplex_on_random_problems(self, max_cost, phases):
@@ -231,6 +272,13 @@ class TestMinCostFlow:
         self.check([3, 3], [2, 2, 2], [[0] * 3] * 2, phases)
         self.check([1, 1, 1], [1, 1, 1], [[3, 3, 3]] * 3, phases)
 
+    def test_certifies_edge_problems_from_their_structural_start(self, corpus_entries, phases):
+        graphs = [g for _, g in corpus_entries]
+        graphs += [generate("erdos_renyi", n=60, p=p, seed=0) for p in (0.08, 0.2, 0.5)]
+        for g in graphs:
+            for problem, start in edge_problems(g):
+                self.check(*problem, phases, start)
+
     def test_unbalanced_problem_is_rejected(self):
         levels = _cost_levels([[1], [1]])
         with pytest.raises(RuntimeError, match="unbalanced"):
@@ -250,6 +298,22 @@ class TestMinCostFlow:
     def test_marginal_check_rejects_bad_plans(self, flow):
         with pytest.raises(RuntimeError, match="marginals"):
             transport._plan_cost(flow, [2, 3], [3, 2], _cost_levels([[1, 2], [0, 3]]))
+
+
+class TestDualSteps:
+    """A guard on the structural start: the dual steps a whole profile
+    takes, at most half what the start with every row at potential 0 took
+    (482, 1,350 and 3,634 on the ER sweep; 1,771 on the corpus)."""
+
+    @pytest.mark.parametrize("n, p, most", [(100, 0.08, 237), (200, 0.05, 666), (400, 0.03, 1767)])
+    def test_er_sweep(self, n, p, most, phases):
+        curvature_profile(generate("erdos_renyi", n=n, p=p, seed=0))
+        assert phases[0] <= most
+
+    def test_corpus(self, corpus_entries, phases):
+        for _, g in corpus_entries:
+            curvature_profile(g)
+        assert phases[0] <= 1325
 
 
 class TestOracle:
