@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 a checked inequality was violated, 2 usage or
 input error. stdout carries data (when --out is absent); diagnostics go
-to stderr. Every command writes its data through `_output` as `emit`
-renders it: key-sorted JSON with a fixed layout, so repeated runs with the
-same inputs are byte-identical. Input errors come before the output opens,
-so they leave no --out file. --threads is accepted and reported on stderr
-only; it changes neither the work nor the output.
+to stderr. This module only wires: each command hands its result to
+`emit`, which renders every report, graph file and layer CSV, so repeated
+runs with the same inputs are byte-identical. Input errors come before the
+output opens, so they leave no --out file. --threads is accepted and
+reported on stderr only; it changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import emit
 from .curvature import curvature_profile
 from .diagnostics import MAX_TRIALS, run_suite, smoothing_metrics
-from .emit import write_obj, write_profile, write_suite
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
     MAX_DEMO_ITERATIONS,
@@ -60,14 +60,6 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_graph_json(text) if _is_json(path, fmt) else parse_edge_list(text)
 
 
-def _write_graph(g: Graph, out: str | None, fmt: str) -> None:
-    with _output(out) as write:
-        if _is_json(out, fmt):
-            write_obj(_echo_vertex_ids(g.to_json_obj(), g), write)
-        else:
-            write(g.to_edge_list_text())
-
-
 def _resolve_threads(requested: int) -> int:
     if requested < 0:
         raise ValueError("--threads must be >= 0")
@@ -81,7 +73,8 @@ def _cmd_generate(args) -> int:
         if value is not None:
             params[key] = value
     g = generate(args.family, **params)
-    _write_graph(g, args.out, args.format)
+    with _output(args.out) as write:
+        emit.write_graph(g, _is_json(args.out, args.format), write)
     return 0
 
 
@@ -91,7 +84,7 @@ def _cmd_curvature(args) -> int:
     profile = curvature_profile(g)
     print(f"threads used: {threads}", file=sys.stderr)
     with _output(args.out) as write:
-        write_profile(profile, _echo_vertex_ids({}, g), write)
+        emit.write_profile(profile, g, write)
     return 0
 
 
@@ -105,7 +98,7 @@ def _cmd_verify(args) -> int:
     )
     print(f"threads used: {threads}", file=sys.stderr)
     with _output(args.out) as write:
-        write_suite(report, write)
+        emit.write_suite(report, write)
     violations = report.summary()["violations"]
     if violations:
         print(f"{violations} bound violation(s)", file=sys.stderr)
@@ -113,43 +106,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _write_layers(trajectory, out_dir: str) -> None:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    for k, xk in enumerate(trajectory):
-        np.savetxt(directory / f"layer_{k:02d}.csv", xk, delimiter=",")
-
-
-def _echo_vertex_ids(obj: dict, g: Graph) -> dict:
-    if g.id_map is not None:
-        # input used sparse labels; vertex i in this report was label id_map[i]
-        obj["vertex_ids"] = list(g.id_map)
-    return obj
-
-
-def _simulate_report(g: Graph, trajectory, demo: bool) -> dict:
-    smoothing = smoothing_metrics(g, trajectory)
-    series = [[k, e] for k, e in enumerate(smoothing.dirichlet)]
-    monotone = all(
-        smoothing.dirichlet[k + 1] <= smoothing.dirichlet[k]
-        for k in range(len(smoothing.dirichlet) - 1)
-    )
-    report = {
-        "graph": g.to_json_obj(),
-        "layer_states": len(trajectory),
-        "demo": demo,
-        "monotone": monotone,
-        "series": series,
-        "smoothing": smoothing.to_json_obj(g),
-    }
-    return _echo_vertex_ids(report, g)
-
-
 def _cmd_simulate(args) -> int:
     if args.demo_smoothing:
         g, x = demo_instance()
         trajectory = smoothing_demo(g, x, args.demo_iterations)
-        report = _simulate_report(g, trajectory, demo=True)
     else:
         if args.graph is None or args.features is None or args.spec is None:
             raise ValueError("simulate needs a graph, --features, and --spec (or --demo-smoothing)")
@@ -157,12 +117,12 @@ def _cmd_simulate(args) -> int:
         x = np.loadtxt(args.features, delimiter=",", ndmin=2)
         spec = parse_spec(Path(args.spec).read_text())
         trajectory = forward(g, x, spec)
-        report = _simulate_report(g, trajectory, demo=False)
+    smoothing = smoothing_metrics(g, trajectory)
     if args.layers_out:
-        _write_layers(trajectory, args.layers_out)
+        emit.write_layers(trajectory, args.layers_out)
     with _output(args.out) as write:
-        write_obj(report, write)
-    if args.demo_smoothing and not report["monotone"]:
+        emit.write_obj(emit.simulate_obj(g, smoothing, args.demo_smoothing), write)
+    if args.demo_smoothing and not smoothing.monotone:
         print("demo energy series is not monotone", file=sys.stderr)
         return 1
     return 0
@@ -178,17 +138,17 @@ def _cmd_rewire(args) -> int:
         removals_per_step=args.removals,
     )
     rewired, trace = rewire_loop(g, cfg)
+    # the input's labels, if sparse, so every output maps back to the input
+    rewired = replace(rewired, id_map=g.id_map)
     if args.out_graph:
-        # the input's labels, if sparse, so the file reads back to this graph
-        labelled = replace(rewired, id_map=g.id_map)
-        _write_graph(labelled, args.out_graph, "auto")
+        with _output(args.out_graph) as write:
+            emit.write_graph(rewired, _is_json(args.out_graph, "auto"), write)
     if args.out_trace:
         with _output(args.out_trace) as write:
-            write_obj(_echo_vertex_ids(trace.to_json_obj(), g), write)
+            emit.write_trace(trace, rewired, write)
     if not (args.out_graph or args.out_trace):
-        combined = {"graph": rewired.to_json_obj(), "trace": trace.to_json_obj()}
         with _output(None) as write:
-            write_obj(_echo_vertex_ids(combined, g), write)
+            emit.write_rewire(rewired, trace, write)
     return 0
 
 

@@ -1,24 +1,31 @@
-"""Every byte the CLI writes, as json.dumps(obj, sort_keys=True, indent=2)
-plus a newline renders it. The two large reports, a curvature profile and a
-suite report, are streamed from fixed per-item templates with those bytes
-(their dict shapes are in `tests/emit_reference.py`), so neither the object
-tree nor the whole string is built. A suite report repeats few distinct
-values, so each write_suite call renders each distinct one once: the value
-block of each exact Fraction, keyed by (numerator, denominator), and the
-text around a check's values, keyed by (name, reason, holds, tolerance, the
-tolerance's sign). Both caches die with the call. Only `cli` imports this
-module."""
+"""Every byte the CLI writes: each report, graph file and layer CSV. A JSON
+report is json.dumps(obj, sort_keys=True, indent=2) plus a newline, and
+echoes a sparse-labelled input's labels as "vertex_ids". The two large
+reports, a curvature profile and a suite report, are streamed from fixed
+per-item templates with those bytes (their dict shapes are in
+`tests/emit_reference.py`), so neither the object tree nor the whole string
+is built. A suite report repeats few distinct values, so each write_suite
+call renders each distinct one once: the value block of each exact
+Fraction, keyed by (numerator, denominator), and the text around a check's
+values, keyed by (name, reason, holds, tolerance, the tolerance's sign).
+Both caches die with the call. Only `cli` imports this module."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .curvature import CurvatureProfile, EdgeCurvatureReport, frac_str
-from .diagnostics import TOLERANCE, BoundCheck, SuiteReport
+from .diagnostics import TOLERANCE, BoundCheck, SmoothingReport, SuiteReport
+from .graphs import Graph
+from .rewiring import HISTOGRAM_BINS, RewireTrace
 
 Write = Callable[[str], object]
 
@@ -32,14 +39,14 @@ def write_obj(obj, write: Write) -> None:
     write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_profile(profile: CurvatureProfile, tail: dict, write: Write) -> None:
-    """Write profile's edges and summary, rationals as "p/q" strings with
-    advisory floats, plus tail's keys (the CLI's vertex_ids)."""
+def write_profile(profile: CurvatureProfile, g: Graph, write: Write) -> None:
+    """Write the profile of g: its edges and summary, rationals as "p/q"
+    strings with advisory floats."""
     s = profile.summary()
     summary = {key: s[key] for key in ("edge_count", "negative_count", "positive_count")}
     for key in ("kappa_min", "kappa_max", "kappa_mean"):
         summary[key], summary[f"{key}_float"] = frac_str(s[key]), float(s[key])
-    _write_list("edges", profile.reports, _edge_json, {"summary": summary, **tail}, write)
+    _write_list("edges", profile.reports, _edge_json, _labelled({"summary": summary}, g), write)
 
 
 def write_suite(report: SuiteReport, write: Write) -> None:
@@ -53,6 +60,56 @@ def write_suite(report: SuiteReport, write: Write) -> None:
         "summary": report.summary(),
     }
     _write_list("checks", report.checks, _check_renderer(), rest, write)
+
+
+def write_graph(g: Graph, as_json: bool, write: Write) -> None:
+    """Write g as a JSON graph or an edge list; either reads back to g."""
+    if as_json:
+        write_obj(_labelled(g.to_json_obj(), g), write)
+    else:
+        write(g.to_edge_list_text())
+
+
+def write_layers(trajectory: Sequence[np.ndarray], directory: str) -> None:
+    """Write layer state k as directory/layer_{k:02d}.csv, one row per vertex."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for k, xk in enumerate(trajectory):
+        np.savetxt(Path(directory, f"layer_{k:02d}.csv"), xk, delimiter=",")
+
+
+def trace_obj(trace: RewireTrace) -> dict:
+    """The trace's fields, plus "histogram_bins" and two config keys with
+    fixed values: "seed" is 0 because rewiring draws no random numbers, and
+    "preserve_connectivity" is true because the Graph type always enforces
+    connectivity, so a removal that would disconnect the graph is skipped."""
+    obj = dataclasses.asdict(trace)
+    obj["config"].update(seed=0, preserve_connectivity=True)
+    return {**obj, "histogram_bins": HISTOGRAM_BINS}
+
+
+def write_trace(trace: RewireTrace, rewired: Graph, write: Write) -> None:
+    write_obj(_labelled(trace_obj(trace), rewired), write)
+
+
+def write_rewire(rewired: Graph, trace: RewireTrace, write: Write) -> None:
+    write_obj(_labelled({"graph": rewired.to_json_obj(), "trace": trace_obj(trace)}, rewired), write)
+
+
+def simulate_obj(g: Graph, smoothing: SmoothingReport, demo: bool) -> dict:
+    """g, the smoothing report of its layer states and their energy series."""
+    obj = {"graph": g.to_json_obj(), "demo": demo, "monotone": smoothing.monotone}
+    obj["layer_states"] = len(smoothing.dirichlet)
+    obj["series"] = list(enumerate(smoothing.dirichlet))
+    obj["smoothing"] = {"norm": "euclidean", "edges": g.edges, **dataclasses.asdict(smoothing)}
+    return _labelled(obj, g)
+
+
+def _labelled(obj: dict, g: Graph) -> dict:
+    """obj, plus "vertex_ids" when g's input used sparse labels: vertex i of
+    the report was label id_map[i]."""
+    if g.id_map is not None:
+        obj["vertex_ids"] = list(g.id_map)
+    return obj
 
 
 def _write_list(key: str, items: Sequence, render: Callable, rest: dict, write: Write) -> None:

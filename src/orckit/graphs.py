@@ -158,7 +158,7 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('graph JSON must be an object with "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError('"n" must be a non-negative integer')
     edges = obj["edges"]
     if not isinstance(edges, list):

@@ -7,7 +7,8 @@ vertex. The loop profiles every graph it makes and rolls back any step
 that increases the number of out-of-band edges, so the out-of-band count
 is non-increasing across accepted steps. Its profiles share one per-edge
 memo: an edge whose local W1 problem a step left as it was keeps its
-report, and only the edges the step touched are solved again.
+report, and only the edges the step touched are solved again. The
+returned RewireTrace is data; `emit.trace_obj` renders it as JSON.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ class NoActionPossible(Exception):
 
 @dataclass(frozen=True)
 class RewireConfig:
-    """Rewiring thresholds and per-step budgets.
-
-    The trace's config keeps two keys with fixed values: "seed" is 0 because
-    rewiring draws no random numbers, and "preserve_connectivity" is true
-    because the Graph type always enforces connectivity, so a removal that
-    would disconnect the graph is skipped.
-    """
+    """Rewiring thresholds and per-step budgets."""
 
     tau_neg: float = -0.5
     tau_pos: float = 0.99
@@ -53,17 +48,6 @@ class RewireConfig:
         if self.additions_per_step < 1 or self.removals_per_step < 1:
             raise ValueError("per-step budgets must be positive")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "tau_neg": self.tau_neg,
-            "tau_pos": self.tau_pos,
-            "max_iterations": self.max_iterations,
-            "additions_per_step": self.additions_per_step,
-            "removals_per_step": self.removals_per_step,
-            "seed": 0,
-            "preserve_connectivity": True,
-        }
-
 
 @dataclass(frozen=True)
 class RewireStep:
@@ -78,19 +62,6 @@ class RewireStep:
     histogram_after: tuple[int, ...] | None = None
     rolled_back: bool = False
 
-    def to_json_obj(self) -> dict:
-        return {
-            "added": [list(e) for e in self.added],
-            "removed": [list(e) for e in self.removed],
-            "out_of_band_before": self.out_of_band_before,
-            "out_of_band_after": self.out_of_band_after,
-            "histogram_before": list(self.histogram_before),
-            "histogram_after": (
-                None if self.histogram_after is None else list(self.histogram_after)
-            ),
-            "rolled_back": self.rolled_back,
-        }
-
 
 @dataclass(frozen=True)
 class RewireTrace:
@@ -98,15 +69,6 @@ class RewireTrace:
     steps: tuple[RewireStep, ...]
     initial_out_of_band: int
     final_out_of_band: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "config": self.config.to_json_obj(),
-            "histogram_bins": HISTOGRAM_BINS,
-            "initial_out_of_band": self.initial_out_of_band,
-            "final_out_of_band": self.final_out_of_band,
-            "steps": [s.to_json_obj() for s in self.steps],
-        }
 
 
 def kappa_histogram(profile: CurvatureProfile) -> tuple[int, ...]:

@@ -240,6 +240,13 @@ class TestCurvature:
         assert (code, out) == (2, "")
         assert "vertex_ids" in err
 
+    def test_bool_vertex_count_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": true, "edges": [[0, 1]]}')
+        code, out, err = run_main(capsys, "curvature", str(path))
+        assert (code, out) == (2, "")
+        assert err == 'error: "n" must be a non-negative integer\n'
+
     def test_json_input(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -327,8 +328,8 @@ class TestCurvatureProfile:
         assert s["positive_count"] == 6
 
     def test_json_obj_matches_schema(self):
-        profile = curvature_profile(generate("barbell", k=3))
-        obj = json.loads(profile_text(profile, {}))
+        g = generate("barbell", k=3)
+        obj = json.loads(profile_text(curvature_profile(g), g))
         jsonschema.validate(obj, SCHEMA)
         bridge = [e for e in obj["edges"] if (e["u"], e["v"]) == (2, 3)][0]
         assert bridge["kappa"] == "-2/3"
@@ -336,9 +337,9 @@ class TestCurvatureProfile:
         assert bridge["s_size"] == 1
 
 
-def profile_text(profile, tail):
+def profile_text(profile, g):
     parts = []
-    write_profile(profile, tail, parts.append)
+    write_profile(profile, g, parts.append)
     return "".join(parts)
 
 
@@ -351,9 +352,11 @@ def test_profile_json_matches_json_dumps(
     cases += [(name, g, irregular_profiles[name]) for name, g in irregular_graphs]
     assert max(len(profile.reports) for _, _, profile in cases) > 2 * _WRITE_BATCH
     for name, g, profile in cases:
-        for tail in ({}, {"vertex_ids": [3 * i + 1 for i in range(g.vertex_count)]}):
+        for ids in (None, tuple(3 * i + 1 for i in range(g.vertex_count))):
+            tail = {} if ids is None else {"vertex_ids": list(ids)}
             expected = json.dumps({**profile_to_json_obj(profile), **tail}, sort_keys=True, indent=2)
-            assert profile_text(profile, tail) == expected + "\n", name
+            labelled = dataclasses.replace(g, id_map=ids)
+            assert profile_text(profile, labelled) == expected + "\n", name
 
 
 def test_kappa_equals_one_minus_w1_on_a_corpus_slice(corpus_entries, corpus_profiles):

@@ -28,7 +28,7 @@ from orckit.diagnostics import (
     verify_one_layer,
     verify_shared_neighbor,
 )
-from orckit.emit import _WRITE_BATCH, write_suite
+from orckit.emit import _WRITE_BATCH, simulate_obj, write_suite
 from orckit.graphs import generate
 from orckit.mpnn import LayerSpec, MpnnSpec, Update, WalkRows, alpha_beta, forward, identity_spec
 
@@ -61,7 +61,9 @@ class TestSmoothingMetrics:
     def test_json_obj(self):
         g = generate("path", n=3)
         traj = forward(g, np.array([[0.0], [0.0], [3.0]]), identity_spec(1, 1, "mean"))
-        obj = smoothing_metrics(g, traj).to_json_obj(g)
+        # as written: json renders the report's tuples as lists
+        obj = json.loads(json.dumps(simulate_obj(g, smoothing_metrics(g, traj), demo=False)))
+        obj = obj["smoothing"]
         assert obj["norm"] == "euclidean"
         assert obj["edges"] == [[0, 1], [1, 2]]
         assert obj["dirichlet"] == [3.0, 1.5]
@@ -383,6 +385,14 @@ class TestBottleneckBound:
         assert statement.holds is True
         assert statement.lhs == statement.rhs == 2
         assert (strong.lhs, strong.rhs) == (2, F(4))
+
+    def test_corpus_decides_a_floor_of_statement_checks(self):
+        # the participation hypothesis holds on 412 of the corpus's 3,551
+        # edges; a change that narrows it would turn the statement bound
+        # into skips without a failing check
+        by_name = run_suite(suite="bottleneck_statement").summary()["by_name"]
+        row = by_name["bottleneck_statement"]
+        assert row["passed"] + row["violated"] >= 412
 
 
 def written_check(check: BoundCheck) -> dict:

@@ -110,6 +110,11 @@ class TestParseGraphJson:
         with pytest.raises(ParseError):
             parse_graph_json('{"n": 2, "edges": [[true, 1]]}')
 
+    @pytest.mark.parametrize("n", ["true", "false"])
+    def test_bool_is_not_a_vertex_count(self, n):
+        with pytest.raises(ParseError, match='"n"'):
+            parse_graph_json(f'{{"n": {n}, "edges": [[0, 1]]}}')
+
     def test_edge_out_of_range(self):
         with pytest.raises(GraphInvalid):
             parse_graph_json('{"n": 2, "edges": [[0, 5]]}')

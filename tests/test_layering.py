@@ -2,9 +2,10 @@
 
 graphs, transport and curvature measure; mpnn measures features and walk
 counts; diagnostics states and judges the bounds; rewiring acts on
-curvature; emit renders results as text; cli wires them together. A lower
-layer that imports a higher one would let a bound or a rewiring rule leak
-into a measurement, and a second renderer would let the bytes drift.
+curvature; emit renders every result as text, a report's shape included;
+cli only wires them together. A lower layer that imports a higher one would
+let a bound or a rewiring rule leak into a measurement, and a second
+renderer would let the bytes drift.
 Reports carried between profiles live only in a rewiring loop, so a
 one-shot profile keeps nothing once it returns; walk rows and norms live
 only as long as the graph or trial they were computed for, and emit's render
@@ -83,6 +84,38 @@ def test_only_cli_imports_emit():
 def test_only_emit_renders_json():
     renderers = {path.stem for path in PACKAGE.glob("*.py") if json_renders(path)}
     assert renderers == {"emit"}
+
+
+def json_obj_owners(path):
+    """The owner of each to_json_obj the module at path defines: the name of
+    its class, or None for a function outside a class."""
+    tree = ast.parse(path.read_text())
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    return [
+        owner.get(id(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "to_json_obj"
+    ]
+
+
+def savetxt_callers(path):
+    """Whether the module at path calls savetxt (np.savetxt or a bare import)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", None) == "savetxt" or getattr(func, "id", None) == "savetxt":
+                return True
+    return False
+
+
+def test_only_emit_shapes_reports_and_writes_layers():
+    """A report's JSON shape is built in emit from the data classes' fields,
+    so no data class restates its fields in a to_json_obj; only Graph keeps
+    one, beside the parsers of the graph formats it writes. Layer CSVs are
+    written by emit alone."""
+    owners = [(path.stem, owner) for path in PACKAGE.glob("*.py") for owner in json_obj_owners(path)]
+    assert owners == [("graphs", "Graph")]
+    assert {path.stem for path in PACKAGE.glob("*.py") if savetxt_callers(path)} == {"emit"}
 
 
 def memo_passers(path):

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 from kernel_reference import changed_edge_problems, participation, statement_edges
 
 from orckit import curvature, rewiring
 from orckit.curvature import curvature_profile
+from orckit.emit import trace_obj
 from orckit.graphs import from_edges, generate
 from orckit.rewiring import (
     HISTOGRAM_BINS,
@@ -47,7 +49,7 @@ class TestConfig:
             RewireConfig(max_iterations=0)
 
     def test_json_obj_round(self):
-        obj = RewireConfig(additions_per_step=3).to_json_obj()
+        obj = trace_obj(RewireTrace(RewireConfig(additions_per_step=3), (), 0, 0))["config"]
         assert obj["additions_per_step"] == 3
         # fixed keys: rewiring draws no random numbers and never disconnects
         assert obj["seed"] == 0 and obj["preserve_connectivity"] is True
@@ -235,11 +237,11 @@ class TestRewireLoop:
         a = rewire_loop(generate("barbell", k=4), RewireConfig())
         b = rewire_loop(generate("barbell", k=4), RewireConfig())
         assert a[0].edges == b[0].edges
-        assert a[1].to_json_obj() == b[1].to_json_obj()
+        assert trace_obj(a[1]) == trace_obj(b[1])
 
     def test_trace_json_shape(self):
         _, trace = rewire_loop(generate("barbell", k=3), RewireConfig())
-        obj = trace.to_json_obj()
+        obj = trace_obj(trace)
         assert obj["histogram_bins"] == HISTOGRAM_BINS
         for step in obj["steps"]:
             assert len(step["histogram_before"]) == HISTOGRAM_BINS
@@ -276,6 +278,16 @@ def rewire_loop_fresh(g, cfg):
 GOLDEN_CONFIG = RewireConfig(tau_neg=-0.3, additions_per_step=3, max_iterations=1)
 
 
+def sparse_graph(n, m):
+    """A path 0-1-...-(n-1) plus chords drawn at random up to m edges."""
+    rng = random.Random(f"sparse:{n}:{m}")
+    edges = {(i, i + 1) for i in range(n - 1)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edges(n, sorted(edges))
+
+
 @pytest.mark.parametrize(
     "g, cfg",
     [
@@ -287,8 +299,9 @@ GOLDEN_CONFIG = RewireConfig(tau_neg=-0.3, additions_per_step=3, max_iterations=
             generate("erdos_renyi", n=100, p=0.08, seed=0),
             dataclasses.replace(GOLDEN_CONFIG, max_iterations=3),
         ),
+        (sparse_graph(1000, 5000), dataclasses.replace(GOLDEN_CONFIG, max_iterations=2)),
     ],
-    ids=["barbell_3", "barbell_4", "barbell_5_rollback", "k4_removals", "er_100"],
+    ids=["barbell_3", "barbell_4", "barbell_5_rollback", "k4_removals", "er_100", "sparse_1000"],
 )
 def test_loop_reusing_reports_matches_fresh_profiles(g, cfg):
     final, trace = rewire_loop(g, cfg)
