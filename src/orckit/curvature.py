@@ -59,16 +59,14 @@ class BottleneckSets:
 
 @dataclass(frozen=True, slots=True)
 class EdgeCurvatureReport:
+    """Edge (u, v), u < v, with its curvature kappa = 1 - W1, the degrees of
+    u and v and its bottleneck counts."""
+
     edge: tuple[int, int]
     kappa: Fraction
-    w1: Fraction
     deg_u: int
     deg_v: int
     sets: BottleneckSets
-
-    @property
-    def kappa_float(self) -> float:
-        return float(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,12 @@ def edge_report(
     if index is None:
         u, v = _hub_first(g, u, v)
         index = NeighborIndex(g, u)
-    w1 = wasserstein1(g, u, v, index=index)
-    sets = bottleneck_sets(g, u, v, index=index)
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),
-        kappa=1 - w1,
-        w1=w1,
+        kappa=1 - wasserstein1(g, u, v, index=index),
         deg_u=g.degree(min(u, v)),
         deg_v=g.degree(max(u, v)),
-        sets=sets,
+        sets=bottleneck_sets(g, u, v, index=index),
     )
 
 
@@ -133,8 +128,8 @@ def curvature_profile(g: Graph, memo: dict | None = None) -> CurvatureProfile:
 
     memo, when given, carries reports from one profile to the next, as
     `rewiring.rewire_loop` does across its steps. It maps the hub-first edge
-    (u, v) to (N_u, N_v, levels, report), levels being the rows
-    `index.levels(q)` for q in N_v, and an edge reuses the stored report
+    (u, v) to (N_u, N_v, levels, report), levels being the rows `index[q]`
+    for q in N_v, and an edge reuses the stored report
     only when all three inputs are equal; otherwise it is solved and stored
     afresh. That is exact: the W1 solve reads the rows, u's position in N_v
     (fixed by N_v) and, from the index, `near[v]` (the OR of the rows'
@@ -157,7 +152,7 @@ def curvature_profile(g: Graph, memo: dict | None = None) -> CurvatureProfile:
             if memo is None:
                 reports[k] = edge_report(g, u, v, index=index)
                 continue
-            inputs = (adjacency[u], adjacency[v], list(map(index.levels, adjacency[v])))
+            inputs = (adjacency[u], adjacency[v], list(map(index.__getitem__, adjacency[v])))
             entry = memo.get((u, v))
             if entry is not None and entry[:3] == inputs:
                 reports[k] = entry[3]
@@ -204,7 +199,7 @@ def bottleneck_sets(
 ) -> BottleneckSets:
     """The counts of edge (u, v), read from u's NeighborIndex as in the W1
     solve (`_hub_first`'s when index is None): the columns are N_u, and each
-    row q in N_v is its cached `levels(q)`, whose cost-0 cell marks a common
+    row q in N_v is its cached `index[q]`, whose cost-0 cell marks a common
     neighbour and whose cost-1 cells are q's neighbours in N_u.
 
     With N~ the closed neighbourhood, S_statement holds every edge between
@@ -222,7 +217,7 @@ def bottleneck_sets(
     if index is None:
         u, v = _hub_first(g, u, v)
         index = NeighborIndex(g, u)
-    cols, levels = g.adjacency[u], index.levels
+    cols = g.adjacency[u]
     skip_v = ~index.pos[v]
     common = index.near.get(v, 0)
     n0 = common.bit_count()
@@ -231,7 +226,7 @@ def bottleneck_sets(
     for q in g.adjacency[v]:
         if q == u:
             continue
-        row = levels(q)
+        row = index[q]
         ones = row.get(1, 0) & skip_v
         if 0 in row:
             load[q] = load.get(q, 0) + 2 + ones.bit_count()

@@ -130,18 +130,21 @@ def _write_list(key: str, items: Sequence, render: Callable, rest: dict, write: 
 
 def _edge_json(r: EdgeCurvatureReport) -> str:
     """One element of the profile's "edges" as json.dumps(sort_keys=True,
-    indent=2) renders it: a fixed template whose keys are in sorted order."""
+    indent=2) renders it: a fixed template whose keys are in sorted order.
+    For kappa = p/q in lowest terms, W1 = 1 - kappa is (q - p)/q, also in
+    lowest terms, and the float is p / q, as Fraction.__float__ gives it."""
     s = r.sets
+    p, q = r.kappa.as_integer_ratio()
     return (
         f'    {{\n      "common_neighbors": {s.n0},'
-        f'\n      "kappa": "{frac_str(r.kappa)}",'
-        f'\n      "kappa_float": {float.__repr__(r.kappa_float)},'
+        f'\n      "kappa": "{p}/{q}",'
+        f'\n      "kappa_float": {float.__repr__(p / q)},'
         f'\n      "n0": {s.n0},'
         f'\n      "n1": {s.n1},'
         f'\n      "s_size": {s.s_size},'
         f'\n      "u": {r.edge[0]},'
         f'\n      "v": {r.edge[1]},'
-        f'\n      "w1": "{frac_str(r.w1)}"\n    }}'
+        f'\n      "w1": "{q - p}/{q}"\n    }}'
     )
 
 

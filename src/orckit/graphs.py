@@ -1,4 +1,6 @@
-"""Graph representation, shortest-path distances, generators, and the test corpus.
+"""Graph representation, shortest-path distances, the per-vertex
+`NeighborIndex` (a dict of an edge kernel's cost rows, `index[q]`),
+generators of at most MAX_GENERATED_EDGES edges, and the test corpus.
 
 Vertices are dense 0-based integers. Graphs are simple, undirected,
 connected and have at least one edge; those invariants are enforced at
@@ -29,6 +31,10 @@ class GraphInvalid(GraphError):
 
 class Unsatisfiable(GraphError):
     """A random family could not produce a connected graph within its retry budget."""
+
+
+class TooManyEdges(GraphError):
+    """A generated family would have more than MAX_GENERATED_EDGES edges."""
 
 
 UNREACHABLE = -1
@@ -218,21 +224,30 @@ def _hub_first(g: Graph, u: int, v: int) -> tuple[int, int]:
     return (u, v) if du > dv or (du == dv and u < v) else (v, u)
 
 
-class NeighborIndex:
-    """Bitmask view of one vertex u's neighbourhood, for every edge (u, v).
+class NeighborIndex(dict):
+    """Bitmask view of one vertex u's neighbourhood, for every edge (u, v),
+    and the table of those edges' cost-level rows.
 
     Bit i stands for the i-th neighbour of u in adjacency order. pos[p] is
     p's bit for p in N_u, and near[w] is the mask of u's neighbours adjacent
     to w, for each w within two hops of u. Building both costs the sum of
     the degrees in N_u, and the index holds nothing beyond u's 2-hop
-    neighbourhood. levels(q) is row q of an edge's cost levels (see
-    `_LevelRows`): a plain dict lookup once the row is cached.
+    neighbourhood.
+
+    index[q] is row q of an edge's cost levels, for q a neighbour of some v
+    in N_u: {d: mask of u's neighbours at hop distance d from q}, empty
+    masks left out. Any p in N_u reaches such a q along p-u-v-q, so
+    d(p, q) <= 3, and the shorter cases are local: 0 if p == q, 1 if p and q
+    are adjacent, 2 if they share a neighbour. The rows of the edges (u, v)
+    overlap, so each q is worked out once, on its first lookup. An index
+    starts with no rows, so it is falsy: test it with `is None`.
     """
 
-    __slots__ = ("pos", "near", "full", "levels")
+    __slots__ = ("adjacency", "pos", "near", "full")
 
     def __init__(self, g: Graph, u: int):
-        adjacency = g.adjacency
+        super().__init__()
+        adjacency = self.adjacency = g.adjacency
         pos: dict[int, int] = {}
         near: dict[int, int] = {}
         for i, p in enumerate(adjacency[u]):
@@ -242,25 +257,6 @@ class NeighborIndex:
                 near[w] = near.get(w, 0) | bit
         self.pos, self.near = pos, near
         self.full = (1 << len(adjacency[u])) - 1
-        self.levels = _LevelRows(adjacency, pos, near, self.full).__getitem__
-
-
-class _LevelRows(dict):
-    """The rows of one NeighborIndex of u, keyed by q: {d: mask of u's
-    neighbours at hop distance d from q}, empty masks left out, for q a
-    neighbour of some v in N_u.
-
-    Any p in N_u reaches such a q along p-u-v-q, so d(p, q) <= 3, and the
-    shorter cases are local: 0 if p == q, 1 if p and q are adjacent, 2 if
-    they share a neighbour. The rows of the edges (u, v) overlap, so each q
-    is worked out once, on its first lookup.
-    """
-
-    __slots__ = ("adjacency", "pos", "near", "full")
-
-    def __init__(self, adjacency, pos: dict[int, int], near: dict[int, int], full: int):
-        super().__init__()
-        self.adjacency, self.pos, self.near, self.full = adjacency, pos, near, full
 
     def __missing__(self, q: int) -> dict[int, int]:
         near = self.near.get
@@ -340,6 +336,7 @@ def _cocktail_party(m: int) -> Graph:
 
 
 _ER_RETRY_BUDGET = 1000
+MAX_GENERATED_EDGES = 10**6
 
 
 def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -351,7 +348,10 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
         # string seeds hash stably (sha512) across processes and versions,
         # unlike tuple seeds which go through randomized hash()
         rng = random.Random(f"er:{n}:{seed}:{salt}")
-        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        drawn = (e for e in itertools.combinations(range(n), 2) if rng.random() < p)
+        pairs = list(itertools.islice(drawn, MAX_GENERATED_EDGES + 1))
+        if len(pairs) > MAX_GENERATED_EDGES:
+            raise TooManyEdges(f"erdos_renyi drew more than generate's bound of {MAX_GENERATED_EDGES} edges")
         try:
             return _build(n, pairs)
         except GraphInvalid:
@@ -389,34 +389,41 @@ def _random_tree(n: int, seed: int) -> Graph:
     return _build(n, edges)
 
 
+# family: (builder, its parameters, its edge count where that has a closed
+# form); the quadratic counts clamp negative sizes, which build no edges
+_FAMILIES = {
+    "complete": (_complete, ("n",), lambda n: max(n, 0) * (n - 1) // 2),
+    "path": (_path, ("n",), lambda n: n - 1),
+    "cycle": (_cycle, ("n",), lambda n: n),
+    "star": (_star, ("n",), lambda n: n),
+    "double_star": (_double_star, ("a", "b"), lambda a, b: a + b - 1),
+    "barbell": (_barbell, ("k",), lambda k: max(k, 0) * (k - 1) + 1),
+    "cocktail_party": (_cocktail_party, ("m",), lambda m: 2 * max(m, 0) * (m - 1)),
+    "erdos_renyi": (_erdos_renyi, ("n", "p", "seed"), None),
+    "random_tree": (_random_tree, ("n", "seed"), lambda n, seed: n - 1),
+}
+
+
 def generate(family: str, **params) -> Graph:
     """Deterministic graph families for the corpus and the CLI.
 
     Families: complete(n), path(n), cycle(n), star(n), double_star(a, b),
     barbell(k), cocktail_party(m), erdos_renyi(n, p, seed), random_tree(n, seed).
+    A family of more than MAX_GENERATED_EDGES edges raises TooManyEdges:
+    before any edge is built where its count has a closed form, and once
+    erdos_renyi has drawn that many otherwise.
     """
-    try:
-        if family == "complete":
-            return _complete(params["n"])
-        if family == "path":
-            return _path(params["n"])
-        if family == "cycle":
-            return _cycle(params["n"])
-        if family == "star":
-            return _star(params["n"])
-        if family == "double_star":
-            return _double_star(params["a"], params["b"])
-        if family == "barbell":
-            return _barbell(params["k"])
-        if family == "cocktail_party":
-            return _cocktail_party(params["m"])
-        if family == "erdos_renyi":
-            return _erdos_renyi(params["n"], params["p"], params["seed"])
-        if family == "random_tree":
-            return _random_tree(params["n"], params["seed"])
-    except KeyError as e:
-        raise ValueError(f"family {family!r} is missing parameter {e.args[0]!r}") from None
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, names, edge_count = _FAMILIES[family]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"family {family!r} is missing parameter {missing[0]!r}")
+    args = [params[name] for name in names]
+    count = edge_count(*args) if edge_count else 0
+    if count > MAX_GENERATED_EDGES:
+        raise TooManyEdges(f"{family} would have {count} edges, over generate's bound of {MAX_GENERATED_EDGES}")
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------

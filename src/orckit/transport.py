@@ -11,15 +11,15 @@ floats anywhere.
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
 on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
 of the columns at each cost. For an edge those are the 0-3 hop-distance
-masks of u's `graphs.NeighborIndex`, read from adjacency alone, and the
-starting dual follows from the edge's structure (`_edge_start`: the best
-dual in which only u's row leaves potential 0, each column at its least
-cost over the other rows, capped by u's row); for any other pair a dense
-BFS distance matrix goes through `_cost_levels` and the generic
-`_starting_dual`, every row at 0 and every column at its minimum. Every
-solve ends with one pass over the plan (`_plan_cost`) that checks its
-marginals and sums its cost. The oracle takes arbitrary measures, so tests
-can pose problems of their own.
+masks `index[q]` of u's `graphs.NeighborIndex`, read from adjacency
+alone, and the starting dual follows from the edge's structure
+(`_edge_start`: the best dual in which only u's row leaves potential 0,
+each column at its least cost over the other rows, capped by u's row); for
+any other pair a dense BFS distance matrix goes through `_cost_levels`,
+and the solve starts from the zero dual. Every solve ends with one pass
+over the plan (`_plan_cost`) that checks its marginals and sums its cost.
+The oracle takes arbitrary measures, so tests can pose problems of their
+own.
 """
 
 from __future__ import annotations
@@ -105,20 +105,21 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
     reads u's position in N_v. Every per-row step of the solver scales with
     the row count, so `curvature_profile` passes u as the endpoint of higher
     degree, with one index for all of u's edges; a call without one builds
-    `_hub_first`'s. Any other pair takes its distances from BFS and the
-    generic `_starting_dual`.
+    `_hub_first`'s. Any other pair takes its distances from BFS and starts
+    from the zero dual: every potential 0, each row tight on its cost-0
+    cells.
     """
     if g.has_edge(u, v):
         if index is None:
             u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
         rows, cols = g.adjacency[v], g.adjacency[u]
-        levels = list(map(index.levels, rows))
+        levels = list(map(index.__getitem__, rows))
         start = _edge_start(index, v, levels, bisect_left(rows, u))
     else:
         rows, cols = g.adjacency[u], g.adjacency[v]
         levels = _cost_levels(_support_distances(g, rows, cols))
-        start = _starting_dual(levels)
+        start = {0: (1 << len(cols)) - 1}, [row.get(0, 0) for row in levels], [0] * len(rows)
     m, n = len(rows), len(cols)
     T = lcm(m, n)
     supplies = [T // m] * m
@@ -159,7 +160,7 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     if m * far.bit_count() <= n:  # h_u = 0
         rest = index.full ^ common  # never empty: it holds v's own column
         col_pot = {0: common, 1: rest} if common else {1: rest}
-        return col_pot, [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels], None
+        return col_pot, [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels], [0] * m
     twos = 0
     for row in others:
         twos |= row.get(2, 0)
@@ -173,13 +174,6 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     row_pot = [0] * m
     row_pot[at_u] = h_u
     return col_pot, tight, row_pot
-
-
-def _starting_dual(levels: list[dict[int, int]]):
-    """The generic starting dual: sinks at their column minima, sources at
-    0, and per row the mask of its cells whose cost meets the minimum."""
-    col_pot = _column_minima(levels)
-    return col_pot, _tight_masks(levels, col_pot)
 
 
 def _tight_masks(levels: list[dict[int, int]], col_pot: dict[int, int]) -> list[int]:
@@ -233,17 +227,16 @@ def _min_cost_flow(
     levels: list[dict[int, int]],
     col_pot: dict[int, int],
     tight: list[int],
-    row_pot: list[int] | None = None,
+    row_pot: list[int],
 ) -> list[dict[int, int]]:
     """Min-cost transportation flow for non-negative integer costs.
 
     levels[i] maps each cost of row i to the mask of the columns at that
     cost; the masks of a row cover every column once. col_pot, tight and
-    row_pot are the starting dual, as `_starting_dual(levels)` gives it
-    (row_pot None: every row at 0) or `_edge_start` for an edge; it must be
-    feasible and tight must hold exactly its zero-reduced-cost cells. All
-    three are updated in place. The flow comes back sparse: flow[i] maps
-    column j to the amount on cell (i, j).
+    row_pot are the starting dual, the zero dual or `_edge_start`'s for an
+    edge; it must be feasible and tight must hold exactly its
+    zero-reduced-cost cells. All three are updated in place. The flow comes
+    back sparse: flow[i] maps column j to the amount on cell (i, j).
 
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
     arc j -> i carries flow[i][j] back at cost -c_ij. Potentials (row_pot per
@@ -271,7 +264,7 @@ def _min_cost_flow(
       demand only falls, so every dual step so far raised such a sink's
       potential by delta >= 1 (reduced costs are integers).
     - That potential stays <= c_ij + h_i for any source i with supply left,
-      and c_ij + h_i <= C: the generic start has every h_i = 0, and
+      and c_ij + h_i <= C: the zero start has every h_i = 0, and
       `_edge_start` lifts only row u, whose cost is 1 everywhere, and to h_u
       only if some column costs >= 1 + h_u in every other row. So there is
       room for at most C steps.
@@ -288,8 +281,6 @@ def _min_cost_flow(
     # rows with supply left, columns with demand left
     supplied = sum(1 << i for i in range(m) if supply[i])
     open_cols = sum(1 << j for j in range(n) if demand[j])
-    if row_pot is None:
-        row_pot = [0] * m
     carriers = [0] * n
     phases = max(map(max, levels)) + 1  # the bound argued above
     scan = supplied
@@ -391,22 +382,6 @@ def _min_cost_flow(
         if phases == 0:
             raise RuntimeError("min-cost flow ran past its phase bound")
         scan =_raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
-
-
-def _column_minima(levels: list[dict[int, int]]) -> dict[int, int]:
-    """Each column's least cost over all rows, grouped as {cost: mask}."""
-    at: dict[int, int] = {}
-    for row_levels in levels:
-        for c, mask in row_levels.items():
-            at[c] = at.get(c, 0) | mask
-    groups = {}
-    done = 0
-    for c in sorted(at):
-        mask = at[c] & ~done
-        if mask:
-            groups[c] = mask
-            done |= mask
-    return groups
 
 
 def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:

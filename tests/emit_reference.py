@@ -17,8 +17,8 @@ def profile_to_json_obj(profile) -> dict:
                 "u": r.edge[0],
                 "v": r.edge[1],
                 "kappa": frac_str(r.kappa),
-                "kappa_float": r.kappa_float,
-                "w1": frac_str(r.w1),
+                "kappa_float": float(r.kappa),
+                "w1": frac_str(1 - r.kappa),
                 "common_neighbors": r.sets.n0,
                 "s_size": r.sets.s_size,
                 "n0": r.sets.n0,

@@ -1,7 +1,7 @@
 """Independent references the tests hold the fast kernels to: decoded cost
 levels against BFS distances, an edge's structural starting dual against
-its BFS cost matrix and the generic start found by scanning every cell,
-the transportation dual's objective and feasibility, the edge set
+its BFS cost matrix and the dual with every column at its least cost, the
+transportation dual's objective and feasibility, the edge set
 S_statement and the frozenset formulation of `curvature.bottleneck_sets`
 that the mask counts replaced, the dense (A+I)^k product that the local
 walk rows of `mpnn` replaced, and the count of edge problems a graph edit
@@ -13,7 +13,7 @@ from operator import mul
 
 from orckit.curvature import BottleneckSets
 from orckit.graphs import NeighborIndex, bfs_distances
-from orckit.transport import _edge_start, _starting_dual, _support_distances
+from orckit.transport import _edge_start, _support_distances
 
 
 def decoded(levels, n):
@@ -35,7 +35,7 @@ def edge_levels_match_bfs(g, u, v):
     N_u) decode to the BFS distances between those supports."""
     index = NeighborIndex(g, u)
     rows, cols = g.adjacency[v], g.adjacency[u]
-    levels = [index.levels(q) for q in rows]
+    levels = [index[q] for q in rows]
     return decoded(levels, len(cols)) == _support_distances(g, rows, cols)
 
 
@@ -59,24 +59,23 @@ def edge_start_holds(g, u, v, dist):
     N_v, columns N_u), held to the dense BFS cost matrix of those supports,
     dist being `all_distances(g)`: it is dual-feasible on every cell, its
     tight masks are exactly the cells of zero reduced cost, and its dual
-    value is at least that of `_starting_dual`, whose columns sit at their
-    minima and whose rows all sit at 0."""
+    value is at least that of the dual whose columns sit at their least
+    costs and whose rows all sit at 0."""
     index = NeighborIndex(g, u)
     rows, cols = g.adjacency[v], g.adjacency[u]
     m, n = len(rows), len(cols)
-    levels = [index.levels(q) for q in rows]
+    levels = [index[q] for q in rows]
     cost = [[dist[q][p] for p in cols] for q in rows]
     col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
-    row_pot = row_pot or [0] * m
     col_values = decoded([col_pot], n)[0]
     zero = [sum(1 << j for j in range(n) if cost[i][j] + row_pot[i] == col_values[j]) for i in range(m)]
     T = lcm(m, n)
     supplies, demands = [T // m] * m, [T // n] * n
-    generic = decoded([_starting_dual(levels)[0]], n)[0]
+    minima = [min(column) for column in zip(*cost)]
     return (
         dual_feasible(cost, row_pot, col_values)
         and tight == zero
-        and dual_value(supplies, demands, row_pot, col_values) >= dual_value(supplies, demands, [0] * m, generic)
+        and dual_value(supplies, demands, row_pot, col_values) >= dual_value(supplies, demands, [0] * m, minima)
     )
 
 

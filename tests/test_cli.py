@@ -90,6 +90,11 @@ class TestGenerate:
         code, _, _ = run_cli("generate", "--family", "complete")
         assert code == 2
 
+    def test_past_the_edge_bound(self):
+        code, out, err = run_cli("generate", "--family", "complete", "--n", "1415")
+        assert (code, out) == (2, "")
+        assert "complete would have 1000405 edges, over generate's bound of 1000000" in err
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "g.txt"
         code, out, _ = run_cli("generate", "--family", "path", "--n", "3", "--out", str(target))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -14,6 +15,9 @@ from kernel_reference import (
 
 from orckit import curvature, transport
 from orckit.curvature import (
+    BottleneckSets,
+    CurvatureProfile,
+    EdgeCurvatureReport,
     NotAnEdge,
     SameVertex,
     bottleneck_sets,
@@ -100,11 +104,9 @@ class TestEdgeReport:
         r = edge_report(g, 2, 3)
         assert r.edge == (2, 3)
         assert r.kappa == F(-2, 3)
-        assert r.w1 == F(5, 3)
-        assert r.kappa == 1 - r.w1
+        assert r.kappa == 1 - wasserstein1(g, 2, 3)
         assert (r.deg_u, r.deg_v) == (3, 3)
         assert r.sets.n0 == 0
-        assert r.kappa_float == pytest.approx(-2 / 3)
 
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
@@ -333,6 +335,7 @@ class TestCurvatureProfile:
         jsonschema.validate(obj, SCHEMA)
         bridge = [e for e in obj["edges"] if (e["u"], e["v"]) == (2, 3)][0]
         assert bridge["kappa"] == "-2/3"
+        assert bridge["kappa_float"] == -2 / 3
         assert bridge["w1"] == "5/3"
         assert bridge["s_size"] == 1
 
@@ -359,7 +362,24 @@ def test_profile_json_matches_json_dumps(
             assert profile_text(profile, labelled) == expected + "\n", name
 
 
+def test_edge_spellings_match_the_reference_past_two_to_the_53():
+    # "w1" and "kappa_float" are written from kappa's integers; the
+    # reference spells them frac_str(1 - kappa) and float(kappa)
+    rng = random.Random(53)
+    kappas = [F(1), F(0), F(-2), F(2**53 + 1, 2**54), F(3 - 2**70, 2**69)]
+    for _ in range(1000):
+        q = rng.randrange(1, 2 ** rng.randrange(1, 120))
+        kappas.append(F(rng.randint(-2 * q, q), q))
+    assert sum(k.denominator > 2**53 for k in kappas) > 300
+    g = from_edges(2, [(0, 1)])
+    sets = BottleneckSets(s_size=1, max_load=1, n0=0, n1=0)
+    for kappa in kappas:
+        profile = CurvatureProfile(reports=(EdgeCurvatureReport((0, 1), kappa, 1, 1, sets),))
+        expected = json.dumps(profile_to_json_obj(profile), sort_keys=True, indent=2)
+        assert profile_text(profile, g) == expected + "\n", kappa
+
+
 def test_kappa_equals_one_minus_w1_on_a_corpus_slice(corpus_entries, corpus_profiles):
     for name, g in corpus_entries[:30]:
         for r in corpus_profiles[name].reports:
-            assert r.kappa == 1 - r.w1
+            assert r.kappa == 1 - wasserstein1(g, *r.edge)

@@ -386,13 +386,22 @@ class TestBottleneckBound:
         assert statement.lhs == statement.rhs == 2
         assert (strong.lhs, strong.rhs) == (2, F(4))
 
-    def test_corpus_decides_a_floor_of_statement_checks(self):
-        # the participation hypothesis holds on 412 of the corpus's 3,551
-        # edges; a change that narrows it would turn the statement bound
-        # into skips without a failing check
-        by_name = run_suite(suite="bottleneck_statement").summary()["by_name"]
-        row = by_name["bottleneck_statement"]
-        assert row["passed"] + row["violated"] >= 412
+    @pytest.mark.parametrize(
+        "name, floor",
+        [
+            ("bottleneck_statement", 412),
+            ("diameter", 17),
+            ("multilayer", 1032),
+            ("one_layer_sum", 4944),
+            ("one_layer_mean", 4944),
+        ],
+    )
+    def test_corpus_decides_a_floor_of_statement_checks(self, name, floor):
+        # e.g. the participation hypothesis holds on 412 of the corpus's
+        # 3,551 edges; a change that narrows a bound's hypothesis would turn
+        # its checks into skips without a failing check
+        row = run_suite(suite=name).summary()["by_name"][name]
+        assert row["passed"] + row["violated"] >= floor
 
 
 def written_check(check: BoundCheck) -> dict:

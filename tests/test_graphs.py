@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 
 from orckit.graphs import (
+    MAX_GENERATED_EDGES,
     GraphInvalid,
     ParseError,
+    TooManyEdges,
     Unsatisfiable,
     bfs_distances,
     corpus,
@@ -206,6 +208,35 @@ class TestGenerators:
     def test_erdos_renyi_unsatisfiable(self):
         with pytest.raises(Unsatisfiable):
             generate("erdos_renyi", n=5, p=0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("complete", {"n": 1415}),  # 1,000,405 edges
+            ("path", {"n": MAX_GENERATED_EDGES + 2}),
+            ("barbell", {"k": 1001}),  # 1,001,001 edges
+            ("cocktail_party", {"m": 708}),  # 1,001,112 edges
+            ("random_tree", {"n": MAX_GENERATED_EDGES + 2, "seed": 0}),
+        ],
+    )
+    def test_closed_form_counts_past_the_bound_are_refused(self, family, params):
+        with pytest.raises(TooManyEdges, match=f"{family} would have .* bound of {MAX_GENERATED_EDGES}"):
+            generate(family, **params)
+
+    def test_refusal_comes_before_any_edge_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyEdges):
+                generate("complete", n=1415)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_erdos_renyi_stops_drawing_past_the_bound(self):
+        # 1,000,405 pairs drawn with p = 1: the draw ends one edge past it
+        with pytest.raises(TooManyEdges, match=f"erdos_renyi .* bound of {MAX_GENERATED_EDGES}"):
+            generate("erdos_renyi", n=1415, p=1.0, seed=0)
 
     def test_random_tree(self):
         g = generate("random_tree", n=10, seed=0)

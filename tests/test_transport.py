@@ -20,7 +20,6 @@ from orckit.transport import (
     TooLarge,
     _cost_levels,
     _edge_start,
-    _starting_dual,
     local_measure,
     wasserstein1,
     wasserstein1_oracle,
@@ -194,11 +193,16 @@ def edge_problems(g):
         index = NeighborIndex(g, u)
         rows = g.adjacency[v]
         m, n = len(rows), len(g.adjacency[u])
-        levels = [index.levels(q) for q in rows]
-        col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
+        levels = [index[q] for q in rows]
         T = lcm(m, n)
-        start = (levels, col_pot, tight, row_pot or [0] * m)
+        start = (levels, *_edge_start(index, v, levels, rows.index(u)))
         yield ([T // m] * m, [T // n] * n, decoded(levels, n)), start
+
+
+def zero_start(levels, n):
+    """The start of a non-adjacent pair's solve: every potential 0, and each
+    row tight on its cost-0 cells."""
+    return {0: (1 << n) - 1}, [row.get(0, 0) for row in levels], [0] * len(levels)
 
 
 @pytest.fixture
@@ -221,7 +225,7 @@ class TestMinCostFlow:
     structural start."""
 
     def check(self, supplies, demands, cost, phases, start=None):
-        """Solve from start, `_starting_dual`'s when None, and certify the
+        """Solve from start, the zero start when None, and certify the
         plan: its marginals and cost, and the final potentials as a dual
         that is feasible on every cell and worth exactly the plan's cost.
         Problems without a start are also held to the simplex."""
@@ -229,7 +233,7 @@ class TestMinCostFlow:
         generic = start is None
         if generic:
             levels = _cost_levels(cost)
-            start = (levels, *_starting_dual(levels), [0] * len(supplies))
+            start = (levels, *zero_start(levels, len(demands)))
         levels, col_pot, tight, row_pot = start
         flow = transport._min_cost_flow(supplies, demands, levels, col_pot, tight, row_pot)
         plan_cost = transport._plan_cost(flow, supplies, demands, levels)
@@ -279,13 +283,38 @@ class TestMinCostFlow:
             for problem, start in edge_problems(g):
                 self.check(*problem, phases, start)
 
+    @pytest.mark.parametrize("family, farthest", [("path", 19), ("cycle", 10)])
+    def test_far_pairs_from_the_zero_start(self, family, farthest, phases, monkeypatch):
+        """Every non-adjacent pair of the 20-vertex graph: its W1 equals the
+        simplex's, and the start `wasserstein1` gives its solve is certified
+        like any other."""
+        solves = []
+        solve = transport._min_cost_flow
+
+        def recorded(supplies, demands, levels, col_pot, tight, row_pot):
+            solves.append((supplies, demands, (levels, dict(col_pot), list(tight), list(row_pot))))
+            return solve(supplies, demands, levels, col_pot, tight, row_pot)
+
+        monkeypatch.setattr(transport, "_min_cost_flow", recorded)
+        g = generate(family, n=20)
+        dist = all_distances(g)
+        pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if not g.has_edge(u, v)]
+        assert max(dist[u][v] for u, v in pairs) == farthest
+        for u, v in pairs:
+            assert wasserstein1(g, u, v) == wasserstein1_oracle(g, local_measure(g, u), local_measure(g, v))
+        assert len(solves) == len(pairs)
+        for supplies, demands, start in list(solves):
+            cost = decoded(start[0], len(demands))
+            self.check(supplies, demands, cost, phases, start)
+            assert phases[0] <= max(map(max, cost))  # C dual steps, C + 1 phases
+
     def test_unbalanced_problem_is_rejected(self):
         levels = _cost_levels([[1], [1]])
         with pytest.raises(RuntimeError, match="unbalanced"):
-            transport._min_cost_flow([2, 1], [2], levels, *_starting_dual(levels))
+            transport._min_cost_flow([2, 1], [2], levels, *zero_start(levels, 1))
         levels = [{0: 0b11}, {3: 0b11}]
         with pytest.raises(RuntimeError, match="unbalanced"):
-            transport._min_cost_flow([1, 1], [1, 2], levels, *_starting_dual(levels))
+            transport._min_cost_flow([1, 1], [1, 2], levels, *zero_start(levels, 2))
 
     @pytest.mark.parametrize(
         "flow",
