@@ -14,8 +14,9 @@ q in N_v from it, so no per-edge structure is built twice, and the rows of
 every edge's problem are the smaller neighbourhood. Given a memo, as the
 rewiring loop passes, an edge whose problem is unchanged since an earlier
 profile keeps its report. The reports come back in `g.edges` order. They
-keep counts of the lemma's connecting set S_statement, not its edges;
-`diagnostics.verify_bottleneck` judges its hypothesis, and
+keep counts of the lemma's connecting set S_statement, not its edges, from
+the load pass `statement_loads` that rewiring's support candidate also
+reads; `diagnostics.verify_bottleneck` judges its hypothesis, and
 `emit.write_profile` renders a profile as JSON.
 """
 
@@ -194,34 +195,23 @@ def _max_matching(options: list[int]) -> int:
     return count
 
 
-def bottleneck_sets(
-    g: Graph, u: int, v: int, index: NeighborIndex | None = None
-) -> BottleneckSets:
-    """The counts of edge (u, v), read from u's NeighborIndex as in the W1
-    solve (`_hub_first`'s when index is None): the columns are N_u, and each
-    row q in N_v is its cached `index[q]`, whose cost-0 cell marks a common
-    neighbour and whose cost-1 cells are q's neighbours in N_u.
-
-    With N~ the closed neighbourhood, S_statement holds every edge between
-    N~_u - {v} and N~_v - {u}: the edge (u, v) itself, the edges from u and
-    v to each common neighbour, and the adjacent pairs (cost-1 cells) off
-    row u and column v. load[w] counts those at w: 1 + n0 at u and v, 2 more
-    at a common row, 1 at each end of a cell; a common row skips the common
-    columns, since an edge inside the common set is a cell of both rows. n0
-    counts the common neighbours (cost-0 cells); n1 matches the exclusive
-    rows (N_v - N~_u) to the exclusive columns (N_u - N~_v) over their cost-1
-    cells. All of it is symmetric in u and v.
-    """
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not an edge")
-    if index is None:
-        u, v = _hub_first(g, u, v)
-        index = NeighborIndex(g, u)
+def statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[dict, list, int]:
+    """The load of S_statement at each vertex of edge (u, v), from u's
+    NeighborIndex as in the W1 solve: columns N_u, rows q in N_v as their
+    cached `index[q]` (a cost-0 cell marks one of the n0 common neighbours,
+    cost-1 cells are q's neighbours in N_u). With N~ the closed
+    neighbourhood, S_statement holds every edge between N~_u - {v} and
+    N~_v - {u}: the edge (u, v), the edges from u and v to each common
+    neighbour, and the adjacent pairs (cost-1 cells) off row u and column v.
+    load[w] counts those at w: 1 + n0 at u and v, 2 more at a common row, 1
+    at each end of a cell; a common row skips the common columns, since an
+    edge inside the common set is a cell of both rows. Returns load
+    (vertices without any left out), the exclusive rows N_v - N~_u as
+    (q, its cost-1 mask off column v) and the mask of the common columns."""
     cols = g.adjacency[u]
     skip_v = ~index.pos[v]
     common = index.near.get(v, 0)
-    n0 = common.bit_count()
-    load = {u: 1 + n0, v: 1 + n0}
+    load = dict.fromkeys((u, v), 1 + common.bit_count())
     exclusive = []
     for q in g.adjacency[v]:
         if q == u:
@@ -233,11 +223,25 @@ def bottleneck_sets(
             ones &= ~common
         else:
             load[q] = ones.bit_count()
-            exclusive.append(ones)
+            exclusive.append((q, ones))
         while ones:
             bit = ones & -ones
             ones ^= bit
             p = cols[bit.bit_length() - 1]
             load[p] = load.get(p, 0) + 1
-    n1 = _max_matching([ones & ~common for ones in exclusive if ones & ~common])
-    return BottleneckSets(sum(load.values()) // 2, max(load.values()), n0, n1)
+    return load, exclusive, common
+
+
+def bottleneck_sets(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> BottleneckSets:
+    """The counts of edge (u, v) from its `statement_loads` (u's index, or
+    `_hub_first`'s when None) plus n1, a maximum matching of the exclusive
+    rows to the exclusive columns N_u - N~_v over their cost-1 cells. All of
+    it is symmetric in u and v."""
+    if not g.has_edge(u, v):
+        raise NotAnEdge(f"({u},{v}) is not an edge")
+    if index is None:
+        u, v = _hub_first(g, u, v)
+        index = NeighborIndex(g, u)
+    load, exclusive, common = statement_loads(g, u, v, index)
+    n1 = _max_matching([ones & ~common for _, ones in exclusive if ones & ~common])
+    return BottleneckSets(sum(load.values()) // 2, max(load.values()), common.bit_count(), n1)

@@ -5,7 +5,7 @@ generators of at most MAX_GENERATED_EDGES edges, and the test corpus.
 Vertices are dense 0-based integers. Graphs are simple, undirected,
 connected and have at least one edge; those invariants are enforced at
 construction time because the curvature definitions downstream are
-meaningless without them.
+meaningless without them. `has_edge` bisects the sorted adjacency rows.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 class GraphError(Exception):
@@ -55,16 +55,13 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     id_map: tuple[int, ...] | None = field(default=None, compare=False)
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """adjacency as sets, built once per graph for membership tests."""
-        return tuple(frozenset(a) for a in self.adjacency)
-
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        row = self.adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def to_json_obj(self) -> dict:
         return {"n": self.vertex_count, "edges": [[u, v] for u, v in self.edges]}
@@ -336,6 +333,7 @@ def _cocktail_party(m: int) -> Graph:
 
 
 _ER_RETRY_BUDGET = 1000
+_ER_PAIR_BUDGET = 5 * 10**7  # pairs drawn over all tries of one call: 5-6 s at ~9 M draws/s
 MAX_GENERATED_EDGES = 10**6
 
 
@@ -344,7 +342,11 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise GraphInvalid("erdos_renyi needs at least 2 vertices")
     if not 0.0 <= p <= 1.0:
         raise GraphInvalid("p must lie in [0, 1]")
-    for salt in range(_ER_RETRY_BUDGET):
+    per_try = n * (n - 1) // 2  # every try draws each pair once
+    if per_try > _ER_PAIR_BUDGET:
+        raise Unsatisfiable(f"erdos_renyi(n={n}) draws {per_try} pairs a try, past its bound of {_ER_PAIR_BUDGET}")
+    tries = min(_ER_RETRY_BUDGET, _ER_PAIR_BUDGET // per_try)
+    for salt in range(tries):
         # string seeds hash stably (sha512) across processes and versions,
         # unlike tuple seeds which go through randomized hash()
         rng = random.Random(f"er:{n}:{seed}:{salt}")
@@ -357,7 +359,8 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
         except GraphInvalid:
             continue
     raise Unsatisfiable(
-        f"erdos_renyi(n={n}, p={p}, seed={seed}) stayed disconnected after {_ER_RETRY_BUDGET} tries"
+        f"erdos_renyi(n={n}, p={p}, seed={seed}) stayed disconnected after {tries} tries, "
+        f"within its bounds of {_ER_RETRY_BUDGET} tries and {_ER_PAIR_BUDGET} drawn pairs"
     )
 
 

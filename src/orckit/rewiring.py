@@ -2,13 +2,14 @@
 
 Edges whose curvature exceeds tau_pos get trimmed (most positive first);
 edges below tau_neg get one extra support edge bridging their exclusive
-neighborhoods, placed to spread load rather than concentrate it on one
-vertex. The loop profiles every graph it makes and rolls back any step
-that increases the number of out-of-band edges, so the out-of-band count
-is non-increasing across accepted steps. Its profiles share one per-edge
-memo: an edge whose local W1 problem a step left as it was keeps its
-report, and only the edges the step touched are solved again. The
-returned RewireTrace is data; `emit.trace_obj` renders it as JSON.
+neighborhoods, placed to spread the load of `curvature.statement_loads`
+rather than concentrate it on one vertex. The loop profiles every graph it
+makes and rolls back any step that increases the number of out-of-band
+edges, so the out-of-band count is non-increasing across accepted steps.
+Its profiles share one per-edge memo: an edge whose local W1 problem a step
+left as it was keeps its report, and only the edges the step touched are
+solved again. The returned RewireTrace is data; `emit.trace_obj` renders it
+as JSON.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .curvature import CurvatureProfile, bottleneck_sets, curvature_profile
-from .graphs import Graph, GraphInvalid, from_edges
+from .curvature import CurvatureProfile, curvature_profile, statement_loads
+from .graphs import Graph, GraphInvalid, NeighborIndex, _hub_first, from_edges
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
 
@@ -108,23 +109,25 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     Candidates run p in N_u \\ N~_v against q in N_v \\ N~_u; the winner
     minimizes the max per-vertex edge count of the enlarged connecting
     set, then breaks ties lexicographically. None when no pair is absent.
-    p's edges in that set run to N_v - {u}, so with (p, q) added they number
-    len(N_p & N_v), u standing in for q; q's likewise.
+    With the edge's `statement_loads` (hub first), (p, q) adds one such edge
+    at p and one at q, so its key is (max(load[p] + 1, load[q] + 1,
+    max_load), (min(p, q), max(p, q))); the absent pairs are the exclusive
+    columns off an exclusive row's cost-1 mask.
     """
-    sets = g.neighbor_sets
-    nb_u, nb_v = sets[u], sets[v]
-    left = sorted(nb_u - nb_v - {v})
-    right = sorted(nb_v - nb_u - {u})
-    if not left or not right:
-        return None
-    base_max = bottleneck_sets(g, u, v).max_load
+    u, v = _hub_first(g, u, v)
+    index = NeighborIndex(g, u)
+    load, exclusive, common = statement_loads(g, u, v, index)
+    cols = g.adjacency[u]
+    left = index.full & ~common & ~index.pos[v]
+    max_load = max(load.values())
     best = None
-    for p in left:
-        load_p = len(sets[p] & nb_v)
-        for q in right:
-            if g.has_edge(p, q):
-                continue
-            key = (max(load_p, len(sets[q] & nb_u), base_max), (min(p, q), max(p, q)))
+    for q, ones in exclusive:
+        absent = left & ~ones
+        while absent:
+            bit = absent & -absent
+            absent ^= bit
+            p = cols[bit.bit_length() - 1]
+            key = (max(load.get(p, 0) + 1, load[q] + 1, max_load), (min(p, q), max(p, q)))
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]
@@ -144,12 +147,6 @@ def rewire_step(
         raise NoActionPossible(
             f"all edge curvatures lie inside [{cfg.tau_neg}, {cfg.tau_pos}]"
         )
-    before = RewireStep(
-        added=(),
-        removed=(),
-        out_of_band_before=len(too_pos) + len(too_neg),
-        histogram_before=kappa_histogram(profile),
-    )
 
     work = g
     removed: list[tuple[int, int]] = []
@@ -170,8 +167,12 @@ def rewire_step(
         work = from_edges(work.vertex_count, list(work.edges) + [candidate])
         added.append(candidate)
 
-    record = dataclasses.replace(before, added=tuple(added), removed=tuple(removed))
-    return work, record
+    return work, RewireStep(
+        added=tuple(added),
+        removed=tuple(removed),
+        out_of_band_before=len(too_pos) + len(too_neg),
+        histogram_before=kappa_histogram(profile),
+    )
 
 
 def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
@@ -201,11 +202,11 @@ def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
             record,
             out_of_band_after=new_oob,
             histogram_after=kappa_histogram(new_profile),
+            rolled_back=new_oob > current_oob,
         )
-        if new_oob > current_oob:
-            steps.append(dataclasses.replace(record, rolled_back=True))
-            break
         steps.append(record)
+        if record.rolled_back:
+            break
         current, current_profile, current_oob = candidate, new_profile, new_oob
     return current, RewireTrace(
         config=cfg,

@@ -12,9 +12,10 @@ floats anywhere.
 on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
 of the columns at each cost. For an edge those are the 0-3 hop-distance
 masks `index[q]` of u's `graphs.NeighborIndex`, read from adjacency
-alone, and the starting dual follows from the edge's structure
-(`_edge_start`: the best dual in which only u's row leaves potential 0,
-each column at its least cost over the other rows, capped by u's row); for
+alone, and the starting dual follows from the edge's structure by one
+rule (`_edge_start`: the best dual in which only u's row leaves potential
+0, each column at min(its least cost over the other rows, 1 + h_u), each
+row tight on its cost-c cells in the columns at potential c); for
 any other pair a dense BFS distance matrix goes through `_cost_levels`,
 and the solve starts from the zero dual. Every solve ends with one pass
 over the plan (`_plan_cost`) that checks its marginals and sums its cost.
@@ -144,48 +145,37 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     columns whose other-row minimum is >= t by one each: the dual objective
     gains D k_t - S, D = T/n per column and S = T/m per row, which is
     positive exactly when m k_t > n. k_t falls as t grows, so h_u counts the
-    t that pass. A cell is tight when its reduced cost is zero: on a row q
-    where its cost meets its column's potential, on row u in the columns
-    at the cap. With h_u = 0, as on dense edges, the columns are 0 on
-    the common neighbours and 1 elsewhere, and every row's tight cells are
-    its cost-0 cells and its cost-1 cells off the common columns.
+    t that pass (the cost-2 OR is needed only once t = 2 passes). So every
+    column starts at min(its other-row minimum, 1 + h_u). A cell is tight
+    when its reduced cost is zero: on a row q its cost-c cells in the
+    columns at potential c, on row u the columns at the cap. On dense
+    edges h_u stays 0, so the columns are 0 on the common neighbours and 1
+    elsewhere.
     """
     common = index.near.get(v, 0)
     others = levels[:at_u] + levels[at_u + 1 :]
-    ones = 0
+    ones = twos = 0
     for row in others:
         ones |= row.get(1, 0)
     m, n = len(levels), index.full.bit_count()
     far = index.full & ~(common | ones)  # other-row minimum >= 2
-    if m * far.bit_count() <= n:  # h_u = 0
-        rest = index.full ^ common  # never empty: it holds v's own column
-        col_pot = {0: common, 1: rest} if common else {1: rest}
-        return col_pot, [row.get(0, 0) | (row.get(1, 0) & rest) for row in levels], [0] * m
-    twos = 0
-    for row in others:
-        twos |= row.get(2, 0)
-    threes = far & ~twos
-    h_u = 2 if m * threes.bit_count() > n else 1
-    # far splits into 2 and 3 only once row u's cap allows 3
-    groups = (common, ones & ~common) + ((far,) if h_u == 1 else (far & twos, threes))
-    col_pot = {c: mask for c, mask in enumerate(groups) if mask}
-    tight = _tight_masks(levels, col_pot)
-    tight[at_u] = col_pot[1 + h_u]
+    h_u = 0
+    if m * far.bit_count() > n:
+        for row in others:
+            twos |= row.get(2, 0)
+        h_u = 2 if m * (far & ~twos).bit_count() > n else 1
+    cap = 1 + h_u
+    # at_least[c] masks the columns whose other-row minimum is >= c, c <= cap
+    at_least = (index.full, index.full ^ common, far, far & ~twos)
+    col_pot = {c: at_least[c] ^ at_least[c + 1] for c in range(cap) if at_least[c] != at_least[c + 1]}
+    col_pot[cap] = at_least[cap]  # never empty: v's own column, or the lift's k_t columns
+    # each row's cost-c cells in the columns at potential c, for the costs 0-3
+    g0, g1, g2, g3 = (col_pot.get(c, 0) for c in range(4))
+    tight = [row.get(0, 0) & g0 | row.get(1, 0) & g1 | row.get(2, 0) & g2 | row.get(3, 0) & g3 for row in levels]
+    tight[at_u] = col_pot[cap]
     row_pot = [0] * m
     row_pot[at_u] = h_u
     return col_pot, tight, row_pot
-
-
-def _tight_masks(levels: list[dict[int, int]], col_pot: dict[int, int]) -> list[int]:
-    """Per row at potential 0, the mask of its cells whose cost equals their
-    column's potential."""
-    tight = []
-    for row_levels in levels:
-        mask = 0
-        for c, cells in row_levels.items():
-            mask |= cells & col_pot.get(c, 0)
-        tight.append(mask)
-    return tight
 
 
 def _plan_cost(

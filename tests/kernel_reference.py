@@ -1,9 +1,10 @@
 """Independent references the tests hold the fast kernels to: decoded cost
 levels against BFS distances, an edge's structural starting dual against
-its BFS cost matrix and the dual with every column at its least cost, the
+its BFS cost matrix, the dual with every column at its least cost and the
+brute-forced best dual in which only u's row leaves potential 0, the
 transportation dual's objective and feasibility, the edge set
-S_statement and the frozenset formulation of `curvature.bottleneck_sets`
-that the mask counts replaced, the dense (A+I)^k product that the local
+S_statement and the set formulation of `curvature.bottleneck_sets` that
+the mask counts replaced, the dense (A+I)^k product that the local
 walk rows of `mpnn` replaced, and the count of edge problems a graph edit
 changes, from dense BFS cost matrices."""
 
@@ -79,6 +80,38 @@ def edge_start_holds(g, u, v, dist):
     )
 
 
+def one_free_row_dual_values(g, u, v, dist):
+    """The dual values of edge (u, v) (rows N_v, columns N_u) in which row u
+    sits at h and every other row at 0, for h in 0, 1, 2, with each column
+    at min(its least BFS cost over the other rows, 1 + h): the best dual of
+    that shape for each h, since row u costs 1 in every column."""
+    rows, cols = g.adjacency[v], g.adjacency[u]
+    m, n = len(rows), len(cols)
+    others = [[dist[q][p] for p in cols] for q in rows if q != u]
+    # with no other row (deg v = 1) every column sits at the cap 1 + h <= 3
+    minima = [min(column) for column in zip(*others)] if others else [3] * n
+    T = lcm(m, n)
+    supplies, demands = [T // m] * m, [T // n] * n
+    values = []
+    for h in range(3):
+        row_pot = [h if q == u else 0 for q in rows]
+        values.append(dual_value(supplies, demands, row_pot, [min(c, 1 + h) for c in minima]))
+    return values
+
+
+def edge_start_is_best_one_free_row(g, u, v, dist):
+    """`_edge_start`'s dual for edge (u, v) is worth the most of
+    `one_free_row_dual_values`, and its h_u is the least h that gets it."""
+    index = NeighborIndex(g, u)
+    rows, cols = g.adjacency[v], g.adjacency[u]
+    m, n = len(rows), len(cols)
+    col_pot, _, row_pot = _edge_start(index, v, [index[q] for q in rows], rows.index(u))
+    T = lcm(m, n)
+    value = dual_value([T // m] * m, [T // n] * n, row_pot, decoded([col_pot], n)[0])
+    values = one_free_row_dual_values(g, u, v, dist)
+    return value == max(values) and row_pot[rows.index(u)] == values.index(max(values))
+
+
 def _max_bipartite_matching(left, adj):
     match = {}
 
@@ -98,10 +131,10 @@ def _max_bipartite_matching(left, adj):
 def statement_edges(g, u, v):
     """S_statement of edge (u, v) as g.edges' own tuples, in its order: every
     edge between N~_u - {v} and N~_v - {u}, N~ the closed neighbourhood."""
-    sets = g.neighbor_sets
-    side_u = (sets[u] | {u}) - {v}
-    side_v = (sets[v] | {v}) - {u}
-    found = {(a, b) if a < b else (b, a) for a in side_u for b in sets[a] & side_v}
+    adj = g.adjacency
+    side_u = (set(adj[u]) | {u}) - {v}
+    side_v = (set(adj[v]) | {v}) - {u}
+    found = {(a, b) if a < b else (b, a) for a in side_u for b in side_v.intersection(adj[a])}
     return tuple(g.edges[bisect_left(g.edges, e)] for e in sorted(found))
 
 
@@ -124,14 +157,13 @@ def participation_hypothesis_holds(g, u, v):
 def bottleneck_sets_from_sets(g, u, v):
     # orientation convention: deg(hu) = n >= m = deg(hv)
     hu, hv = (u, v) if g.degree(u) >= g.degree(v) else (v, u)
-    sets = g.neighbor_sets
-    n_u, n_v = sets[hu], sets[hv]
+    n_u, n_v = set(g.adjacency[hu]), set(g.adjacency[hv])
     s_statement = statement_edges(g, hu, hv)
 
     n0 = len(n_u & n_v)
     excl_u = sorted(n_u - {hv} - n_v)
     excl_v = n_v - {hu} - n_u
-    adj = {p: sets[p] & excl_v for p in excl_u}
+    adj = {p: excl_v.intersection(g.adjacency[p]) for p in excl_u}
     n1 = _max_bipartite_matching(excl_u, adj)
     max_load = max(participation(s_statement).values())
     return BottleneckSets(s_size=len(s_statement), max_load=max_load, n0=n0, n1=n1)

@@ -88,7 +88,7 @@ def test_builders_give_the_named_regular_graph(name):
     assert g.vertex_count == n
     assert {g.degree(p) for p in range(n)} == {degree}
     if name in TRIANGLE_FREE:
-        assert not any(g.neighbor_sets[u] & g.neighbor_sets[v] for u, v in g.edges)
+        assert not any(set(g.adjacency[u]).intersection(g.adjacency[v]) for u, v in g.edges)
 
 
 def test_no_bound_is_violated(report):

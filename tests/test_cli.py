@@ -12,7 +12,7 @@ from referencing import Registry, Resource
 
 from orckit import cli, diagnostics
 from orckit.diagnostics import MAX_TRIALS
-from orckit.graphs import generate, parse_edge_list
+from orckit.graphs import _ER_PAIR_BUDGET, generate, parse_edge_list
 from orckit.mpnn import MAX_DEMO_ITERATIONS
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -518,6 +518,12 @@ class TestEdgelessGraph:
         code, out, err = run_main(capsys, "generate", *args)
         assert (code, out) == (2, "")
         assert "at least 2 vertices" in err
+
+    def test_erdos_renyi_past_its_pair_bound(self, capsys):
+        args = ("--family", "erdos_renyi", "--n", "200000", "--p", "0.0000001", "--seed", "0")
+        code, out, err = run_main(capsys, "generate", *args)
+        assert (code, out) == (2, "")
+        assert "erdos_renyi" in err and f"bound of {_ER_PAIR_BUDGET}" in err
 
 
 class TestOutputPath:

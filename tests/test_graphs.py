@@ -1,9 +1,12 @@
 import json
+import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from orckit import graphs
 from orckit.graphs import (
     MAX_GENERATED_EDGES,
     GraphInvalid,
@@ -209,6 +212,31 @@ class TestGenerators:
         with pytest.raises(Unsatisfiable):
             generate("erdos_renyi", n=5, p=0.0, seed=0)
 
+    def test_erdos_renyi_past_its_pair_bound_is_refused_before_drawing(self, monkeypatch):
+        # n = 200,000 would draw some 2e10 pairs in its first try alone
+        def no_draw(seed):
+            raise AssertionError("erdos_renyi drew pairs it was bound to refuse")
+
+        monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=no_draw))
+        with pytest.raises(Unsatisfiable, match=f"erdos_renyi.* bound of {graphs._ER_PAIR_BUDGET}"):
+            generate("erdos_renyi", n=200_000, p=1e-7, seed=0)
+
+    def test_erdos_renyi_stops_at_its_pair_bound(self, monkeypatch):
+        # n = 5 draws 10 pairs a try, so a bound of 35 pairs allows 3 tries
+        drawn = []
+
+        class Counting(random.Random):
+            def random(self):
+                drawn.append(1)
+                return super().random()
+
+        monkeypatch.setattr(graphs, "_ER_PAIR_BUDGET", 35)
+        monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=Counting))
+        message = r"erdos_renyi\(n=5, p=0.0, seed=0\) stayed disconnected after 3 tries, .* and 35 drawn pairs"
+        with pytest.raises(Unsatisfiable, match=message):
+            generate("erdos_renyi", n=5, p=0.0, seed=0)
+        assert len(drawn) == 30
+
     @pytest.mark.parametrize(
         "family, params",
         [
@@ -269,6 +297,24 @@ def test_corpus_shape():
     names = [name for name, _ in entries]
     assert len(set(names)) == len(names)
     assert all(g.vertex_count <= 20 for _, g in entries)
+
+
+def test_has_edge_matches_set_membership(corpus_entries):
+    """Every ordered vertex pair of the corpus, star_19 among it, probing
+    each adjacency row below its first entry, above its last and in its
+    gaps."""
+    assert "star_19" in dict(corpus_entries)
+    below = above = gaps = 0
+    for name, g in corpus_entries:
+        for a, row in enumerate(g.adjacency):
+            members = set(row)
+            for b in range(g.vertex_count):
+                assert g.has_edge(a, b) == (b in members), (name, a, b)
+                if b not in members:
+                    below += b < row[0]
+                    above += b > row[-1]
+                    gaps += row[0] < b < row[-1]
+    assert below and above and gaps
 
 
 def test_corpus_is_stable_across_calls():

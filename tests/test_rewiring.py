@@ -116,7 +116,7 @@ def support_candidate_from_statement_edges(g, u, v):
     """The support candidate by the rule it was first written with: the
     participation of every vertex in S_statement, and each pair's load
     max(base[p] + 1, base[q] + 1, base_max)."""
-    nb_u, nb_v = g.neighbor_sets[u], g.neighbor_sets[v]
+    nb_u, nb_v = set(g.adjacency[u]), set(g.adjacency[v])
     left = sorted(nb_u - nb_v - {v})
     right = sorted(nb_v - nb_u - {u})
     base = participation(statement_edges(g, u, v))
@@ -133,13 +133,31 @@ def support_candidate_from_statement_edges(g, u, v):
 def test_support_candidate_matches_statement_edge_rule(
     corpus_entries, irregular_graphs, dense_graph
 ):
+    # irregular_graphs holds ER(100, 0.08) seed 0; seeds 1-11 complete the
+    # graphs that `rewire` is benchmarked on
     graphs = [g for _, g in corpus_entries] + [g for _, g in irregular_graphs] + [dense_graph]
+    graphs += [generate("erdos_renyi", n=100, p=0.08, seed=seed) for seed in range(1, 12)]
     found = 0
     for g in graphs:
         for u, v in g.edges:
             expected = support_candidate_from_statement_edges(g, u, v)
             assert _support_candidate(g, u, v) == expected, (u, v)
             found += expected is not None
+    assert found > 0
+
+
+def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
+    """The candidate reads the loads of S_statement alone: no maximum
+    matching is computed for it."""
+
+    def refuse(options):
+        raise AssertionError("_support_candidate computed a matching")
+
+    monkeypatch.setattr(curvature, "_max_matching", refuse)
+    found = 0
+    for _, g in corpus_entries[:40]:
+        for u, v in g.edges:
+            found += _support_candidate(g, u, v) is not None
     assert found > 0
 
 

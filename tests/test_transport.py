@@ -10,6 +10,7 @@ from kernel_reference import (
     dual_value,
     edge_levels_match_bfs,
     edge_start_holds,
+    edge_start_is_best_one_free_row,
 )
 
 from orckit import transport
@@ -134,6 +135,15 @@ class TestWasserstein:
             for u, v in g.edges:
                 assert edge_start_holds(g, u, v, dist)
                 assert edge_start_holds(g, v, u, dist)
+
+    def test_structural_start_is_the_best_one_free_row_dual(self, corpus_entries):
+        graphs = [g for _, g in corpus_entries]
+        graphs += [generate("erdos_renyi", n=60, p=p, seed=0) for p in (0.08, 0.2, 0.5)]
+        for g in graphs:
+            dist = all_distances(g)
+            for u, v in g.edges:
+                assert edge_start_is_best_one_free_row(g, u, v, dist), (u, v)
+                assert edge_start_is_best_one_free_row(g, v, u, dist), (v, u)
 
     def test_dense_costs_round_trip_through_levels(self):
         cost = [[0, 3, 3, 1], [2, 2, 0, 7], [5, 5, 5, 5]]
