@@ -11,13 +11,14 @@ u (the smaller id on a tie; standalone calls orient the same way) and builds
 one `NeighborIndex` of u per group; the W1 solve and the bottleneck counts
 of every edge (u, v) read their masks and the cached cost levels of the rows
 q in N_v from it, so no per-edge structure is built twice, and the rows of
-every edge's problem are the smaller neighbourhood. Given a memo, as the
-rewiring loop passes, an edge whose problem is unchanged since an earlier
-profile keeps its report. The reports come back in `g.edges` order. They
-keep counts of the lemma's connecting set S_statement, not its edges, from
-the load pass `statement_loads` that rewiring's support candidate also
-reads; `diagnostics.verify_bottleneck` judges its hypothesis, and
-`emit.write_profile` renders a profile as JSON.
+every edge's problem are the smaller neighbourhood. The reports come back in
+`g.edges` order. They keep counts of the lemma's connecting set
+S_statement, not its edges, from the load pass `statement_loads` that
+rewiring's support candidate also reads; `diagnostics.verify_bottleneck`
+judges its hypothesis, and `emit.write_profile` renders a profile as JSON.
+`edge_curvatures` walks the same hub groups for kappa alone, the one fact
+rewiring reads; given a memo, as the rewiring loop passes, an edge whose
+problem is unchanged since an earlier call keeps its kappa.
 """
 
 from __future__ import annotations
@@ -121,46 +122,63 @@ def edge_report(
     )
 
 
-def curvature_profile(g: Graph, memo: dict | None = None) -> CurvatureProfile:
-    """One report per edge, in the order of g.edges. Each edge is grouped
-    under its endpoint u of higher degree (the smaller id on a tie), so the
-    rows of its W1 problem are the smaller neighbourhood; the edges of a
-    group share one index of u, dropped when the group ends.
+def _hub_edges(g: Graph):
+    """(k, u, v, index) for each edge g.edges[k], grouped under its endpoint
+    u of higher degree (the smaller id on a tie), so the rows of its W1
+    problem are the smaller neighbourhood. A group's edges come together and
+    share one NeighborIndex of u, built when the group comes up and dropped
+    when it ends."""
+    groups: dict[int, list[int]] = {}
+    edges = g.edges
+    for k, (a, b) in enumerate(edges):
+        groups.setdefault(_hub_first(g, a, b)[0], []).append(k)
+    for u, ks in groups.items():
+        index = NeighborIndex(g, u)
+        for k in ks:
+            a, b = edges[k]
+            yield k, u, b if a == u else a, index
 
-    memo, when given, carries reports from one profile to the next, as
+
+def curvature_profile(g: Graph) -> CurvatureProfile:
+    """One report per edge, in the order of g.edges; the edges of a hub
+    group share one index of their hub (see `_hub_edges`)."""
+    reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
+    for k, u, v, index in _hub_edges(g):
+        reports[k] = edge_report(g, u, v, index=index)
+    return CurvatureProfile(reports=tuple(reports))
+
+
+def edge_curvatures(g: Graph, memo: dict | None = None) -> tuple[Fraction, ...]:
+    """kappa of every edge, in the order of g.edges, grouped and solved as in
+    `curvature_profile` but with nothing else of a report built.
+
+    memo, when given, carries curvatures from one call to the next, as
     `rewiring.rewire_loop` does across its steps. It maps the hub-first edge
-    (u, v) to (N_u, N_v, levels, report), levels being the rows `index[q]`
-    for q in N_v, and an edge reuses the stored report
-    only when all three inputs are equal; otherwise it is solved and stored
-    afresh. That is exact: the W1 solve reads the rows, u's position in N_v
-    (fixed by N_v) and, from the index, `near[v]` (the OR of the rows'
-    cost-0 masks) and `full` (fixed by N_u); `bottleneck_sets` reads the
-    same rows, that mask and `pos[v]` (fixed by N_u); the degrees are the
+    (u, v) to (N_u, N_v, levels, kappa), levels being the rows `index[q]`
+    for q in N_v that the W1 solve reads, and an edge reuses the stored
+    kappa only when all three inputs are equal; otherwise it is solved and
+    stored afresh. That is exact: the solve reads the rows, u's position in
+    N_v (fixed by N_v) and, from the index, `near[v]` (the OR of the rows'
+    cost-0 masks) and `full` (fixed by N_u), and its scale is the lcm of the
     lengths of N_u and N_v. Every reuse is checked by equality, so a stale
     entry, left by a removed edge, an earlier iteration or a rolled-back
     step, can only miss, never mislead.
     """
-    groups: dict[int, list[int]] = {}
-    for k, (a, b) in enumerate(g.edges):
-        groups.setdefault(_hub_first(g, a, b)[0], []).append(k)
-    reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
+    kappas: list[Fraction | None] = [None] * len(g.edges)
     adjacency = g.adjacency
-    for u, ks in groups.items():
-        index = NeighborIndex(g, u)
-        for k in ks:
-            a, b = g.edges[k]
-            v = b if a == u else a
-            if memo is None:
-                reports[k] = edge_report(g, u, v, index=index)
-                continue
-            inputs = (adjacency[u], adjacency[v], list(map(index.__getitem__, adjacency[v])))
-            entry = memo.get((u, v))
-            if entry is not None and entry[:3] == inputs:
-                reports[k] = entry[3]
-            else:
-                reports[k] = edge_report(g, u, v, index=index)
-                memo[u, v] = (*inputs, reports[k])
-    return CurvatureProfile(reports=tuple(reports))
+    for k, u, v, index in _hub_edges(g):
+        if memo is None:
+            kappas[k] = 1 - wasserstein1(g, u, v, index=index)
+            continue
+        levels = list(map(index.__getitem__, adjacency[v]))
+        inputs = (adjacency[u], adjacency[v], levels)
+        entry = memo.get((u, v))
+        if entry is not None and entry[:3] == inputs:
+            kappas[k] = entry[3]
+        else:
+            kappas[k] = 1 - wasserstein1(g, u, v, index=index, levels=levels)
+            memo[u, v] = (*inputs, kappas[k])
+    return tuple(kappas)
 
 
 def _max_matching(options: list[int]) -> int:

@@ -5,7 +5,8 @@ generators of at most MAX_GENERATED_EDGES edges, and the test corpus.
 Vertices are dense 0-based integers. Graphs are simple, undirected,
 connected and have at least one edge; those invariants are enforced at
 construction time because the curvature definitions downstream are
-meaningless without them. `has_edge` bisects the sorted adjacency rows.
+meaningless without them. `has_edge` bisects the sorted adjacency rows and
+refuses a vertex id outside 0..n-1.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class Graph:
         return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether (u, v) is an edge. An id outside 0..n-1 raises ValueError
+        rather than wrap round as a negative tuple index would."""
+        n = self.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex {v if 0 <= u < n else u} out of range for {n} vertices")
         row = self.adjacency[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v

@@ -3,13 +3,14 @@
 Edges whose curvature exceeds tau_pos get trimmed (most positive first);
 edges below tau_neg get one extra support edge bridging their exclusive
 neighborhoods, placed to spread the load of `curvature.statement_loads`
-rather than concentrate it on one vertex. The loop profiles every graph it
-makes and rolls back any step that increases the number of out-of-band
-edges, so the out-of-band count is non-increasing across accepted steps.
-Its profiles share one per-edge memo: an edge whose local W1 problem a step
-left as it was keeps its report, and only the edges the step touched are
-solved again. The returned RewireTrace is data; `emit.trace_obj` renders it
-as JSON.
+rather than concentrate it on one vertex. The loop reads only each edge's
+curvature: it takes `curvature.edge_curvatures` of every graph it makes, a
+tuple aligned with `g.edges`, and rolls back any step that increases the
+number of out-of-band edges, so the out-of-band count is non-increasing
+across accepted steps. Its calls share one per-edge memo: an edge whose
+local W1 problem a step left as it was keeps its kappa, and only the edges
+the step touched are solved again. The returned RewireTrace is data;
+`emit.trace_obj` renders it as JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .curvature import CurvatureProfile, curvature_profile, statement_loads
+from .curvature import CurvatureProfile, edge_curvatures, statement_loads
 from .graphs import Graph, GraphInvalid, NeighborIndex, _hub_first, from_edges
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
@@ -74,33 +75,38 @@ class RewireTrace:
 
 def kappa_histogram(profile: CurvatureProfile) -> tuple[int, ...]:
     """Edge counts in 12 quarter-width curvature bins spanning [-2, 1]."""
+    return _histogram(r.kappa for r in profile.reports)
+
+
+def _histogram(kappas) -> tuple[int, ...]:
     counts = [0] * HISTOGRAM_BINS
-    for r in profile.reports:
+    for kappa in kappas:
         # exact bin floor(4 (kappa + 2)) of kappa = p/q >= -2 in integers;
         # kappa = 1 lands in the closed last bin
-        p, q = r.kappa.numerator, r.kappa.denominator
+        p, q = kappa.numerator, kappa.denominator
         counts[min(4 * (p + 2 * q) // q, HISTOGRAM_BINS - 1)] += 1
     return tuple(counts)
 
 
-def _out_of_band(profile: CurvatureProfile, cfg: RewireConfig) -> tuple[list, list]:
-    """(reports below tau_neg, reports above tau_pos), compared exactly in
-    integers: kappa = p/q < a/b, with q, b > 0, exactly when p b < a q, and a
-    float threshold is the ratio a/b of `as_integer_ratio()`."""
+def _out_of_band(kappas: tuple, cfg: RewireConfig) -> tuple[list[int], list[int]]:
+    """(positions of the kappas below tau_neg, of those above tau_pos),
+    compared exactly in integers: kappa = p/q < a/b, with q, b > 0, exactly
+    when p b < a q, and a float threshold is the ratio a/b of
+    `as_integer_ratio()`."""
     a, b = cfg.tau_neg.as_integer_ratio()
     c, d = cfg.tau_pos.as_integer_ratio()
     below, above = [], []
-    for r in profile.reports:
-        p, q = r.kappa.numerator, r.kappa.denominator
+    for k, kappa in enumerate(kappas):
+        p, q = kappa.numerator, kappa.denominator
         if p * b < a * q:
-            below.append(r)
+            below.append(k)
         elif p * d > c * q:
-            above.append(r)
+            above.append(k)
     return below, above
 
 
-def out_of_band_count(profile: CurvatureProfile, cfg: RewireConfig) -> int:
-    return sum(map(len, _out_of_band(profile, cfg)))
+def out_of_band_count(kappas: tuple, cfg: RewireConfig) -> int:
+    return sum(map(len, _out_of_band(kappas, cfg)))
 
 
 def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
@@ -133,16 +139,15 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     return None if best is None else best[1]
 
 
-def rewire_step(
-    g: Graph, profile: CurvatureProfile, cfg: RewireConfig
-) -> tuple[Graph, RewireStep]:
-    """Apply one round of removals and additions guided by the profile.
+def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, RewireStep]:
+    """Apply one round of removals and additions guided by kappas, the
+    curvature of each edge in `g.edges` order.
 
     Raises NoActionPossible when no edge crosses either threshold. The
     returned graph may equal the input when every action was skipped
     (a removal that would disconnect the graph, no absent support pair).
     """
-    too_neg, too_pos = _out_of_band(profile, cfg)
+    too_neg, too_pos = _out_of_band(kappas, cfg)
     if not too_pos and not too_neg:
         raise NoActionPossible(
             f"all edge curvatures lie inside [{cfg.tau_neg}, {cfg.tau_pos}]"
@@ -150,18 +155,22 @@ def rewire_step(
 
     work = g
     removed: list[tuple[int, int]] = []
-    for r in heapq.nsmallest(cfg.removals_per_step, too_pos, key=lambda r: (-r.kappa, r.edge)):
-        kept = [e for e in work.edges if e != r.edge]
+    # the k most extreme, by the (-kappa, edge) and (kappa, edge) keys
+    edges = g.edges
+    trims = [(-kappas[k], edges[k]) for k in too_pos]
+    bridges = [(kappas[k], edges[k]) for k in too_neg]
+    for _, edge in heapq.nsmallest(cfg.removals_per_step, trims):
+        kept = [e for e in work.edges if e != edge]
         try:
             work = from_edges(work.vertex_count, kept)
         except GraphInvalid:
             # the graph type requires connectivity: skip a disconnecting removal
             continue
-        removed.append(r.edge)
+        removed.append(edge)
 
     added: list[tuple[int, int]] = []
-    for r in heapq.nsmallest(cfg.additions_per_step, too_neg, key=lambda r: (r.kappa, r.edge)):
-        candidate = _support_candidate(work, *r.edge)
+    for _, edge in heapq.nsmallest(cfg.additions_per_step, bridges):
+        candidate = _support_candidate(work, *edge)
         if candidate is None:
             continue
         work = from_edges(work.vertex_count, list(work.edges) + [candidate])
@@ -171,43 +180,43 @@ def rewire_step(
         added=tuple(added),
         removed=tuple(removed),
         out_of_band_before=len(too_pos) + len(too_neg),
-        histogram_before=kappa_histogram(profile),
+        histogram_before=_histogram(kappas),
     )
 
 
 def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
     """Iterate rewire_step with the new graph's curvature until nothing
-    changes; each profile reuses the reports of the edges the step left
-    untouched (see `curvature_profile`).
+    changes; each graph's kappas reuse those of the edges the step left
+    untouched (see `edge_curvatures`).
 
     Stops at max_iterations, when no edge is out of band, when a step
     cannot act, or after reverting a step that raised the out-of-band
     count (that step is recorded with rolled_back set).
     """
-    memo: dict = {}  # per-edge reports shared by every profile of this loop
-    profile = curvature_profile(g, memo)
-    initial = out_of_band_count(profile, cfg)
+    memo: dict = {}  # per-edge kappas shared by every graph of this loop
+    kappas = edge_curvatures(g, memo)
+    initial = out_of_band_count(kappas, cfg)
     steps: list[RewireStep] = []
-    current, current_profile, current_oob = g, profile, initial
+    current, current_kappas, current_oob = g, kappas, initial
     for _ in range(cfg.max_iterations):
         try:
-            candidate, record = rewire_step(current, current_profile, cfg)
+            candidate, record = rewire_step(current, current_kappas, cfg)
         except NoActionPossible:
             break
         if candidate.edges == current.edges:
             break
-        new_profile = curvature_profile(candidate, memo)
-        new_oob = out_of_band_count(new_profile, cfg)
+        new_kappas = edge_curvatures(candidate, memo)
+        new_oob = out_of_band_count(new_kappas, cfg)
         record = dataclasses.replace(
             record,
             out_of_band_after=new_oob,
-            histogram_after=kappa_histogram(new_profile),
+            histogram_after=_histogram(new_kappas),
             rolled_back=new_oob > current_oob,
         )
         steps.append(record)
         if record.rolled_back:
             break
-        current, current_profile, current_oob = candidate, new_profile, new_oob
+        current, current_kappas, current_oob = candidate, new_kappas, new_oob
     return current, RewireTrace(
         config=cfg,
         steps=tuple(steps),

@@ -96,7 +96,9 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
     return T, supplies, demands
 
 
-def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> Fraction:
+def wasserstein1(
+    g: Graph, u: int, v: int, index: NeighborIndex | None = None, levels: list | None = None
+) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
     The integer problem is built directly on the scale T = lcm(deg u, deg v).
@@ -104,18 +106,20 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
     symmetric), each row's cost levels are its hop-distance masks from u's
     `NeighborIndex`, and the solver starts from `_edge_start`, which also
     reads u's position in N_v. Every per-row step of the solver scales with
-    the row count, so `curvature_profile` passes u as the endpoint of higher
-    degree, with one index for all of u's edges; a call without one builds
-    `_hub_first`'s. Any other pair takes its distances from BFS and starts
-    from the zero dual: every potential 0, each row tight on its cost-0
-    cells.
+    the row count, so the curvature profiles pass u as the endpoint of
+    higher degree, with one index for all of u's edges; a call without one
+    builds `_hub_first`'s. A caller that already holds the rows `index[q]`
+    for q in N_v, in order, passes them with the index as levels. Any other
+    pair takes its distances from BFS and starts from the zero dual: every
+    potential 0, each row tight on its cost-0 cells.
     """
     if g.has_edge(u, v):
         if index is None:
             u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
         rows, cols = g.adjacency[v], g.adjacency[u]
-        levels = list(map(index.__getitem__, rows))
+        if levels is None:
+            levels = list(map(index.__getitem__, rows))
         start = _edge_start(index, v, levels, bisect_left(rows, u))
     else:
         rows, cols = g.adjacency[u], g.adjacency[v]

@@ -22,6 +22,7 @@ from orckit.curvature import (
     SameVertex,
     bottleneck_sets,
     curvature_profile,
+    edge_curvatures,
     edge_report,
     frac_str,
     ricci_curvature,
@@ -77,6 +78,14 @@ class TestRicciCurvature:
         with pytest.raises(SameVertex):
             ricci_curvature(generate("path", n=3), 1, 1)
 
+    def test_vertex_out_of_range_rejected(self):
+        # -1 would wrap round to vertex 4, whose edge (4, 0) exists
+        g = generate("cycle", n=5)
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            ricci_curvature(g, -1, 0)
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            ricci_curvature(g, 0, 5)
+
     def test_tree_closed_form(self):
         # on trees the exact value is min(0, -2 + 2/deg(u) + 2/deg(v))
         trees = [
@@ -111,6 +120,13 @@ class TestEdgeReport:
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
             edge_report(generate("path", n=3), 0, 2)
+
+    def test_vertex_out_of_range_rejected(self):
+        g = generate("cycle", n=5)
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            edge_report(g, -1, 0)
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            edge_report(g, 5, 4)
 
 
 def statement_skipped(g, u, v):
@@ -153,6 +169,13 @@ class TestBottleneckSets:
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
             bottleneck_sets(generate("path", n=4), 0, 3)
+
+    def test_vertex_out_of_range_rejected(self):
+        g = generate("cycle", n=5)
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            bottleneck_sets(g, 0, -1)
+        with pytest.raises(ValueError, match="vertex 7 out of range"):
+            bottleneck_sets(g, 7, 0)
 
     def test_statement_set_matches_edge_scan(self, corpus_entries):
         graphs = [g for _, g in corpus_entries]
@@ -305,7 +328,14 @@ class TestCurvatureProfile:
                 assert edge_report(g, u, v) == r
                 assert edge_report(g, v, u) == r
 
-    def test_one_index_per_grouping_vertex(self, monkeypatch):
+    def test_edge_curvatures_are_the_reports_kappas(self, corpus_entries, corpus_profiles):
+        for name, g in corpus_entries:
+            kappas = tuple(r.kappa for r in corpus_profiles[name].reports)
+            assert edge_curvatures(g) == kappas
+            assert edge_curvatures(g, {}) == kappas
+
+    @pytest.mark.parametrize("profile", [curvature_profile, edge_curvatures])
+    def test_one_index_per_grouping_vertex(self, profile, monkeypatch):
         g = generate("erdos_renyi", n=400, p=0.03, seed=0)
         built = []
 
@@ -315,7 +345,7 @@ class TestCurvatureProfile:
                 super().__init__(g, u)
 
         monkeypatch.setattr(curvature, "NeighborIndex", Counted)
-        curvature_profile(g)
+        profile(g)
         deg = g.degree
         grouping = {a if deg(a) >= deg(b) else b for a, b in g.edges}
         assert len(built) == len(grouping)

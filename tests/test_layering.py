@@ -119,9 +119,9 @@ def test_only_emit_shapes_reports_and_writes_layers():
 
 
 def memo_passers(path):
-    """Whether the module at path calls curvature_profile with a memo."""
+    """Whether the module at path calls edge_curvatures with a memo."""
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "curvature_profile":
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "edge_curvatures":
             if len(node.args) > 1 or any(k.arg == "memo" for k in node.keywords):
                 return True
     return False

@@ -7,7 +7,7 @@ import pytest
 from kernel_reference import changed_edge_problems, participation, statement_edges
 
 from orckit import curvature, rewiring
-from orckit.curvature import curvature_profile
+from orckit.curvature import curvature_profile, edge_curvatures
 from orckit.emit import trace_obj
 from orckit.graphs import from_edges, generate
 from orckit.rewiring import (
@@ -78,9 +78,9 @@ def test_kappa_histogram():
 
 
 def test_out_of_band_count():
-    profile = curvature_profile(generate("barbell", k=3))
-    assert out_of_band_count(profile, RewireConfig()) == 1
-    assert out_of_band_count(profile, RewireConfig(tau_neg=-1.0, tau_pos=0.99)) == 0
+    kappas = edge_curvatures(generate("barbell", k=3))
+    assert out_of_band_count(kappas, RewireConfig()) == 1
+    assert out_of_band_count(kappas, RewireConfig(tau_neg=-1.0, tau_pos=0.99)) == 0
 
 
 # thresholds on and between exact curvature values; the floats -1/3 and 1/3
@@ -100,15 +100,16 @@ def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_p
         for r in profile.reports:
             expected[min(int((r.kappa + 2) * 4), HISTOGRAM_BINS - 1)] += 1
         assert kappa_histogram(profile) == tuple(expected)
+        kappas = tuple(r.kappa for r in profile.reports)
         for tau_neg, tau_pos in BAND_THRESHOLDS:
             cfg = RewireConfig(tau_neg=tau_neg, tau_pos=tau_pos)
-            below = [r for r in profile.reports if r.kappa < tau_neg]
-            above = [r for r in profile.reports if r.kappa > tau_pos]
-            assert _out_of_band(profile, cfg) == (below, above)
+            below = [k for k, kappa in enumerate(kappas) if kappa < tau_neg]
+            above = [k for k, kappa in enumerate(kappas) if kappa > tau_pos]
+            assert _out_of_band(kappas, cfg) == (below, above)
             count = len(below) + len(above)
-            assert out_of_band_count(profile, cfg) == count
+            assert out_of_band_count(kappas, cfg) == count
             if count:
-                _, step = rewire_step(g, profile, cfg)
+                _, step = rewire_step(g, kappas, cfg)
                 assert step.out_of_band_before == count
 
 
@@ -164,7 +165,7 @@ def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
 class TestRewireStep:
     def test_barbell_adds_a_support_edge(self):
         g = generate("barbell", k=3)
-        new_g, step = rewire_step(g, curvature_profile(g), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
         assert step.added == ((0, 4),)
         assert step.removed == ()
         assert new_g.has_edge(0, 4)
@@ -174,14 +175,14 @@ class TestRewireStep:
         # additions must connect a neighbor of one endpoint to a neighbor
         # of the other, never arbitrary pairs
         g = generate("barbell", k=4)
-        new_g, step = rewire_step(g, curvature_profile(g), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
         assert len(step.added) == 1
         p, q = step.added[0]
         assert p in g.adjacency[3] and q in g.adjacency[4]
 
     def test_triangle_removal(self):
         g = generate("complete", n=3)
-        new_g, step = rewire_step(g, curvature_profile(g), RewireConfig(tau_pos=0.4))
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
         assert step.removed == ((0, 1),)
         assert step.added == ()
         assert len(new_g.edges) == 2
@@ -198,14 +199,14 @@ class TestRewireStep:
         picked = []
         monkeypatch.setattr(rewiring, "_support_candidate", lambda work, u, v: picked.append((u, v)))
         cfg = RewireConfig(tau_neg=-0.5, tau_pos=0.5, additions_per_step=3, removals_per_step=4)
-        _, step = rewire_step(g, profile, cfg)
+        _, step = rewire_step(g, tuple(r.kappa for r in profile.reports), cfg)
         assert step.removed == tuple(r.edge for r in above[:4])
         assert picked == [r.edge for r in below[:3]]
 
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)
         with pytest.raises(NoActionPossible):
-            rewire_step(g, curvature_profile(g), RewireConfig())
+            rewire_step(g, edge_curvatures(g), RewireConfig())
 
 
 class TestRewireLoop:
@@ -268,19 +269,22 @@ class TestRewireLoop:
 
 def rewire_loop_fresh(g, cfg):
     """The rewiring loop with a fresh `curvature_profile` for every graph,
-    no report carried from one step to the next."""
+    its kappas read off the full reports, nothing carried from one step to
+    the next."""
     profile = curvature_profile(g)
-    initial = current_oob = out_of_band_count(profile, cfg)
+    kappas = tuple(r.kappa for r in profile.reports)
+    initial = current_oob = out_of_band_count(kappas, cfg)
     steps = []
     for _ in range(cfg.max_iterations):
         try:
-            candidate, record = rewire_step(g, profile, cfg)
+            candidate, record = rewire_step(g, kappas, cfg)
         except NoActionPossible:
             break
         if candidate.edges == g.edges:
             break
         new_profile = curvature_profile(candidate)
-        new_oob = out_of_band_count(new_profile, cfg)
+        new_kappas = tuple(r.kappa for r in new_profile.reports)
+        new_oob = out_of_band_count(new_kappas, cfg)
         record = dataclasses.replace(
             record, out_of_band_after=new_oob, histogram_after=kappa_histogram(new_profile)
         )
@@ -288,7 +292,7 @@ def rewire_loop_fresh(g, cfg):
             steps.append(dataclasses.replace(record, rolled_back=True))
             break
         steps.append(record)
-        g, profile, current_oob = candidate, new_profile, new_oob
+        g, kappas, current_oob = candidate, new_kappas, new_oob
     return g, RewireTrace(cfg, tuple(steps), initial, current_oob)
 
 
@@ -330,20 +334,44 @@ def test_loop_reusing_reports_matches_fresh_profiles(g, cfg):
 
 
 def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
-    """On the golden rewire input, the loop's first profile solves every edge
-    and the post-step one only the edges whose problem the step changed."""
+    """On the golden rewire input, the loop's first kappas solve every edge
+    and the post-step ones only the edges whose problem the step changed."""
     g = generate("erdos_renyi", n=100, p=0.08, seed=0)
-    after, _ = rewire_step(g, curvature_profile(g), GOLDEN_CONFIG)
+    after, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
-    solve = curvature.edge_report
+    solve = curvature.wasserstein1
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(curvature, "edge_report", counted)
+    monkeypatch.setattr(curvature, "wasserstein1", counted)
     final, trace = rewire_loop(g, GOLDEN_CONFIG)
     assert final.edges == after.edges and not trace.steps[0].rolled_back
     assert len(calls) == len(g.edges) + changed
     assert 0 < changed < len(after.edges)
+
+
+@pytest.mark.parametrize(
+    "g, cfg",
+    [
+        (generate("erdos_renyi", n=100, p=0.08, seed=0), GOLDEN_CONFIG),
+        (generate("barbell", k=5), RewireConfig()),  # rolls its step back
+    ],
+    ids=["golden", "barbell_5_rollback"],
+)
+def test_loop_builds_no_report_or_bottleneck_set(g, cfg, monkeypatch):
+    """The loop reads kappa alone: with the report, bottleneck-set and
+    matching entry points refusing, it still gives the fresh loop's trace."""
+    ref_final, ref_trace = rewire_loop_fresh(g, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rewiring loop built more than kappa")
+
+    for name in ("edge_report", "bottleneck_sets", "_max_matching"):
+        monkeypatch.setattr(curvature, name, refuse)
+    final, trace = rewire_loop(g, cfg)
+    assert final.edges == ref_final.edges
+    assert trace == ref_trace
+    assert trace.steps

@@ -113,6 +113,14 @@ class TestWasserstein:
     def test_identical_measures_cost_zero(self):
         assert wasserstein1(generate("barbell", k=3), 2, 2) == 0
 
+    def test_vertex_out_of_range_rejected(self):
+        # -1 would wrap round to vertex 4, and W1 to that of N_4 and N_2
+        g = generate("cycle", n=5)
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            wasserstein1(g, -1, 2)
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            wasserstein1(g, 5, 0)
+
     def test_symmetry(self):
         g = generate("double_star", a=2, b=4)
         for u, v in g.edges:
