@@ -17,8 +17,8 @@ S_statement, not its edges, from the load pass `statement_loads` that
 rewiring's support candidate also reads; `diagnostics.verify_bottleneck`
 judges its hypothesis, and `emit.write_profile` renders a profile as JSON.
 `edge_curvatures` walks the same hub groups for kappa alone, the one fact
-rewiring reads; given a memo, as the rewiring loop passes, an edge whose
-problem is unchanged since an earlier call keeps its kappa.
+rewiring reads; through the memo it is given, an edge whose problem is
+unchanged since an earlier call keeps its kappa.
 """
 
 from __future__ import annotations
@@ -148,12 +148,12 @@ def curvature_profile(g: Graph) -> CurvatureProfile:
     return CurvatureProfile(reports=tuple(reports))
 
 
-def edge_curvatures(g: Graph, memo: dict | None = None) -> tuple[Fraction, ...]:
+def edge_curvatures(g: Graph, memo: dict) -> tuple[Fraction, ...]:
     """kappa of every edge, in the order of g.edges, grouped and solved as in
     `curvature_profile` but with nothing else of a report built.
 
-    memo, when given, carries curvatures from one call to the next, as
-    `rewiring.rewire_loop` does across its steps. It maps the hub-first edge
+    memo carries curvatures from one call to the next, as
+    `rewiring.rewire_loop` does across its steps; a fresh call passes {}. It maps the hub-first edge
     (u, v) to (N_u, N_v, levels, kappa), levels being the rows `index[q]`
     for q in N_v that the W1 solve reads, and an edge reuses the stored
     kappa only when all three inputs are equal; otherwise it is solved and
@@ -167,9 +167,6 @@ def edge_curvatures(g: Graph, memo: dict | None = None) -> tuple[Fraction, ...]:
     kappas: list[Fraction | None] = [None] * len(g.edges)
     adjacency = g.adjacency
     for k, u, v, index in _hub_edges(g):
-        if memo is None:
-            kappas[k] = 1 - wasserstein1(g, u, v, index=index)
-            continue
         levels = list(map(index.__getitem__, adjacency[v]))
         inputs = (adjacency[u], adjacency[v], levels)
         entry = memo.get((u, v))

@@ -109,10 +109,13 @@ def wasserstein1(
     the row count, so the curvature profiles pass u as the endpoint of
     higher degree, with one index for all of u's edges; a call without one
     builds `_hub_first`'s. A caller that already holds the rows `index[q]`
-    for q in N_v, in order, passes them with the index as levels. Any other
-    pair takes its distances from BFS and starts from the zero dual: every
-    potential 0, each row tight on its cost-0 cells.
+    for q in N_v, in order, passes them with the index as levels; levels
+    without an index raise ValueError, since `_hub_first` may turn the edge
+    round. Any other pair takes its distances from BFS and starts from the
+    zero dual: every potential 0, each row tight on its cost-0 cells.
     """
+    if levels is not None and index is None:
+        raise ValueError("levels are rows of an index; pass the index with them")
     if g.has_edge(u, v):
         if index is None:
             u, v = _hub_first(g, u, v)

@@ -144,7 +144,7 @@ def test_memo_reuse_matches_fresh_profiles(g, data):
     for i in range(4):
         if i:
             g = _toggled(g, data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4)))
-        fresh = edge_curvatures(g)
+        fresh = edge_curvatures(g, {})
         assert edge_curvatures(g, memo) == fresh
         assert list(fresh) == [r.kappa for r in curvature_profile(g).reports]
 

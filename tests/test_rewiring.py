@@ -78,7 +78,7 @@ def test_kappa_histogram():
 
 
 def test_out_of_band_count():
-    kappas = edge_curvatures(generate("barbell", k=3))
+    kappas = edge_curvatures(generate("barbell", k=3), {})
     assert out_of_band_count(kappas, RewireConfig()) == 1
     assert out_of_band_count(kappas, RewireConfig(tau_neg=-1.0, tau_pos=0.99)) == 0
 
@@ -165,7 +165,7 @@ def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
 class TestRewireStep:
     def test_barbell_adds_a_support_edge(self):
         g = generate("barbell", k=3)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig())
         assert step.added == ((0, 4),)
         assert step.removed == ()
         assert new_g.has_edge(0, 4)
@@ -175,14 +175,14 @@ class TestRewireStep:
         # additions must connect a neighbor of one endpoint to a neighbor
         # of the other, never arbitrary pairs
         g = generate("barbell", k=4)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig())
         assert len(step.added) == 1
         p, q = step.added[0]
         assert p in g.adjacency[3] and q in g.adjacency[4]
 
     def test_triangle_removal(self):
         g = generate("complete", n=3)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
+        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig(tau_pos=0.4))
         assert step.removed == ((0, 1),)
         assert step.added == ()
         assert len(new_g.edges) == 2
@@ -206,7 +206,7 @@ class TestRewireStep:
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)
         with pytest.raises(NoActionPossible):
-            rewire_step(g, edge_curvatures(g), RewireConfig())
+            rewire_step(g, edge_curvatures(g, {}), RewireConfig())
 
 
 class TestRewireLoop:
@@ -337,7 +337,7 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     """On the golden rewire input, the loop's first kappas solve every edge
     and the post-step ones only the edges whose problem the step changed."""
     g = generate("erdos_renyi", n=100, p=0.08, seed=0)
-    after, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
+    after, _ = rewire_step(g, edge_curvatures(g, {}), GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
     solve = curvature.wasserstein1

@@ -121,6 +121,16 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="vertex 5 out of range"):
             wasserstein1(g, 5, 0)
 
+    def test_levels_without_their_index_rejected(self):
+        # without the index, _hub_first could turn the edge round and the
+        # rows would no longer be those the levels were read for
+        g = generate("double_star", a=2, b=4)
+        index = NeighborIndex(g, 0)
+        levels = [index[q] for q in g.adjacency[1]]
+        assert wasserstein1(g, 0, 1, index=index, levels=levels) == wasserstein1(g, 0, 1)
+        with pytest.raises(ValueError, match="pass the index"):
+            wasserstein1(g, 0, 1, levels=levels)
+
     def test_symmetry(self):
         g = generate("double_star", a=2, b=4)
         for u, v in g.edges:
