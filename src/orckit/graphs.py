@@ -244,13 +244,16 @@ class NeighborIndex(dict):
     are adjacent, 2 if they share a neighbour. The rows of the edges (u, v)
     overlap, so each q is worked out once, on its first lookup. An index
     starts with no rows, so it is falsy: test it with `is None`.
+
+    hub is u and adjacency g's rows; `check` holds a caller's index to them.
     """
 
-    __slots__ = ("adjacency", "pos", "near", "full")
+    __slots__ = ("adjacency", "hub", "pos", "near", "full")
 
     def __init__(self, g: Graph, u: int):
         super().__init__()
         adjacency = self.adjacency = g.adjacency
+        self.hub = u
         pos: dict[int, int] = {}
         near: dict[int, int] = {}
         for i, p in enumerate(adjacency[u]):
@@ -260,6 +263,15 @@ class NeighborIndex(dict):
                 near[w] = near.get(w, 0) | bit
         self.pos, self.near = pos, near
         self.full = (1 << len(adjacency[u])) - 1
+
+    def check(self, g: Graph, u: int) -> None:
+        """Raise ValueError unless this is u's index on g: any other index
+        poses another vertex's or another graph's problem, and W1 or the
+        counts come out wrong or fail at random."""
+        if self.hub != u:
+            raise ValueError(f"index is vertex {self.hub}'s, not vertex {u}'s")
+        if self.adjacency is not g.adjacency:
+            raise ValueError("index was built on another graph")
 
     def __missing__(self, q: int) -> dict[int, int]:
         near = self.near.get

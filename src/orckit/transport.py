@@ -9,18 +9,23 @@ MODI pivots). Every number in either path is an int or a Fraction; no
 floats anywhere.
 
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
-on N_u and N_v. The solver reads its costs as levels: per row, one bitmask
-of the columns at each cost. For an edge those are the 0-3 hop-distance
-masks `index[q]` of u's `graphs.NeighborIndex`, read from adjacency
-alone, and the starting dual follows from the edge's structure by one
-rule (`_edge_start`: the best dual in which only u's row leaves potential
-0, each column at min(its least cost over the other rows, 1 + h_u), each
-row tight on its cost-c cells in the columns at potential c); for
-any other pair a dense BFS distance matrix goes through `_cost_levels`,
-and the solve starts from the zero dual. Every solve ends with one pass
-over the plan (`_plan_cost`) that checks its marginals and sums its cost.
-The oracle takes arbitrary measures, so tests can pose problems of their
-own.
+on N_u and N_v, and the checked entry point: it tests that the ids are in
+range, whether (u, v) is an edge, and that an index it is given is u's.
+Every edge's solve is `edge_cost(index, u, v, levels)`, which checks
+nothing and returns the integer cost with its scale T, so a caller that
+already knows its pair is an edge and its index u's (the curvature walks)
+calls it directly and forms one Fraction from the two integers. The
+solver reads its costs as levels: per row, one bitmask of the columns at
+each cost. For an edge those are the 0-3 hop-distance masks `index[q]` of
+u's `graphs.NeighborIndex`, read from adjacency alone, and the starting
+dual follows from the edge's structure by one rule (`_edge_start`: the
+best dual in which only u's row leaves potential 0, each column at min(its
+least cost over the other rows, 1 + h_u), each row tight on its cost-c
+cells in the columns at potential c); for any other pair a dense BFS
+distance matrix goes through `_cost_levels`, and the solve starts from the
+zero dual. Every solve ends with one pass over the plan (`_plan_cost`)
+that checks its marginals and sums its cost. The oracle takes arbitrary
+measures, so tests can pose problems of their own.
 """
 
 from __future__ import annotations
@@ -101,39 +106,61 @@ def wasserstein1(
 ) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
-    The integer problem is built directly on the scale T = lcm(deg u, deg v).
-    For an edge (u, v) the rows are N_v and the columns N_u (W1 is
-    symmetric), each row's cost levels are its hop-distance masks from u's
-    `NeighborIndex`, and the solver starts from `_edge_start`, which also
-    reads u's position in N_v. Every per-row step of the solver scales with
-    the row count, so the curvature profiles pass u as the endpoint of
-    higher degree, with one index for all of u's edges; a call without one
-    builds `_hub_first`'s. A caller that already holds the rows `index[q]`
-    for q in N_v, in order, passes them with the index as levels; levels
-    without an index raise ValueError, since `_hub_first` may turn the edge
-    round. Any other pair takes its distances from BFS and starts from the
-    zero dual: every potential 0, each row tight on its cost-0 cells.
+    This is the checked entry point: ids out of range raise ValueError (from
+    `has_edge`), and so does an index that is not u's on g
+    (`NeighborIndex.check`). For an edge (u, v) the integer cost comes from
+    `edge_cost` on u's index; a call without one builds `_hub_first`'s,
+    since every per-row step of the solver scales with the row count and
+    the rows are N_v. A caller that already holds the rows `index[q]` for q
+    in N_v, in order, passes them with the index as levels; levels without
+    an index raise ValueError, since `_hub_first` may turn the edge round.
+    Any other pair takes its distances from BFS and starts from the zero
+    dual: every potential 0, each row tight on its cost-0 cells.
     """
-    if levels is not None and index is None:
+    if index is not None:
+        index.check(g, u)
+    elif levels is not None:
         raise ValueError("levels are rows of an index; pass the index with them")
     if g.has_edge(u, v):
         if index is None:
             u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
-        rows, cols = g.adjacency[v], g.adjacency[u]
         if levels is None:
-            levels = list(map(index.__getitem__, rows))
-        start = _edge_start(index, v, levels, bisect_left(rows, u))
-    else:
-        rows, cols = g.adjacency[u], g.adjacency[v]
-        levels = _cost_levels(_support_distances(g, rows, cols))
-        start = {0: (1 << len(cols)) - 1}, [row.get(0, 0) for row in levels], [0] * len(rows)
-    m, n = len(rows), len(cols)
+            levels = list(map(index.__getitem__, g.adjacency[v]))
+        return Fraction(*edge_cost(index, u, v, levels))
+    levels = _cost_levels(_support_distances(g, g.adjacency[u], g.adjacency[v]))
+    n = g.degree(v)
+    zero = {0: (1 << n) - 1}, [row.get(0, 0) for row in levels], [0] * len(levels)
+    return Fraction(*_uniform_cost(levels, n, zero))
+
+
+def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[dict[int, int]]) -> tuple[int, int]:
+    """The integer W1 of edge (u, v) and its scale: (cost, T) with
+    W1 = cost / T, T = lcm(deg u, deg v).
+
+    index is u's `NeighborIndex` and levels the rows `index[q]` for q in
+    N_v, in order; the rows are N_v and the columns N_u (W1 is symmetric).
+    The solve starts from `_edge_start`, which also reads u's position in
+    N_v, and `_plan_cost` checks the plan it ends with. Nothing here checks
+    that (u, v) is an edge or that index is u's: `wasserstein1` does, and
+    the curvature walks take their edges from `g.edges` and pass the index
+    they built for the hub, so they skip those checks.
+    """
+    start = _edge_start(index, v, levels, bisect_left(index.adjacency[v], u))
+    return _uniform_cost(levels, len(index.adjacency[u]), start)
+
+
+def _uniform_cost(levels: list[dict[int, int]], n: int, start) -> tuple[int, int]:
+    """(cost, T) of the problem between the uniform measures on the rows of
+    levels and n columns, on the scale T = lcm(m, n): every row supplies
+    T/m and every column takes T/n. The solve starts from start and its
+    plan is checked by `_plan_cost`."""
+    m = len(levels)
     T = lcm(m, n)
     supplies = [T // m] * m
     demands = [T // n] * n
     flow = _min_cost_flow(supplies, demands, levels, *start)
-    return Fraction(_plan_cost(flow, supplies, demands, levels), T)
+    return _plan_cost(flow, supplies, demands, levels), T
 
 
 def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u: int):
@@ -160,16 +187,20 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     elsewhere.
     """
     common = index.near.get(v, 0)
-    others = levels[:at_u] + levels[at_u + 1 :]
+    # the other rows, told from u's by identity: each row is its own dict,
+    # the index's entry for its q, so no copy of levels is needed
+    u_row = levels[at_u]
     ones = twos = 0
-    for row in others:
-        ones |= row.get(1, 0)
+    for row in levels:
+        if row is not u_row:
+            ones |= row.get(1, 0)
     m, n = len(levels), index.full.bit_count()
     far = index.full & ~(common | ones)  # other-row minimum >= 2
     h_u = 0
     if m * far.bit_count() > n:
-        for row in others:
-            twos |= row.get(2, 0)
+        for row in levels:
+            if row is not u_row:
+                twos |= row.get(2, 0)
         h_u = 2 if m * (far & ~twos).bit_count() > n else 1
     cap = 1 + h_u
     # at_least[c] masks the columns whose other-row minimum is >= c, c <= cap
@@ -275,9 +306,10 @@ def _min_cost_flow(
         return flow
     supply = list(supplies)
     demand = list(demands)
-    # rows with supply left, columns with demand left
-    supplied = sum(1 << i for i in range(m) if supply[i])
-    open_cols = sum(1 << j for j in range(n) if demand[j])
+    # rows with supply left, columns with demand left: all of them when no
+    # margin is 0, as on every edge (T/m and T/n)
+    supplied = (1 << m) - 1 if all(supplies) else sum(1 << i for i in range(m) if supply[i])
+    open_cols = (1 << n) - 1 if all(demands) else sum(1 << j for j in range(n) if demand[j])
     carriers = [0] * n
     phases = max(map(max, levels)) + 1  # the bound argued above
     scan = supplied

@@ -29,7 +29,7 @@ from orckit.curvature import (
 )
 from orckit.diagnostics import verify_bottleneck
 from orckit.emit import _WRITE_BATCH, write_profile
-from orckit.graphs import NeighborIndex, enumerate_connected_five_vertex, from_edges, generate
+from orckit.graphs import Graph, NeighborIndex, enumerate_connected_five_vertex, from_edges, generate
 from orckit.transport import wasserstein1
 from pathlib import Path
 
@@ -261,6 +261,47 @@ class TestBottleneckSets:
         g = ladder(k)
         assert bottleneck_sets(g, 0, 1) == bottleneck_sets_from_sets(g, 0, 1)
         assert bottleneck_sets(g, 0, 1).n1 == k + 1
+
+
+@pytest.mark.parametrize("entry", [wasserstein1, edge_report, bottleneck_sets], ids=lambda f: f.__name__)
+def test_an_index_not_of_u_on_g_is_rejected(entry):
+    """A caller's index must be u's on g. The other endpoint's poses
+    another problem, and one built on another graph may not match g, even
+    when that graph has the same edges; both once gave a wrong W1 with no
+    error, or failed at random."""
+    g = generate("erdos_renyi", n=16, p=0.35, seed=0)
+    twin = from_edges(g.vertex_count, g.edges)
+    for u, v in g.edges:
+        assert entry(g, u, v, index=NeighborIndex(g, u)) == entry(g, u, v)
+        with pytest.raises(ValueError, match=f"index is vertex {v}'s, not vertex {u}'s"):
+            entry(g, u, v, index=NeighborIndex(g, v))
+        with pytest.raises(ValueError, match="another graph"):
+            entry(g, u, v, index=NeighborIndex(twin, u))
+
+
+def test_walks_make_no_adjacency_probe(corpus_entries, monkeypatch):
+    """The walks take their pairs from g.edges, so neither tests adjacency;
+    the public per-edge entry points still do, once per call."""
+    graphs = [dict(corpus_entries)["barbell_5"], generate("erdos_renyi", n=60, p=0.1, seed=0)]
+    probes = []
+    probe = Graph.has_edge
+
+    def counted(self, u, v):
+        probes.append((u, v))
+        return probe(self, u, v)
+
+    monkeypatch.setattr(Graph, "has_edge", counted)
+    for g in graphs:
+        curvature_profile(g)
+        edge_curvatures(g, {})
+    assert probes == []
+    g = graphs[1]
+    u, v = 0, next(w for w in range(1, g.vertex_count) if w not in g.adjacency[0])
+    for entry in (edge_report, bottleneck_sets):
+        with pytest.raises(NotAnEdge):
+            entry(g, u, v)
+    assert edge_report(g, *g.edges[0]) == curvature_profile(g).reports[0]
+    assert probes == [(u, v), (u, v), g.edges[0]]
 
 
 def ladder(k):

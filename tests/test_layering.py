@@ -155,3 +155,42 @@ def test_walks_and_checks_keep_no_module_level_container(module):
     containers = (dict, list, set)
     held = [k for k, v in namespace.items() if not k.startswith("__") and isinstance(v, containers)]
     assert held == []
+
+
+SOLVER_PARTS = {"_uniform_cost", "_min_cost_flow", "_edge_start", "_plan_cost"}
+
+
+def referenced_names(path):
+    """Every name the module at path reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+    return names
+
+
+def transport_imports(path):
+    """The names the module at path imports from transport; "transport"
+    itself when it imports the module whole."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("transport", "orckit.transport"):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "orckit"):
+            names |= {alias.name for alias in node.names if alias.name == "transport"}
+        elif isinstance(node, ast.Import):
+            names |= {"transport" for alias in node.names if alias.name == "orckit.transport"}
+    return names
+
+
+def test_one_solve_path():
+    """Only transport touches the solver's parts, and curvature reaches a
+    solve only through `edge_cost` or `wasserstein1`, so every edge's cost
+    comes from one routine, with its plan check and its phase bound."""
+    users = {path.stem for path in PACKAGE.glob("*.py") if referenced_names(path) & SOLVER_PARTS}
+    assert users == {"transport"}
+    assert transport_imports(PACKAGE / "curvature.py") == {"edge_cost", "wasserstein1"}

@@ -340,13 +340,13 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     after, _ = rewire_step(g, edge_curvatures(g, {}), GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
-    solve = curvature.wasserstein1
+    solve = curvature.edge_cost
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(curvature, "wasserstein1", counted)
+    monkeypatch.setattr(curvature, "edge_cost", counted)
     final, trace = rewire_loop(g, GOLDEN_CONFIG)
     assert final.edges == after.edges and not trace.steps[0].rolled_back
     assert len(calls) == len(g.edges) + changed
@@ -362,14 +362,15 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     ids=["golden", "barbell_5_rollback"],
 )
 def test_loop_builds_no_report_or_bottleneck_set(g, cfg, monkeypatch):
-    """The loop reads kappa alone: with the report, bottleneck-set and
-    matching entry points refusing, it still gives the fresh loop's trace."""
+    """The loop reads kappa alone, through `edge_cost`: with the report,
+    bottleneck-set, matching and checked W1 entry points refusing, it still
+    gives the fresh loop's trace."""
     ref_final, ref_trace = rewire_loop_fresh(g, cfg)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the rewiring loop built more than kappa")
 
-    for name in ("edge_report", "bottleneck_sets", "_max_matching"):
+    for name in ("edge_report", "bottleneck_sets", "_max_matching", "wasserstein1"):
         monkeypatch.setattr(curvature, name, refuse)
     final, trace = rewire_loop(g, cfg)
     assert final.edges == ref_final.edges

@@ -195,6 +195,24 @@ def random_problem(rng, max_cost):
     return split(m), split(n), cost
 
 
+def zero_margin_problem(rng, max_cost):
+    """A `random_problem` with one to three rows of supply 0 or columns of
+    demand 0 put in at random places, so the solver's general set-up, the
+    one no edge takes, meets them."""
+    supplies, demands, cost = random_problem(rng, max_cost)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            i = rng.randint(0, len(supplies))
+            supplies.insert(i, 0)
+            cost.insert(i, [rng.randint(0, max_cost) for _ in demands])
+        else:
+            j = rng.randint(0, len(demands))
+            demands.insert(j, 0)
+            for row in cost:
+                row.insert(j, rng.randint(0, max_cost))
+    return supplies, demands, cost
+
+
 def edge_shaped_problem(rng, max_cost):
     """Uniform supplies T/m and demands T/n, T = lcm(m, n), as an edge's W1
     poses them, with m, n <= 20."""
@@ -267,7 +285,7 @@ class TestMinCostFlow:
         plan_cost = transport._plan_cost(flow, supplies, demands, levels)
         assert [sum(row.values()) for row in flow] == supplies
         assert [sum(row.get(j, 0) for row in flow) for j in range(len(demands))] == demands
-        assert all(f >= 0 for row in flow for f in row.values())
+        assert all(f > 0 for row in flow for f in row.values())  # sparse: no zero entry kept
         total = sum(f * cost[i][j] for i, row in enumerate(flow) for j, f in row.items())
         assert total == plan_cost
         col_values = decoded([col_pot], len(demands))[0]
@@ -283,6 +301,13 @@ class TestMinCostFlow:
         rng = random.Random(max_cost)
         for _ in range(300):
             self.check(*random_problem(rng, max_cost), phases)
+
+    @pytest.mark.parametrize("max_cost", [3, 10])
+    def test_matches_simplex_with_zero_margins(self, max_cost, phases):
+        rng = random.Random(200 + max_cost)
+        for _ in range(300):
+            self.check(*zero_margin_problem(rng, max_cost), phases)
+        self.check([0, 2], [1, 0, 1], [[0, 0, 0], [3, 1, 2]], phases)
 
     @pytest.mark.parametrize("max_cost", [3, 10])
     def test_matches_simplex_on_edge_shaped_problems(self, max_cost, phases):
