@@ -1,19 +1,19 @@
 """Ollivier-Ricci curvature per edge plus the structural sets behind the
 bottleneck inequalities.
 
-kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout. For
-adjacent pairs the solve is local: every support distance is 0-3 and
-follows from adjacency, because any p in N_u reaches any q in N_v through
-p-u-v-q. Its integer cost and scale T come from `transport.edge_cost`, and
-kappa is built once, as the Fraction (T - cost)/T; `ricci_curvature` takes
-the checked `transport.wasserstein1` for any pair.
+kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout, with W1
+from `transport.wasserstein1`. For adjacent pairs that solve is local: every
+support distance is 0-3 and follows from adjacency, because any p in N_u
+reaches any q in N_v through p-u-v-q.
 
-The public per-edge calls, `edge_report` and `bottleneck_sets`, check once
-that (u, v) is an edge (NotAnEdge) and that an index they are given is u's
-on g (ValueError), then run the same unchecked helpers as the walks. The
-walks, `curvature_profile` and `edge_curvatures`, take their pairs from
-`g.edges` and their index from `_hub_edges`, so they check nothing and
-never probe adjacency.
+The per-edge calls, `wasserstein1`, `edge_report` and `bottleneck_sets`,
+check that (u, v) is an edge (NotAnEdge, or ValueError for an id out of
+range) and that an index they are given is u's on g (ValueError). Given
+u's index, the edge test reads it (`NeighborIndex.has_edge`), so neither
+walk probes adjacency: `curvature_profile` hands each edge of `g.edges`
+to `edge_report` with its hub's index, and `edge_curvatures` calls the
+unchecked `transport.edge_cost` and builds kappa once, as the Fraction
+(T - cost)/T of its integer cost and scale.
 
 `curvature_profile` groups the edges under their endpoint of higher degree
 u (the smaller id on a tie; standalone calls orient the same way) and builds
@@ -22,7 +22,7 @@ of every edge (u, v) read their masks and the cached cost levels of the rows
 q in N_v from it, so no per-edge structure is built twice, and the rows of
 every edge's problem are the smaller neighbourhood. The reports come back in
 `g.edges` order. They keep counts of the lemma's connecting set
-S_statement, not its edges, from the load pass `statement_loads` that
+S_statement, not its edges, from the load pass `_statement_loads` that
 rewiring's support candidate also reads; `diagnostics.verify_bottleneck`
 judges its hypothesis, and `emit.write_profile` renders a profile as JSON.
 `edge_curvatures` walks the same hub groups for kappa alone, the one fact
@@ -115,43 +115,30 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
 def edge_report(
     g: Graph, u: int, v: int, index: NeighborIndex | None = None
 ) -> EdgeCurvatureReport:
-    """The report of edge (u, v), checked once: a non-edge raises NotAnEdge
-    and an index that is not u's on g ValueError. index is u's
+    """The report of edge (u, v), checked by `_checked`. index is u's
     NeighborIndex, shared by the W1 solve and the bottleneck counts;
     without one, `_hub_first`'s is built."""
-    return _report(g, *_checked(g, u, v, index))
+    u, v, index = _checked(g, u, v, index)
+    return EdgeCurvatureReport(
+        edge=(min(u, v), max(u, v)),
+        kappa=1 - wasserstein1(g, u, v, index=index),
+        deg_u=g.degree(min(u, v)),
+        deg_v=g.degree(max(u, v)),
+        sets=bottleneck_sets(g, u, v, index=index),
+    )
 
 
 def _checked(g: Graph, u: int, v: int, index: NeighborIndex | None) -> tuple[int, int, NeighborIndex]:
-    """(u, v, index) for a public per-edge call, after its one check: the
-    edge hub first with its own index when none is given."""
-    if not g.has_edge(u, v):
+    """(u, v, index) for a per-edge call: a non-edge raises NotAnEdge and an
+    index that is not u's on g ValueError; with no index, the edge hub
+    first with its own."""
+    edge = g.has_edge(u, v) if index is None else index.has_edge(g, u, v)
+    if not edge:
         raise NotAnEdge(f"({u},{v}) is not an edge")
     if index is None:
         u, v = _hub_first(g, u, v)
-        return u, v, NeighborIndex(g, u)
-    index.check(g, u)
+        index = NeighborIndex(g, u)
     return u, v, index
-
-
-def _kappa(index: NeighborIndex, u: int, v: int, levels: list) -> Fraction:
-    """kappa of edge (u, v) from `edge_cost`, as one Fraction (T - cost)/T."""
-    cost, T = edge_cost(index, u, v, levels)
-    return Fraction(T - cost, T)
-
-
-def _report(g: Graph, u: int, v: int, index: NeighborIndex) -> EdgeCurvatureReport:
-    """The report of edge (u, v) from u's index, with no check: the callers
-    have made them."""
-    adjacency = g.adjacency
-    a, b = (u, v) if u < v else (v, u)
-    return EdgeCurvatureReport(
-        edge=(a, b),
-        kappa=_kappa(index, u, v, list(map(index.__getitem__, adjacency[v]))),
-        deg_u=len(adjacency[a]),
-        deg_v=len(adjacency[b]),
-        sets=_sets(g, u, v, index),
-    )
 
 
 def _hub_edges(g: Graph):
@@ -159,8 +146,7 @@ def _hub_edges(g: Graph):
     u of higher degree (the smaller id on a tie), so the rows of its W1
     problem are the smaller neighbourhood. A group's edges come together and
     share one NeighborIndex of u, built when the group comes up and dropped
-    when it ends. The pairs come from g.edges and the index is u's on g, so
-    what they are handed to needs no check."""
+    when it ends."""
     groups: dict[int, list[int]] = {}
     edges = g.edges
     for k, (a, b) in enumerate(edges):
@@ -174,11 +160,11 @@ def _hub_edges(g: Graph):
 
 def curvature_profile(g: Graph) -> CurvatureProfile:
     """One report per edge, in the order of g.edges; the edges of a hub
-    group share one index of their hub (see `_hub_edges`), and no edge is
-    checked again."""
+    group share one index of their hub (see `_hub_edges`), so checking
+    them probes no adjacency."""
     reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
     for k, u, v, index in _hub_edges(g):
-        reports[k] = _report(g, u, v, index)
+        reports[k] = edge_report(g, u, v, index=index)
     return CurvatureProfile(reports=tuple(reports))
 
 
@@ -207,7 +193,8 @@ def edge_curvatures(g: Graph, memo: dict) -> tuple[Fraction, ...]:
         if entry is not None and entry[:3] == inputs:
             kappas[k] = entry[3]
         else:
-            kappas[k] = _kappa(index, u, v, levels)
+            cost, T = edge_cost(index, u, v, levels)
+            kappas[k] = Fraction(T - cost, T)
             memo[u, v] = (*inputs, kappas[k])
     return tuple(kappas)
 
@@ -244,7 +231,7 @@ def _max_matching(options: list[int]) -> int:
     return count
 
 
-def statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[dict, list, int]:
+def _statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[dict, list, int]:
     """The load of S_statement at each vertex of edge (u, v), from u's
     NeighborIndex as in the W1 solve: columns N_u, rows q in N_v as their
     cached `index[q]` (a cost-0 cell marks one of the n0 common neighbours,
@@ -282,16 +269,11 @@ def statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[dic
 
 
 def bottleneck_sets(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> BottleneckSets:
-    """The counts of edge (u, v), checked as in `edge_report`, with u's
-    index or `_hub_first`'s when None (see `_sets`)."""
-    return _sets(g, *_checked(g, u, v, index))
-
-
-def _sets(g: Graph, u: int, v: int, index: NeighborIndex) -> BottleneckSets:
-    """The counts of edge (u, v) from its `statement_loads` plus n1, a
+    """The counts of edge (u, v), checked by `_checked`, from its
+    `_statement_loads` (u's index, or `_hub_first`'s when None) plus n1, a
     maximum matching of the exclusive rows to the exclusive columns
-    N_u - N~_v over their cost-1 cells. All of it is symmetric in u and v.
-    Nothing is checked: the callers have."""
-    load, exclusive, common = statement_loads(g, u, v, index)
+    N_u - N~_v over their cost-1 cells. All of it is symmetric in u and v."""
+    u, v, index = _checked(g, u, v, index)
+    load, exclusive, common = _statement_loads(g, u, v, index)
     n1 = _max_matching([ones & ~common for _, ones in exclusive if ones & ~common])
     return BottleneckSets(sum(load.values()) // 2, max(load.values()), common.bit_count(), n1)

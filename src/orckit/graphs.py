@@ -245,7 +245,8 @@ class NeighborIndex(dict):
     overlap, so each q is worked out once, on its first lookup. An index
     starts with no rows, so it is falsy: test it with `is None`.
 
-    hub is u and adjacency g's rows; `check` holds a caller's index to them.
+    hub is u and adjacency g's rows; `has_edge` holds a caller's index to
+    them.
     """
 
     __slots__ = ("adjacency", "hub", "pos", "near", "full")
@@ -264,14 +265,18 @@ class NeighborIndex(dict):
         self.pos, self.near = pos, near
         self.full = (1 << len(adjacency[u])) - 1
 
-    def check(self, g: Graph, u: int) -> None:
-        """Raise ValueError unless this is u's index on g: any other index
-        poses another vertex's or another graph's problem, and W1 or the
-        counts come out wrong or fail at random."""
+    def has_edge(self, g: Graph, u: int, v: int) -> bool:
+        """Whether (u, v) is an edge, read from pos, so a v among u's
+        neighbours needs no adjacency probe; any other v goes to
+        `Graph.has_edge` for its range check. Raises ValueError unless this
+        is u's index on g: any other index poses another vertex's or another
+        graph's problem, and W1 or the counts come out wrong or fail at
+        random."""
         if self.hub != u:
             raise ValueError(f"index is vertex {self.hub}'s, not vertex {u}'s")
         if self.adjacency is not g.adjacency:
             raise ValueError("index was built on another graph")
+        return v in self.pos or g.has_edge(u, v)
 
     def __missing__(self, q: int) -> dict[int, int]:
         near = self.near.get

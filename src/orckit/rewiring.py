@@ -2,7 +2,7 @@
 
 Edges whose curvature exceeds tau_pos get trimmed (most positive first);
 edges below tau_neg get one extra support edge bridging their exclusive
-neighborhoods, placed to spread the load of `curvature.statement_loads`
+neighborhoods, placed to spread the load of `curvature._statement_loads`
 rather than concentrate it on one vertex. The loop reads only each edge's
 curvature: it takes `curvature.edge_curvatures` of every graph it makes, a
 tuple aligned with `g.edges`, and rolls back any step that increases the
@@ -20,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .curvature import CurvatureProfile, edge_curvatures, statement_loads
+from .curvature import CurvatureProfile, _statement_loads, edge_curvatures
 from .graphs import Graph, GraphInvalid, NeighborIndex, _hub_first, from_edges
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
@@ -115,14 +115,14 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     Candidates run p in N_u \\ N~_v against q in N_v \\ N~_u; the winner
     minimizes the max per-vertex edge count of the enlarged connecting
     set, then breaks ties lexicographically. None when no pair is absent.
-    With the edge's `statement_loads` (hub first), (p, q) adds one such edge
+    With the edge's `_statement_loads` (hub first), (p, q) adds one such edge
     at p and one at q, so its key is (max(load[p] + 1, load[q] + 1,
     max_load), (min(p, q), max(p, q))); the absent pairs are the exclusive
     columns off an exclusive row's cost-1 mask.
     """
     u, v = _hub_first(g, u, v)
     index = NeighborIndex(g, u)
-    load, exclusive, common = statement_loads(g, u, v, index)
+    load, exclusive, common = _statement_loads(g, u, v, index)
     cols = g.adjacency[u]
     left = index.full & ~common & ~index.pos[v]
     max_load = max(load.values())

@@ -10,11 +10,12 @@ floats anywhere.
 
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
 on N_u and N_v, and the checked entry point: it tests that the ids are in
-range, whether (u, v) is an edge, and that an index it is given is u's.
+range, whether (u, v) is an edge, and that an index it is given is u's;
+with u's index the edge test reads the index and probes no adjacency.
 Every edge's solve is `edge_cost(index, u, v, levels)`, which checks
 nothing and returns the integer cost with its scale T, so a caller that
-already knows its pair is an edge and its index u's (the curvature walks)
-calls it directly and forms one Fraction from the two integers. The
+already knows its pair is an edge and its index u's (`curvature`'s kappa
+walk) calls it directly and forms one Fraction from the two integers. The
 solver reads its costs as levels: per row, one bitmask of the columns at
 each cost. For an edge those are the 0-3 hop-distance masks `index[q]` of
 u's `graphs.NeighborIndex`, read from adjacency alone, and the starting
@@ -101,33 +102,25 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
     return T, supplies, demands
 
 
-def wasserstein1(
-    g: Graph, u: int, v: int, index: NeighborIndex | None = None, levels: list | None = None
-) -> Fraction:
+def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
     This is the checked entry point: ids out of range raise ValueError (from
-    `has_edge`), and so does an index that is not u's on g
-    (`NeighborIndex.check`). For an edge (u, v) the integer cost comes from
-    `edge_cost` on u's index; a call without one builds `_hub_first`'s,
-    since every per-row step of the solver scales with the row count and
-    the rows are N_v. A caller that already holds the rows `index[q]` for q
-    in N_v, in order, passes them with the index as levels; levels without
-    an index raise ValueError, since `_hub_first` may turn the edge round.
-    Any other pair takes its distances from BFS and starts from the zero
-    dual: every potential 0, each row tight on its cost-0 cells.
+    `has_edge`), and so does an index that is not u's on g. Given u's index,
+    whether (u, v) is an edge is read from it (`NeighborIndex.has_edge`),
+    with no adjacency probe. For an edge (u, v) the integer cost comes from
+    `edge_cost` on u's index and its rows for N_v; a call without one
+    builds `_hub_first`'s, since every per-row step of the solver scales
+    with the row count and the rows are N_v. Any other pair takes its
+    distances from BFS and starts from the zero dual: every potential 0,
+    each row tight on its cost-0 cells.
     """
-    if index is not None:
-        index.check(g, u)
-    elif levels is not None:
-        raise ValueError("levels are rows of an index; pass the index with them")
-    if g.has_edge(u, v):
+    edge = g.has_edge(u, v) if index is None else index.has_edge(g, u, v)
+    if edge:
         if index is None:
             u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
-        if levels is None:
-            levels = list(map(index.__getitem__, g.adjacency[v]))
-        return Fraction(*edge_cost(index, u, v, levels))
+        return Fraction(*edge_cost(index, u, v, list(map(index.__getitem__, g.adjacency[v]))))
     levels = _cost_levels(_support_distances(g, g.adjacency[u], g.adjacency[v]))
     n = g.degree(v)
     zero = {0: (1 << n) - 1}, [row.get(0, 0) for row in levels], [0] * len(levels)
@@ -143,8 +136,8 @@ def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[dict[int, int]]
     The solve starts from `_edge_start`, which also reads u's position in
     N_v, and `_plan_cost` checks the plan it ends with. Nothing here checks
     that (u, v) is an edge or that index is u's: `wasserstein1` does, and
-    the curvature walks take their edges from `g.edges` and pass the index
-    they built for the hub, so they skip those checks.
+    `curvature.edge_curvatures` takes its edges from `g.edges` and passes
+    the index it built for the hub, so it skips those checks.
     """
     start = _edge_start(index, v, levels, bisect_left(index.adjacency[v], u))
     return _uniform_cost(levels, len(index.adjacency[u]), start)
@@ -306,10 +299,9 @@ def _min_cost_flow(
         return flow
     supply = list(supplies)
     demand = list(demands)
-    # rows with supply left, columns with demand left: all of them when no
-    # margin is 0, as on every edge (T/m and T/n)
-    supplied = (1 << m) - 1 if all(supplies) else sum(1 << i for i in range(m) if supply[i])
-    open_cols = (1 << n) - 1 if all(demands) else sum(1 << j for j in range(n) if demand[j])
+    # rows with supply left, columns with demand left
+    supplied = sum(1 << i for i in range(m) if supply[i])
+    open_cols = sum(1 << j for j in range(n) if demand[j])
     carriers = [0] * n
     phases = max(map(max, levels)) + 1  # the bound argued above
     scan = supplied

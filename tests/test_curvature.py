@@ -280,8 +280,8 @@ def test_an_index_not_of_u_on_g_is_rejected(entry):
 
 
 def test_walks_make_no_adjacency_probe(corpus_entries, monkeypatch):
-    """The walks take their pairs from g.edges, so neither tests adjacency;
-    the public per-edge entry points still do, once per call."""
+    """Given their hub's index, the walks' edge tests read it, so neither
+    probes adjacency; a public per-edge call without an index probes once."""
     graphs = [dict(corpus_entries)["barbell_5"], generate("erdos_renyi", n=60, p=0.1, seed=0)]
     probes = []
     probe = Graph.has_edge
@@ -302,6 +302,27 @@ def test_walks_make_no_adjacency_probe(corpus_entries, monkeypatch):
             entry(g, u, v)
     assert edge_report(g, *g.edges[0]) == curvature_profile(g).reports[0]
     assert probes == [(u, v), (u, v), g.edges[0]]
+
+
+def test_profile_reports_through_the_public_entry_points(monkeypatch):
+    """Each report of `curvature_profile` comes from one `edge_report` call,
+    with one `wasserstein1` and one `bottleneck_sets` call under it, each
+    looked up by name in `curvature`: per-layer counters that wrap those
+    names see every profiled edge."""
+    g = generate("erdos_renyi", n=60, p=0.1, seed=0)
+    calls = []
+    for name in ("edge_report", "wasserstein1", "bottleneck_sets"):
+        fn = getattr(curvature, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, name, counted)
+    profile = curvature_profile(g)
+    m = len(g.edges)
+    assert len(profile.reports) == m
+    assert sorted(calls) == ["bottleneck_sets"] * m + ["edge_report"] * m + ["wasserstein1"] * m
 
 
 def ladder(k):
