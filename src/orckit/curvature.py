@@ -26,8 +26,9 @@ S_statement, not its edges, from the load pass `_statement_loads` that
 rewiring's support candidate also reads; `diagnostics.verify_bottleneck`
 judges its hypothesis, and `emit.write_profile` renders a profile as JSON.
 `edge_curvatures` walks the same hub groups for kappa alone, the one fact
-rewiring reads; through the memo it is given, an edge whose problem is
-unchanged since an earlier call keeps its kappa.
+rewiring reads. Given the graph before an edit and its kappas, it solves
+only the edges whose problem the edit changed, found from the edit alone
+(`_reached`); every other edge keeps its kappa.
 """
 
 from __future__ import annotations
@@ -141,15 +142,17 @@ def _checked(g: Graph, u: int, v: int, index: NeighborIndex | None) -> tuple[int
     return u, v, index
 
 
-def _hub_edges(g: Graph):
-    """(k, u, v, index) for each edge g.edges[k], grouped under its endpoint
-    u of higher degree (the smaller id on a tie), so the rows of its W1
-    problem are the smaller neighbourhood. A group's edges come together and
-    share one NeighborIndex of u, built when the group comes up and dropped
-    when it ends."""
+def _hub_edges(g: Graph, positions=None):
+    """(k, u, v, index) for each edge g.edges[k], k in positions (every
+    position when None), grouped under its endpoint u of higher degree (the
+    smaller id on a tie), so the rows of its W1 problem are the smaller
+    neighbourhood. A group's edges come together and share one
+    NeighborIndex of u, built when the group comes up and dropped when it
+    ends; a hub with no edge among positions gets none."""
     groups: dict[int, list[int]] = {}
     edges = g.edges
-    for k, (a, b) in enumerate(edges):
+    for k in range(len(edges)) if positions is None else positions:
+        a, b = edges[k]
         groups.setdefault(_hub_first(g, a, b)[0], []).append(k)
     for u, ks in groups.items():
         index = NeighborIndex(g, u)
@@ -168,35 +171,87 @@ def curvature_profile(g: Graph) -> CurvatureProfile:
     return CurvatureProfile(reports=tuple(reports))
 
 
-def edge_curvatures(g: Graph, memo: dict) -> tuple[Fraction, ...]:
+def edge_curvatures(g: Graph, before: tuple[Graph, tuple[Fraction, ...]] | None = None) -> tuple[Fraction, ...]:
     """kappa of every edge, in the order of g.edges, grouped and solved as in
     `curvature_profile` but with nothing else of a report built.
 
-    memo carries curvatures from one call to the next, as
-    `rewiring.rewire_loop` does across its steps; a fresh call passes {}. It maps the hub-first edge
-    (u, v) to (N_u, N_v, levels, kappa), levels being the rows `index[q]`
-    for q in N_v that the W1 solve reads, and an edge reuses the stored
-    kappa only when all three inputs are equal; otherwise it is solved and
-    stored afresh. That is exact: the solve reads the rows, u's position in
-    N_v (fixed by N_v) and, from the index, `near[v]` (the OR of the rows'
-    cost-0 masks) and `full` (fixed by N_u), and its scale is the lcm of the
-    lengths of N_u and N_v. Every reuse is checked by equality, so a stale
-    entry, left by a removed edge, an earlier iteration or a rolled-back
-    step, can only miss, never mislead.
+    before is an earlier graph on the same vertices and its kappas, as
+    `rewiring.rewire_loop` passes the graph a step edited; a fresh call
+    (None) solves every edge. Given before, only the edges of
+    `_reached(old, g)` are solved, and only their hubs get an index; every
+    other edge keeps its previous kappa, looked up by edge, since its W1
+    problem is the one it posed in old (the proof is `_reached`'s).
     """
-    kappas: list[Fraction | None] = [None] * len(g.edges)
+    edges = g.edges
+    if before is None:
+        kappas: list[Fraction | None] = [None] * len(edges)
+        positions = None
+    else:
+        old, old_kappas = before
+        reached = _reached(old, g)
+        kappas = list(map(dict(zip(old.edges, old_kappas)).get, edges))
+        positions = [k for k, e in enumerate(edges) if e in reached]
     adjacency = g.adjacency
-    for k, u, v, index in _hub_edges(g):
-        levels = list(map(index.__getitem__, adjacency[v]))
-        inputs = (adjacency[u], adjacency[v], levels)
-        entry = memo.get((u, v))
-        if entry is not None and entry[:3] == inputs:
-            kappas[k] = entry[3]
-        else:
-            cost, T = edge_cost(index, u, v, levels)
-            kappas[k] = Fraction(T - cost, T)
-            memo[u, v] = (*inputs, kappas[k])
+    for k, u, v, index in _hub_edges(g, positions):
+        cost, T = edge_cost(index, u, v, list(map(index.__getitem__, adjacency[v])))
+        kappas[k] = Fraction(T - cost, T)
     return tuple(kappas)
+
+
+def _level(adjacency, p: int, q: int) -> int:
+    """min(d(p, q), 3) over the graph of adjacency."""
+    if p == q:
+        return 0
+    if q in adjacency[p]:
+        return 1
+    return 3 if set(adjacency[p]).isdisjoint(adjacency[q]) else 2
+
+
+def _reached(old: Graph, g: Graph) -> set[tuple[int, int]]:
+    """The edges of g whose W1 problem differs from the one they posed in
+    old, every edge new to g included; old and g share their vertices.
+
+    The solve of edge (u, v), hub u, reads N_u, N_v and the costs d(p, q)
+    for p in N_u and q in N_v, and nothing else (`transport.edge_cost`):
+    the rows `index[q]` hold the costs; u's position in N_v, `near[v]`,
+    `full` and the scale lcm(deg u, deg v) follow from N_u and N_v; the hub
+    follows from the two degrees.
+
+    Let C be the symmetric difference of the two edge sets and X the
+    endpoints of C, the vertices whose adjacency differs. An edge with an
+    endpoint in X has another N_u or N_v, or is new, so its problem
+    differs. Any other edge is an edge of both graphs with the same N_u and
+    N_v, hence the same degrees and hub: degrees change only at X, and
+    kappa is symmetric, so a hub flip matters only there. Its problem
+    differs exactly when some cost d(p, q) does, and each is at most 3 in
+    both graphs (p-u-v-q), so exactly when some min(d(p, q), 3) does.
+
+    Take the graph in which that is smaller, hence at most 2: a shortest
+    p-q path there is missing from the other graph, so one of its edges
+    lies in C. A path of one edge is (p, q) in C. A path
+    p-w-q with (p, w) in C gives changed edge (x, y) = (p, w) and q in N(y);
+    with (w, q) in C, (x, y) = (q, w) and p in N(y). So every pair whose
+    cost differs is, in either order, (x, y) or (x, w) with w in N(y) in
+    either graph, for a changed edge (x, y) in either orientation. Those
+    candidates whose truncated distance differs between the graphs are the
+    changed pairs, and the edges (u, v) of g with p in N_u and q in N_v,
+    in either order, for a changed pair (p, q), are the rest of the edges
+    whose problem differs."""
+    before, after = old.adjacency, g.adjacency
+    moved = [x for x in range(g.vertex_count) if before[x] != after[x]]
+    reached = {(x, y) if x < y else (y, x) for x in moved for y in after[x]}
+    candidates = set()
+    for x in moved:
+        for y in set(before[x]).symmetric_difference(after[x]):
+            for w in (y, *before[y], *after[y]):
+                candidates.add((x, w) if x < w else (w, x))
+    for p, q in candidates:
+        if _level(before, p, q) != _level(after, p, q):
+            # an edge (u, v) is unordered: u the endpoint next to p covers both orders
+            far = set(after[q])
+            for u in after[p]:
+                reached.update((u, v) if u < v else (v, u) for v in far.intersection(after[u]))
+    return reached
 
 
 def _max_matching(options: list[int]) -> int:

@@ -7,10 +7,12 @@ rather than concentrate it on one vertex. The loop reads only each edge's
 curvature: it takes `curvature.edge_curvatures` of every graph it makes, a
 tuple aligned with `g.edges`, and rolls back any step that increases the
 number of out-of-band edges, so the out-of-band count is non-increasing
-across accepted steps. Its calls share one per-edge memo: an edge whose
-local W1 problem a step left as it was keeps its kappa, and only the edges
-the step touched are solved again. The returned RewireTrace is data;
-`emit.trace_obj` renders it as JSON.
+across accepted steps. After a step it hands `edge_curvatures` the graph
+before the step and its kappas, so only the edges whose local W1 problem
+the step's edits changed are solved again, found from the edits alone. A
+step adds each support edge by one local edit of the graph; a removal
+rebuilds it through `from_edges`, which checks connectivity. The returned
+RewireTrace is data; `emit.trace_obj` renders it as JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 from .curvature import CurvatureProfile, _statement_loads, edge_curvatures
@@ -53,8 +56,8 @@ class RewireConfig:
 
 @dataclass(frozen=True)
 class RewireStep:
-    """One iteration's actions; after-fields are filled by the loop once the
-    new profile exists, and stay None for a standalone step."""
+    """One iteration's actions; after-fields are filled by the loop from the
+    new graph's kappas, and stay None for a standalone step."""
 
     added: tuple[tuple[int, int], ...]
     removed: tuple[tuple[int, int], ...]
@@ -139,6 +142,23 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     return None if best is None else best[1]
 
 
+def _with_edge(g: Graph, edge: tuple[int, int]) -> Graph:
+    """g plus the absent edge (a, b), a < b, by one local edit: b goes into
+    a's sorted adjacency row, a into b's, and the edge into the sorted
+    edges. Adding an edge cannot disconnect g, so nothing is rebuilt or
+    checked again; the result equals `from_edges` of the enlarged edges."""
+    a, b = edge
+    assert not g.has_edge(a, b), f"({a},{b}) is already an edge"
+    adjacency = list(g.adjacency)
+    for x, y in ((a, b), (b, a)):
+        row = list(adjacency[x])
+        insort(row, y)
+        adjacency[x] = tuple(row)
+    edges = list(g.edges)
+    insort(edges, edge)
+    return Graph(g.vertex_count, tuple(adjacency), tuple(edges))
+
+
 def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, RewireStep]:
     """Apply one round of removals and additions guided by kappas, the
     curvature of each edge in `g.edges` order.
@@ -173,7 +193,7 @@ def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Rewi
         candidate = _support_candidate(work, *edge)
         if candidate is None:
             continue
-        work = from_edges(work.vertex_count, list(work.edges) + [candidate])
+        work = _with_edge(work, candidate)
         added.append(candidate)
 
     return work, RewireStep(
@@ -186,15 +206,15 @@ def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Rewi
 
 def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
     """Iterate rewire_step with the new graph's curvature until nothing
-    changes; each graph's kappas reuse those of the edges the step left
-    untouched (see `edge_curvatures`).
+    changes; each new graph's kappas are solved only where the step
+    changed an edge's problem, the rest carried from the graph before it
+    (see `edge_curvatures`).
 
     Stops at max_iterations, when no edge is out of band, when a step
     cannot act, or after reverting a step that raised the out-of-band
     count (that step is recorded with rolled_back set).
     """
-    memo: dict = {}  # per-edge kappas shared by every graph of this loop
-    kappas = edge_curvatures(g, memo)
+    kappas = edge_curvatures(g)
     initial = out_of_band_count(kappas, cfg)
     steps: list[RewireStep] = []
     current, current_kappas, current_oob = g, kappas, initial
@@ -205,7 +225,7 @@ def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
             break
         if candidate.edges == current.edges:
             break
-        new_kappas = edge_curvatures(candidate, memo)
+        new_kappas = edge_curvatures(candidate, (current, current_kappas))
         new_oob = out_of_band_count(new_kappas, cfg)
         record = dataclasses.replace(
             record,

@@ -5,7 +5,7 @@ brute-forced best dual in which only u's row leaves potential 0, the
 transportation dual's objective and feasibility, the edge set
 S_statement and the set formulation of `curvature.bottleneck_sets` that
 the mask counts replaced, the dense (A+I)^k product that the local
-walk rows of `mpnn` replaced, and the count of edge problems a graph edit
+walk rows of `mpnn` replaced, and the edges whose problem a graph edit
 changes, from dense BFS cost matrices."""
 
 from bisect import bisect_left
@@ -196,8 +196,8 @@ def _edge_problems(g):
 
 
 def changed_edge_problems(before, after):
-    """How many edges of `after` pose a W1 problem (hub-first orientation,
-    supports and cost matrix) other than the one the same edge posed in
-    `before`; an edge new to `after` counts."""
+    """The edges (a, b), a < b, of `after` that pose a W1 problem (hub-first
+    orientation, supports and cost matrix) other than the one the same edge
+    posed in `before`; an edge new to `after` is among them."""
     old = _edge_problems(before)
-    return sum(1 for key, problem in _edge_problems(after).items() if old.get(key) != problem)
+    return {(min(key), max(key)) for key, problem in _edge_problems(after).items() if old.get(key) != problem}

@@ -293,7 +293,7 @@ def test_walks_make_no_adjacency_probe(corpus_entries, monkeypatch):
     monkeypatch.setattr(Graph, "has_edge", counted)
     for g in graphs:
         curvature_profile(g)
-        edge_curvatures(g, {})
+        edge_curvatures(g)
     assert probes == []
     g = graphs[1]
     u, v = 0, next(w for w in range(1, g.vertex_count) if w not in g.adjacency[0])
@@ -393,9 +393,9 @@ class TestCurvatureProfile:
     def test_edge_curvatures_are_the_reports_kappas(self, corpus_entries, corpus_profiles):
         for name, g in corpus_entries:
             kappas = tuple(r.kappa for r in corpus_profiles[name].reports)
-            assert edge_curvatures(g, {}) == kappas
+            assert edge_curvatures(g) == kappas
 
-    @pytest.mark.parametrize("profile", [curvature_profile, lambda g: edge_curvatures(g, {})])
+    @pytest.mark.parametrize("profile", [curvature_profile, edge_curvatures])
     def test_one_index_per_grouping_vertex(self, profile, monkeypatch):
         g = generate("erdos_renyi", n=400, p=0.03, seed=0)
         built = []

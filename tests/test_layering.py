@@ -118,17 +118,18 @@ def test_only_emit_shapes_reports_and_writes_layers():
     assert {path.stem for path in PACKAGE.glob("*.py") if savetxt_callers(path)} == {"emit"}
 
 
-def memo_passers(path):
-    """Whether the module at path calls edge_curvatures with a memo."""
+def before_passers(path):
+    """Whether the module at path calls edge_curvatures with a graph before
+    an edit and its kappas."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "edge_curvatures":
-            if len(node.args) > 1 or any(k.arg == "memo" for k in node.keywords):
+            if len(node.args) > 1 or any(k.arg == "before" for k in node.keywords):
                 return True
     return False
 
 
-def test_only_rewiring_passes_a_memo():
-    assert {path.stem for path in PACKAGE.glob("*.py") if memo_passers(path)} == {"rewiring"}
+def test_only_rewiring_passes_before():
+    assert {path.stem for path in PACKAGE.glob("*.py") if before_passers(path)} == {"rewiring"}
 
 
 def test_curvature_keeps_no_module_level_state():

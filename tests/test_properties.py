@@ -3,7 +3,8 @@
 pairs, the edge cost levels against BFS, the structural starting dual of
 an edge against its BFS cost matrix, the bitmask bottleneck sets
 against their set-based reference, curvature reports under relabelling,
-the kappas a memo carries across random edits against fresh ones, every
+the edges an edit reaches and the kappas carried across random edits
+against the BFS reference and fresh ones, every
 structural bound of `run_suite` beyond the fixed corpus, the one-layer gap
 bounds under drawn layer specs and features, the local
 walk rows and alpha/beta against the dense (A+I)^k product, and the
@@ -18,6 +19,7 @@ from emit_reference import check_obj
 from hypothesis import given, settings, strategies as st
 from kernel_reference import (
     bottleneck_sets_from_sets,
+    changed_edge_problems,
     dense_walk_counts,
     all_distances,
     edge_levels_match_bfs,
@@ -26,7 +28,7 @@ from kernel_reference import (
     statement_edges,
 )
 
-from orckit.curvature import bottleneck_sets, curvature_profile, edge_curvatures, ricci_curvature
+from orckit.curvature import _reached, bottleneck_sets, curvature_profile, edge_curvatures, ricci_curvature
 from orckit.diagnostics import run_suite, verify_bottleneck, verify_one_layer
 from orckit.graphs import GraphInvalid, bfs_distances, from_edges
 from orckit.mpnn import LayerSpec, Update, _walk_row, alpha_beta, edge_gaps, vertex_norms
@@ -135,18 +137,22 @@ def _toggled(g, pairs):
 
 @PROPERTY
 @given(connected_graphs(), st.data())
-def test_memo_reuse_matches_fresh_profiles(g, data):
-    """A memo filled by earlier graphs, its entries stale wherever an edit
-    reached, yields the fresh kappas of every edited graph, and those are
-    the kappas of its full reports."""
+def test_carried_kappas_match_fresh_profiles(g, data):
+    """Along a chain of drawn edits, which both add and remove edges, the
+    edges `_reached` picks are exactly those whose problem an edit changed,
+    by the BFS reference; the kappas carried from the graph before it
+    through `edge_curvatures(g, before)` are the fresh kappas of every
+    edited graph, and those are the kappas of its full reports."""
     vertex = st.integers(0, g.vertex_count - 1)
-    memo = {}
-    for i in range(4):
-        if i:
-            g = _toggled(g, data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4)))
-        fresh = edge_curvatures(g, {})
-        assert edge_curvatures(g, memo) == fresh
-        assert list(fresh) == [r.kappa for r in curvature_profile(g).reports]
+    kappas = edge_curvatures(g)
+    for _ in range(3):
+        edited = _toggled(g, data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4)))
+        assert _reached(g, edited) == changed_edge_problems(g, edited)
+        carried = edge_curvatures(edited, (g, kappas))
+        fresh = edge_curvatures(edited)
+        assert carried == fresh
+        assert list(fresh) == [r.kappa for r in curvature_profile(edited).reports]
+        g, kappas = edited, carried
 
 
 @PROPERTY

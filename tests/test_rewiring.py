@@ -9,7 +9,7 @@ from kernel_reference import changed_edge_problems, participation, statement_edg
 from orckit import curvature, rewiring
 from orckit.curvature import curvature_profile, edge_curvatures
 from orckit.emit import trace_obj
-from orckit.graphs import from_edges, generate
+from orckit.graphs import NeighborIndex, from_edges, generate
 from orckit.rewiring import (
     HISTOGRAM_BINS,
     NoActionPossible,
@@ -78,7 +78,7 @@ def test_kappa_histogram():
 
 
 def test_out_of_band_count():
-    kappas = edge_curvatures(generate("barbell", k=3), {})
+    kappas = edge_curvatures(generate("barbell", k=3))
     assert out_of_band_count(kappas, RewireConfig()) == 1
     assert out_of_band_count(kappas, RewireConfig(tau_neg=-1.0, tau_pos=0.99)) == 0
 
@@ -165,7 +165,7 @@ def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
 class TestRewireStep:
     def test_barbell_adds_a_support_edge(self):
         g = generate("barbell", k=3)
-        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
         assert step.added == ((0, 4),)
         assert step.removed == ()
         assert new_g.has_edge(0, 4)
@@ -175,14 +175,14 @@ class TestRewireStep:
         # additions must connect a neighbor of one endpoint to a neighbor
         # of the other, never arbitrary pairs
         g = generate("barbell", k=4)
-        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig())
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
         assert len(step.added) == 1
         p, q = step.added[0]
         assert p in g.adjacency[3] and q in g.adjacency[4]
 
     def test_triangle_removal(self):
         g = generate("complete", n=3)
-        new_g, step = rewire_step(g, edge_curvatures(g, {}), RewireConfig(tau_pos=0.4))
+        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
         assert step.removed == ((0, 1),)
         assert step.added == ()
         assert len(new_g.edges) == 2
@@ -206,7 +206,7 @@ class TestRewireStep:
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)
         with pytest.raises(NoActionPossible):
-            rewire_step(g, edge_curvatures(g, {}), RewireConfig())
+            rewire_step(g, edge_curvatures(g), RewireConfig())
 
 
 class TestRewireLoop:
@@ -310,21 +310,21 @@ def sparse_graph(n, m):
     return from_edges(n, sorted(edges))
 
 
-@pytest.mark.parametrize(
-    "g, cfg",
-    [
-        (generate("barbell", k=3), RewireConfig()),
-        (generate("barbell", k=4), RewireConfig()),
-        (generate("barbell", k=5), RewireConfig()),  # rolls its step back
-        (generate("complete", n=4), RewireConfig(tau_pos=0.5)),  # removals
-        (
-            generate("erdos_renyi", n=100, p=0.08, seed=0),
-            dataclasses.replace(GOLDEN_CONFIG, max_iterations=3),
-        ),
-        (sparse_graph(1000, 5000), dataclasses.replace(GOLDEN_CONFIG, max_iterations=2)),
-    ],
-    ids=["barbell_3", "barbell_4", "barbell_5_rollback", "k4_removals", "er_100", "sparse_1000"],
-)
+LOOP_CASES = [
+    (generate("barbell", k=3), RewireConfig()),
+    (generate("barbell", k=4), RewireConfig()),
+    (generate("barbell", k=5), RewireConfig()),  # rolls its step back
+    (generate("complete", n=4), RewireConfig(tau_pos=0.5)),  # removals
+    (
+        generate("erdos_renyi", n=100, p=0.08, seed=0),
+        dataclasses.replace(GOLDEN_CONFIG, max_iterations=3),
+    ),
+    (sparse_graph(1000, 5000), dataclasses.replace(GOLDEN_CONFIG, max_iterations=2)),
+]
+LOOP_IDS = ["barbell_3", "barbell_4", "barbell_5_rollback", "k4_removals", "er_100", "sparse_1000"]
+
+
+@pytest.mark.parametrize("g, cfg", LOOP_CASES, ids=LOOP_IDS)
 def test_loop_reusing_reports_matches_fresh_profiles(g, cfg):
     final, trace = rewire_loop(g, cfg)
     ref_final, ref_trace = rewire_loop_fresh(g, cfg)
@@ -337,7 +337,7 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     """On the golden rewire input, the loop's first kappas solve every edge
     and the post-step ones only the edges whose problem the step changed."""
     g = generate("erdos_renyi", n=100, p=0.08, seed=0)
-    after, _ = rewire_step(g, edge_curvatures(g, {}), GOLDEN_CONFIG)
+    after, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
     solve = curvature.edge_cost
@@ -349,8 +349,68 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     monkeypatch.setattr(curvature, "edge_cost", counted)
     final, trace = rewire_loop(g, GOLDEN_CONFIG)
     assert final.edges == after.edges and not trace.steps[0].rolled_back
-    assert len(calls) == len(g.edges) + changed
-    assert 0 < changed < len(after.edges)
+    assert len(calls) == len(g.edges) + len(changed)
+    assert 0 < len(changed) < len(after.edges)
+
+
+@pytest.mark.parametrize(
+    "g, cfg",
+    [(generate("erdos_renyi", n=100, p=0.08, seed=0), GOLDEN_CONFIG), *LOOP_CASES],
+    ids=["golden", *LOOP_IDS],
+)
+def test_post_step_pass_solves_exactly_the_changed_edges(g, cfg, monkeypatch):
+    """The loop's first pass hands `edge_cost` every edge once; each pass
+    after a step hands it exactly the edges whose problem the step changed,
+    by the BFS reference, each once, and builds one NeighborIndex per
+    distinct hub among them and none for any other vertex."""
+    passes = []  # (graph, before, the (hub, other) pairs solved, the hubs indexed)
+    solve, walk = curvature.edge_cost, rewiring.edge_curvatures
+
+    def counted(index, u, v, levels):
+        passes[-1][2].append((u, v))
+        return solve(index, u, v, levels)
+
+    class Counted(NeighborIndex):
+        def __init__(self, g, u):
+            passes[-1][3].append(u)
+            super().__init__(g, u)
+
+    def recorded(h, before=None):
+        passes.append((h, before, [], []))
+        return walk(h, before)
+
+    monkeypatch.setattr(curvature, "edge_cost", counted)
+    monkeypatch.setattr(curvature, "NeighborIndex", Counted)
+    monkeypatch.setattr(rewiring, "edge_curvatures", recorded)
+    rewire_loop(g, cfg)
+    (first, before, solved, _), *later = passes
+    assert before is None and sorted((min(e), max(e)) for e in solved) == list(first.edges)
+    assert later
+    for h, (old, _), solved, hubs in later:
+        edges = sorted((min(e), max(e)) for e in solved)
+        assert edges == sorted(changed_edge_problems(old, h))
+        assert sorted(hubs) == sorted({u for u, _ in solved})
+
+
+@pytest.mark.parametrize("g, cfg", LOOP_CASES, ids=LOOP_IDS)
+def test_local_addition_equals_a_rebuild(g, cfg, monkeypatch):
+    """Every support edge the loop adds by its local edit gives the graph
+    `from_edges` builds from the enlarged edge list; an edge already there
+    is refused."""
+    added = []
+    add = rewiring._with_edge
+
+    def checked(h, edge):
+        edited = add(h, edge)
+        assert edited == from_edges(h.vertex_count, [*h.edges, edge])
+        added.append(edge)
+        return edited
+
+    monkeypatch.setattr(rewiring, "_with_edge", checked)
+    _, trace = rewire_loop(g, cfg)
+    assert added == [edge for step in trace.steps for edge in step.added]
+    with pytest.raises(AssertionError, match="already an edge"):
+        add(g, g.edges[0])
 
 
 @pytest.mark.parametrize(
