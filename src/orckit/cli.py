@@ -5,8 +5,11 @@ input error. stdout carries data (when --out is absent); diagnostics go
 to stderr. This module only wires: each command hands its result to
 `emit`, which renders every report, graph file and layer CSV, so repeated
 runs with the same inputs are byte-identical. Input errors come before the
-output opens, so they leave no --out file. --threads is accepted and
-reported on stderr only; it changes neither the work nor the output.
+output opens, so they leave no --out file, and a command that fails once
+its --out file is open (verify computes checks while it writes them)
+deletes it; on stdout a failed run's partial text stays, with a non-zero
+exit code. --threads is accepted and reported on stderr only; it changes
+neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import emit
 from .curvature import curvature_profile
-from .diagnostics import MAX_TRIALS, run_suite, smoothing_metrics
+from .diagnostics import MAX_TRIALS, smoothing_metrics, suite_checks
 from .graphs import Graph, GraphError, generate, parse_edge_list, parse_graph_json
 from .mpnn import (
     MAX_DEMO_ITERATIONS,
@@ -42,12 +45,20 @@ _INPUT_ERRORS = (GraphError, SpecError, DimensionMismatch, OSError, ValueError)
 @contextmanager
 def _output(out: str | None):
     """The write function of the file out, or of stdout when out is None;
-    sys.stdout is looked up here, so a redirected stdout receives the text."""
-    if out:
-        with open(out, "w") as f:
-            yield f.write
-    else:
+    sys.stdout is looked up here, so a redirected stdout receives the text.
+    If the command raises once the file is open, a regular file is deleted;
+    a device or pipe, such as /dev/null, is left in place."""
+    if not out:
         yield sys.stdout.write
+        return
+    f = open(out, "w")
+    try:
+        with f:
+            yield f.write
+    except BaseException:
+        if os.path.isfile(out):
+            os.remove(out)
+        raise
 
 
 def _is_json(path: str | None, fmt: str) -> bool:
@@ -90,7 +101,7 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
-    report = run_suite(
+    checks = suite_checks(
         trials=args.trials,
         seed=args.seed,
         suite=args.suite,
@@ -98,8 +109,8 @@ def _cmd_verify(args) -> int:
     )
     print(f"threads used: {threads}", file=sys.stderr)
     with _output(args.out) as write:
-        emit.write_suite(report, write)
-    violations = report.summary()["violations"]
+        summary = emit.write_suite(args.suite, args.trials, args.seed, checks, write)
+    violations = summary["violations"]
     if violations:
         print(f"{violations} bound violation(s)", file=sys.stderr)
         return 1

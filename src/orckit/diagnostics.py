@@ -6,13 +6,18 @@ among them; every check re-evaluates one on concrete graphs and features,
 from the counts in `curvature`'s reports and the quantities `mpnn` measures.
 Each bound has one public entry point, verify_*, which takes the edge
 curvature report(s) or the graph's curvature profile it checks and returns
-every check it decides, and run_suite is built from exactly these. A check
+every check it decides, and the suite is built from exactly these. A check
 whose hypothesis fails on an input is returned as a skip with a reason,
 never as a pass or an exception. Inequalities that mix exact curvature with
 floating-point feature norms carry an additive 1e-9 tolerance on the bound
 side; purely structural inequalities are checked in exact rational
-arithmetic. Feature gaps use the Euclidean norm. A SuiteReport is data;
-`emit.write_suite` renders it as JSON.
+arithmetic. Feature gaps use the Euclidean norm.
+
+`suite_checks` checks its arguments at once and returns the suite as a lazy
+stream, so a caller that writes each check and drops it holds none:
+`emit.write_suite` renders any stream of checks as JSON and tallies it as
+it writes, through `suite_summary`, the one builder of the summary tallies.
+`run_suite` collects the same stream into a SuiteReport, which is data.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -328,6 +333,22 @@ def _draw_multilayer(rng: np.random.Generator, layers: int) -> tuple[MpnnSpec, i
     return MpnnSpec(tuple(out)), channels
 
 
+def suite_summary(outcomes: Mapping[tuple[str, bool | None], int]) -> dict:
+    """The summary tallies of a suite's checks from how many have each
+    (name, holds): the one place they are built, for `SuiteReport.summary`
+    and for `emit.write_suite`, which counts a stream as it writes it."""
+    by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
+    for (name, holds), count in outcomes.items():
+        row = by_name.setdefault(name, {"passed": 0, "violated": 0, "skipped": 0})
+        row["skipped" if holds is None else "passed" if holds else "violated"] += count
+    return {
+        "total": sum(outcomes.values()),
+        "violations": sum(row["violated"] for row in by_name.values()),
+        "skipped": sum(row["skipped"] for row in by_name.values()),
+        "by_name": by_name,
+    }
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
@@ -346,29 +367,21 @@ class SuiteReport:
         return Counter((c.name, c.holds) for c in self.checks)
 
     def summary(self) -> dict:
-        by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
-        for (name, holds), count in self._outcomes.items():
-            row = by_name.setdefault(name, {"passed": 0, "violated": 0, "skipped": 0})
-            row["skipped" if holds is None else "passed" if holds else "violated"] += count
-        return {
-            "total": len(self.checks),
-            "violations": sum(row["violated"] for row in by_name.values()),
-            "skipped": sum(row["skipped"] for row in by_name.values()),
-            "by_name": by_name,
-        }
+        return suite_summary(self._outcomes)
 
 
 MULTILAYER_DEPTH = 6
-# Each one-layer trial keeps its checks in the report, so memory and report
-# size grow linearly with the trial count.
+# Checks are streamed, so memory does not grow with the trial count; the
+# output's size and the run time do, linearly.
 MAX_TRIALS = 10_000
 
 
-def _suite_checks(
-    entries: list[tuple[str, Graph]], want: set[str], trials: int, seed: int
+def _corpus_walk(
+    corpus: Iterable[tuple[str, Graph]] | None, want: set[str], trials: int, seed: int
 ) -> Iterator[BoundCheck]:
-    """Every check of run_suite in report order; a bound pair may also
+    """Every check of the suite in report order; a bound pair may also
     yield its member that want does not name."""
+    entries = list(default_corpus() if corpus is None else corpus)
     profiles = [curvature_profile(g) for _, g in entries]
     positive = [[r for r in profile.reports if r.kappa > 0] for profile in profiles]
 
@@ -408,14 +421,22 @@ def _suite_checks(
             )
 
 
-def run_suite(
+def _through_first_violation(checks: Iterator[BoundCheck]) -> Iterator[BoundCheck]:
+    for check in checks:
+        yield check
+        if check.violated:
+            return
+
+
+def suite_checks(
     corpus: Iterable[tuple[str, Graph]] | None = None,
     trials: int = 200,
     seed: int = 1,
     suite: str = "all",
     fail_fast: bool = False,
-) -> SuiteReport:
-    """Evaluate every applicable bound over a corpus of named graphs.
+) -> Iterator[BoundCheck]:
+    """Every applicable bound over a corpus of named graphs, as a lazy
+    stream of checks in report order.
 
     Each graph's curvature profile is computed once, and every check comes
     from the public verify_* function for its bound, fed the edge reports
@@ -426,9 +447,10 @@ def run_suite(
     corpus, each checked on the graph's positively curved edges; the
     multilayer bound runs one seeded draw per graph.
     Results are deterministic for a fixed (corpus, trials, seed); with
-    fail_fast the report is truncated at the first violation. An unknown
-    suite, a negative trials or seed, or trials above MAX_TRIALS raises
-    ValueError before any work is done.
+    fail_fast the stream ends at the first violation. An unknown suite, a
+    negative trials or seed, or trials above MAX_TRIALS raises ValueError
+    here, before any work is done; the corpus is read and every check
+    computed only as the stream is consumed.
     """
     if suite != "all" and suite not in CHECK_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -438,11 +460,17 @@ def run_suite(
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     want = set(CHECK_NAMES) if suite == "all" else {suite}
-    entries = list(default_corpus() if corpus is None else corpus)
-    checks: list[BoundCheck] = []
-    for check in _suite_checks(entries, want, trials, seed):
-        if check.name in want:
-            checks.append(check)
-            if fail_fast and check.violated:
-                break
+    checks = (c for c in _corpus_walk(corpus, want, trials, seed) if c.name in want)
+    return _through_first_violation(checks) if fail_fast else checks
+
+
+def run_suite(
+    corpus: Iterable[tuple[str, Graph]] | None = None,
+    trials: int = 200,
+    seed: int = 1,
+    suite: str = "all",
+    fail_fast: bool = False,
+) -> SuiteReport:
+    """The checks of `suite_checks`, collected into a report."""
+    checks = suite_checks(corpus, trials, seed, suite, fail_fast)
     return SuiteReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

@@ -4,26 +4,31 @@ echoes a sparse-labelled input's labels as "vertex_ids". The two large
 reports, a curvature profile and a suite report, are streamed from fixed
 per-item templates with those bytes (their dict shapes are in
 `tests/emit_reference.py`), so neither the object tree nor the whole string
-is built. A suite report repeats few distinct values, so each write_suite
-call renders each distinct one once: the value block of each exact
-Fraction, keyed by (numerator, denominator), and the text around a check's
-values, keyed by (name, reason, holds, tolerance, the tolerance's sign).
-Both caches die with the call. Only `cli` imports this module."""
+is built. write_suite takes any iterable of checks, such as the lazy stream
+of `diagnostics.suite_checks`, keeps none once its batch is written, and
+writes the summary last from tallies it counted on the way. A suite report
+repeats few distinct values, so each write_suite call renders each distinct
+one once: the value block of each exact Fraction, keyed by (numerator,
+denominator), and the text around a check's values, keyed by (name, reason,
+holds, tolerance, the tolerance's sign). Both caches die with the call.
+Only `cli` imports this module."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .curvature import CurvatureProfile, EdgeCurvatureReport, frac_str
-from .diagnostics import TOLERANCE, BoundCheck, SmoothingReport, SuiteReport
+from .diagnostics import TOLERANCE, BoundCheck, SmoothingReport, suite_summary
 from .graphs import Graph
 from .rewiring import HISTOGRAM_BINS, RewireTrace
 
@@ -46,20 +51,33 @@ def write_profile(profile: CurvatureProfile, g: Graph, write: Write) -> None:
     summary = {key: s[key] for key in ("edge_count", "negative_count", "positive_count")}
     for key in ("kappa_min", "kappa_max", "kappa_mean"):
         summary[key], summary[f"{key}_float"] = frac_str(s[key]), float(s[key])
-    _write_list("edges", profile.reports, _edge_json, _labelled({"summary": summary}, g), write)
+    rest = _labelled({"summary": summary}, g)
+    _write_list("edges", profile.reports, _edge_json, lambda: rest, write)
 
 
-def write_suite(report: SuiteReport, write: Write) -> None:
-    """Write report's checks, run parameters and summary tallies."""
-    rest = {
-        "suite": report.suite,
-        "trials": report.trials,
-        "seed": report.seed,
-        "norm": "euclidean",
-        "tolerance": TOLERANCE,
-        "summary": report.summary(),
-    }
-    _write_list("checks", report.checks, _check_renderer(), rest, write)
+def write_suite(
+    suite: str, trials: int, seed: int, checks: Iterable[BoundCheck], write: Write
+) -> dict:
+    """Write the checks as they come, then the run parameters and the
+    summary tallies of the checks written; return that summary."""
+    outcomes: Counter = Counter()
+    render = _check_renderer()
+
+    def counted(c: BoundCheck) -> str:
+        outcomes[c.name, c.holds] += 1
+        return render(c)
+
+    def rest() -> dict:
+        return {
+            "suite": suite,
+            "trials": trials,
+            "seed": seed,
+            "norm": "euclidean",
+            "tolerance": TOLERANCE,
+            "summary": suite_summary(outcomes),
+        }
+
+    return _write_list("checks", checks, counted, rest, write)["summary"]
 
 
 def write_graph(g: Graph, as_json: bool, write: Write) -> None:
@@ -112,20 +130,25 @@ def _labelled(obj: dict, g: Graph) -> dict:
     return obj
 
 
-def _write_list(key: str, items: Sequence, render: Callable, rest: dict, write: Write) -> None:
-    """Write {key: items, **rest} with each item rendered by render,
-    _WRITE_BATCH items per write. key sorts before every key of rest, so the
-    list comes first; json.dumps renders rest, minus its opening brace."""
-    tail = json.dumps(rest, sort_keys=True, indent=2)[2:]
-    if not items:
-        write(f'{{\n  "{key}": [],\n{tail}\n')
-        return
-    write(f'{{\n  "{key}": [\n')
-    for i in range(0, len(items), _WRITE_BATCH):
-        if i:
-            write(",\n")
-        write(",\n".join(map(render, items[i : i + _WRITE_BATCH])))
-    write(f"\n  ],\n{tail}\n")
+def _write_list(
+    key: str, items: Iterable, render: Callable, rest: Callable[[], dict], write: Write
+) -> dict:
+    """Write {key: items, **rest()} with each item rendered by render,
+    _WRITE_BATCH items per write, and return rest(). items is read once,
+    one item ahead, and a batch's text is dropped once written. key sorts
+    before every key of rest, so the list comes first, and rest() is called
+    after the last item is rendered; json.dumps renders it, minus its
+    opening brace."""
+    items = iter(items)
+    head = next(items, None)  # no item is None
+    write(f'{{\n  "{key}": [' + ("\n" if head is not None else ""))
+    while head is not None:
+        write(",\n".join(map(render, chain((head,), islice(items, _WRITE_BATCH - 1)))))
+        head = next(items, None)
+        write(",\n" if head is not None else "\n  ")
+    obj = rest()
+    write(f"],\n{json.dumps(obj, sort_keys=True, indent=2)[2:]}\n")
+    return obj
 
 
 def _edge_json(r: EdgeCurvatureReport) -> str:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -555,11 +557,17 @@ class TestOutputPath:
         assert target.read_bytes() == (json.dumps(trace, sort_keys=True, indent=2) + "\n").encode()
 
     def test_input_error_leaves_no_out_file(self, capsys, tmp_path, graph_file):
+        """An input error is found before the output opens: no file is made,
+        and a file already at the path keeps its bytes, which opening it
+        would have truncated."""
         bad_thresholds = ("--tau-neg", "0.5", "--tau-pos", "0.2")
         for args in (
             ("generate", "--family", "mystery", "--out"),
             ("curvature", str(tmp_path / "missing.txt"), "--out"),
             ("verify", "--trials", "-3", "--out"),
+            ("verify", "--suite", "bogus", "--out"),
+            ("verify", "--seed", "-1", "--out"),
+            ("verify", "--trials", str(MAX_TRIALS + 1), "--out"),
             ("simulate", "--demo-smoothing", "--demo-iterations", "-3", "--out"),
             ("rewire", graph_file, *bad_thresholds, "--out-graph"),
             ("rewire", graph_file, *bad_thresholds, "--out-trace"),
@@ -568,6 +576,42 @@ class TestOutputPath:
             code, out, err = run_main(capsys, *args, str(target))
             assert (code, out) == (2, "") and "error: " in err, args
             assert not target.exists(), args
+            target.write_text("kept")
+            assert run_main(capsys, *args, str(target))[0] == 2, args
+            assert target.read_text() == "kept", args
+            target.unlink()
+
+    def test_failure_after_the_output_opens_leaves_no_out_file(self, capsys, tmp_path, monkeypatch):
+        """verify computes its checks while it writes them. A check that
+        raises once some are written exits 2 and deletes the --out file,
+        unless it is not a regular file (a pipe here, /dev/null in use); on
+        stdout the partial text is not a JSON document."""
+        target = tmp_path / "out.json"
+        sizes = []
+
+        def failing(*args, **kwargs):
+            sizes.append(target.stat().st_size if target.exists() else 0)
+            raise ValueError("no layer")
+
+        monkeypatch.setattr(diagnostics, "verify_one_layer", failing)
+        code, out, err = run_main(capsys, "verify", "--trials", "1", "--out", str(target))
+        assert (code, out) == (2, "") and "error: no layer" in err
+        assert sizes[0] > 0  # the structural checks were written first
+        assert not target.exists()
+        code, out, _ = run_main(capsys, "verify", "--trials", "1")
+        assert code == 2 and out.startswith('{\n  "checks": [\n')
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+        # an --out that is not a regular file, here a pipe, is not removed
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        assert run_main(capsys, "verify", "--trials", "1", "--out", str(pipe))[0] == 2
+        reader.join(timeout=60)
+        assert not reader.is_alive() and received[0].startswith('{\n  "checks": [\n')
+        assert pipe.is_fifo()
 
 
 class TestGoldenHashes:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from orckit.diagnostics import (
     _skip,
     run_suite,
     smoothing_metrics,
+    suite_checks,
     verify_bottleneck,
     verify_diameter,
     verify_jacobian_ratio,
@@ -489,14 +491,26 @@ class TestRunSuite:
         assert not report.violations
 
 
-def suite_text(report: SuiteReport) -> str:
+def streamed(report: SuiteReport, checks=None) -> tuple[str, dict]:
+    """The text write_suite writes and the summary it returns, given
+    report's suite, trials and seed and, as a one-shot iterator, report's
+    checks or the stream checks."""
     parts = []
-    write_suite(report, parts.append)
-    return "".join(parts)
+    stream = iter(report.checks if checks is None else checks)
+    summary = write_suite(report.suite, report.trials, report.seed, stream, parts.append)
+    return "".join(parts), summary
 
 
-def _assert_writes_as_dumps(report: SuiteReport) -> None:
-    written = suite_text(report)
+def suite_text(report: SuiteReport) -> str:
+    return streamed(report)[0]
+
+
+def _assert_writes_as_dumps(report: SuiteReport, checks=None) -> None:
+    """Streaming report's checks, or checks, a stream that yields the same
+    checks, writes json.dumps of report's reference shape and returns
+    report's summary."""
+    written, summary = streamed(report, checks)
+    assert summary == report.summary()
     dumped = json.dumps(suite_report_obj(report), sort_keys=True, indent=2) + "\n"
     if written != dumped:
         # a short window, not pytest's diff of two large strings, which
@@ -633,11 +647,54 @@ class TestWriteJson:
     def test_corpus_report_matches_dumps(self, corpus_entries):
         report = run_suite(corpus=corpus_entries, trials=200, seed=1)
         assert len(report.checks) > 2 * _WRITE_BATCH
-        _assert_writes_as_dumps(report)
+        _assert_writes_as_dumps(report, suite_checks(corpus_entries, trials=200, seed=1))
+
+    @pytest.mark.parametrize(
+        "corpus, suite, names",
+        [([], "all", set()), (None, "diameter", {"diameter"}), (None, "one_layer_mean", {"one_layer_mean"})],
+    )
+    def test_streamed_suite_matches_dumps(self, corpus_entries, corpus, suite, names):
+        # the empty corpus and two named suites (None: the corpus fixture)
+        corpus = corpus_entries if corpus is None else corpus
+        report = run_suite(corpus=corpus, trials=7, seed=4, suite=suite)
+        assert {c.name for c in report.checks} == names
+        _assert_writes_as_dumps(report, suite_checks(corpus, trials=7, seed=4, suite=suite))
 
     def test_fail_fast_truncated_report_matches_dumps(self, corpus_entries, monkeypatch):
         # no corpus check violates, so make every one-layer bound negative
         monkeypatch.setattr(diagnostics, "_one_layer_rhs", lambda *args: -1.0)
         report = run_suite(corpus=corpus_entries, trials=200, seed=1, fail_fast=True)
         assert len(report.violations) == 1 and report.checks[-1].violated
-        _assert_writes_as_dumps(report)
+        stream = suite_checks(corpus_entries, trials=200, seed=1, fail_fast=True)
+        _assert_writes_as_dumps(report, stream)
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Streamed from suite_checks, no check outlives its written batch:
+        from 20 to 2,000 trials the output grows more than 50 times and the
+        traced peak by at most 256 kB. Both runs write more than one batch,
+        so both hold a full one at their peak. An untraced 2,000-trial run
+        first fills the interpreter's free lists, which keep up to 2,000
+        freed tuples of each small size, so that neither traced run counts
+        that bounded one-time growth."""
+        corpus = [("k5", generate("complete", n=5)), ("k6", generate("complete", n=6))]
+        assert len(run_suite(corpus=corpus, trials=20, seed=1).checks) > _WRITE_BATCH
+
+        def run(trials: int, traced: bool = True) -> tuple[int, int]:
+            size = 0
+
+            def write(text: str) -> None:
+                nonlocal size
+                size += len(text)
+
+            if traced:
+                tracemalloc.start()
+            try:
+                write_suite("all", trials, 1, suite_checks(corpus, trials, 1), write)
+                return size, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(2000, traced=False)
+        (small, small_peak), (large, large_peak) = run(20), run(2000)
+        assert large > 50 * small
+        assert large_peak - small_peak <= 256 * 1024, (small_peak, large_peak)

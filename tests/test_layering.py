@@ -8,8 +8,9 @@ let a bound or a rewiring rule leak into a measurement, and a second
 renderer would let the bytes drift.
 Reports carried between profiles live only in a rewiring loop, so a
 one-shot profile keeps nothing once it returns; walk rows and norms live
-only as long as the graph or trial they were computed for, and emit's render
-caches only as long as the write_suite call that fills them.
+only as long as the graph or trial they were computed for, emit's render
+caches only as long as the write_suite call that fills them, and a streamed
+check only until its batch is written.
 """
 
 import ast
@@ -156,6 +157,60 @@ def test_walks_and_checks_keep_no_module_level_container(module):
     containers = (dict, list, set)
     held = [k for k, v in namespace.items() if not k.startswith("__") and isinstance(v, containers)]
     assert held == []
+
+
+def functions(path):
+    """Every function the module at path defines, methods and nested
+    functions included, by qualified name ("Class.method")."""
+    tree = ast.parse(path.read_text())
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    found[prefix + child.name] = child
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
+def spells_by_name(node):
+    """Whether "by_name" occurs in node as a name or a string."""
+    return any(
+        getattr(n, "id", None) == "by_name" or getattr(n, "value", None) == "by_name"
+        for n in ast.walk(node)
+    )
+
+
+def calls(node):
+    """The names node calls, bare or as an attribute."""
+    return {
+        getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+
+
+def test_verify_streams_and_one_function_tallies():
+    """cli holds no suite report: it imports neither run_suite nor
+    SuiteReport, and writes the stream of checks. The summary tallies are
+    built in one place, a diagnostics function that SuiteReport.summary and
+    emit.write_suite both call, so a held report and a written stream
+    cannot tally differently; emit builds no by_name of its own."""
+    assert not referenced_names(PACKAGE / "cli.py") & {"run_suite", "SuiteReport"}
+    builders = [
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name, node in functions(path).items()
+        if spells_by_name(node)
+    ]
+    assert len(builders) == 1 and builders[0][0] == "diagnostics", builders
+    tally = builders[0][1]
+    assert tally in calls(functions(PACKAGE / "diagnostics.py")["SuiteReport.summary"])
+    assert tally in calls(functions(PACKAGE / "emit.py")["write_suite"])
+    assert not spells_by_name(ast.parse((PACKAGE / "emit.py").read_text()))
 
 
 SOLVER_PARTS = {"_uniform_cost", "_min_cost_flow", "_edge_start", "_plan_cost"}
