@@ -308,8 +308,8 @@ def _statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[di
         if q == u:
             continue
         row = index[q]
-        ones = row.get(1, 0) & skip_v
-        if 0 in row:
+        ones = row[1] & skip_v
+        if row[0]:
             load[q] = load.get(q, 0) + 2 + ones.bit_count()
             ones &= ~common
         else:

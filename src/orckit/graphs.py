@@ -1,6 +1,7 @@
 """Graph representation, shortest-path distances, the per-vertex
-`NeighborIndex` (a dict of an edge kernel's cost rows, `index[q]`),
-generators of at most MAX_GENERATED_EDGES edges, and the test corpus.
+`NeighborIndex` (a dict of an edge kernel's cost rows, `index[q]`, each
+a tuple of masks indexed by cost), generators of at most
+MAX_GENERATED_EDGES edges, and the test corpus.
 
 Vertices are dense 0-based integers. Graphs are simple, undirected,
 connected and have at least one edge; those invariants are enforced at
@@ -238,8 +239,9 @@ class NeighborIndex(dict):
     neighbourhood.
 
     index[q] is row q of an edge's cost levels, for q a neighbour of some v
-    in N_u: {d: mask of u's neighbours at hop distance d from q}, empty
-    masks left out. Any p in N_u reaches such a q along p-u-v-q, so
+    in N_u: the tuple (d0, d1, d2, d3), dd the mask of u's neighbours at hop
+    distance d from q, so a row is indexed by cost and its four masks split
+    `full`. Any p in N_u reaches such a q along p-u-v-q, so
     d(p, q) <= 3, and the shorter cases are local: 0 if p == q, 1 if p and q
     are adjacent, 2 if they share a neighbour. The rows of the edges (u, v)
     overlap, so each q is worked out once, on its first lookup. An index
@@ -278,24 +280,15 @@ class NeighborIndex(dict):
             raise ValueError("index was built on another graph")
         return v in self.pos or g.has_edge(u, v)
 
-    def __missing__(self, q: int) -> dict[int, int]:
+    def __missing__(self, q: int) -> tuple[int, int, int, int]:
         near = self.near.get
         d0 = self.pos.get(q, 0)
         d1 = near(q, 0)
         shared = 0  # the neighbours of u that share a neighbour with q
         for w in self.adjacency[q]:
             shared |= near(w, 0)
-        d2 = shared & ~(d0 | d1)
-        d3 = self.full & ~(d0 | d1 | shared)
-        found = {0: d0} if d0 else {}
-        if d1:
-            found[1] = d1
-        if d2:
-            found[2] = d2
-        if d3:
-            found[3] = d3
-        self[q] = found
-        return found
+        row = self[q] = d0, d1, shared & ~(d0 | d1), self.full & ~(d0 | d1 | shared)
+        return row
 
 
 # ---------------------------------------------------------------------------

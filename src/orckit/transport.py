@@ -15,18 +15,24 @@ with u's index the edge test reads the index and probes no adjacency.
 Every edge's solve is `edge_cost(index, u, v, levels)`, which checks
 nothing and returns the integer cost with its scale T, so a caller that
 already knows its pair is an edge and its index u's (`curvature`'s kappa
-walk) calls it directly and forms one Fraction from the two integers. The
-solver reads its costs as levels: per row, one bitmask of the columns at
-each cost. For an edge those are the 0-3 hop-distance masks `index[q]` of
-u's `graphs.NeighborIndex`, read from adjacency alone, and the starting
-dual follows from the edge's structure by one rule (`_edge_start`: the
-best dual in which only u's row leaves potential 0, each column at min(its
-least cost over the other rows, 1 + h_u), each row tight on its cost-c
-cells in the columns at potential c); for any other pair a dense BFS
-distance matrix goes through `_cost_levels`, and the solve starts from the
-zero dual. Every solve ends with one pass over the plan (`_plan_cost`)
-that checks its marginals and sums its cost. The oracle takes arbitrary
-measures, so tests can pose problems of their own.
+walk) calls it directly and forms one Fraction from the two integers.
+
+Every problem the solver is given is between two uniform measures, so it
+takes its marginals as two numbers, S per row and D per column
+(S m = D n = T = lcm(m, n)), and its costs as levels: per row, a tuple of
+column bitmasks indexed by cost, (mask_0, ..., mask_C), that split the
+columns. It runs at most C + 1 phases, C the largest cost with a cell,
+which the caller passes in. For an edge the rows are the 4-tuples
+`index[q]` of u's `graphs.NeighborIndex`, the 0-3 hop distances read from
+adjacency alone, and one loop over them (`_edge_start`) gives C and the
+starting dual: the best dual in which only u's row leaves potential 0,
+each column at min(its least cost over the other rows, 1 + h_u), each row
+tight on its cost-c cells in the columns at potential c. For any other
+pair a dense BFS distance matrix goes through `_cost_levels`, C is its
+largest distance, and the solve starts from the zero dual. Every solve
+ends with one pass over the plan (`_plan_cost`) that checks its marginals
+and sums its cost. The oracle takes arbitrary measures, so tests can pose
+problems of their own.
 """
 
 from __future__ import annotations
@@ -82,15 +88,16 @@ def _support_distances(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -
     return out
 
 
-def _cost_levels(cost: list[list[int]]) -> list[dict[int, int]]:
-    """A dense cost matrix as the solver's input: per row, {cost: mask of
-    the columns at that cost}."""
+def _cost_levels(cost: list[list[int]]) -> list[tuple[int, ...]]:
+    """A dense cost matrix as the solver's input: per row, the tuple
+    (mask_0, ..., mask_C) of the columns at each cost, C the matrix's top."""
+    top = max(map(max, cost))
     out = []
     for row in cost:
-        levels: dict[int, int] = {}
+        levels = [0] * (top + 1)
         for j, c in enumerate(row):
-            levels[c] = levels.get(c, 0) | 1 << j
-        out.append(levels)
+            levels[c] |= 1 << j
+        out.append(tuple(levels))
     return out
 
 
@@ -123,11 +130,11 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
         return Fraction(*edge_cost(index, u, v, list(map(index.__getitem__, g.adjacency[v]))))
     levels = _cost_levels(_support_distances(g, g.adjacency[u], g.adjacency[v]))
     n = g.degree(v)
-    zero = {0: (1 << n) - 1}, [row.get(0, 0) for row in levels], [0] * len(levels)
+    zero = len(levels[0]) - 1, {0: (1 << n) - 1}, [row[0] for row in levels], [0] * len(levels)
     return Fraction(*_uniform_cost(levels, n, zero))
 
 
-def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[dict[int, int]]) -> tuple[int, int]:
+def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[tuple[int, ...]]) -> tuple[int, int]:
     """The integer W1 of edge (u, v) and its scale: (cost, T) with
     W1 = cost / T, T = lcm(deg u, deg v).
 
@@ -143,24 +150,23 @@ def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[dict[int, int]]
     return _uniform_cost(levels, len(index.adjacency[u]), start)
 
 
-def _uniform_cost(levels: list[dict[int, int]], n: int, start) -> tuple[int, int]:
+def _uniform_cost(levels: list[tuple[int, ...]], n: int, start) -> tuple[int, int]:
     """(cost, T) of the problem between the uniform measures on the rows of
     levels and n columns, on the scale T = lcm(m, n): every row supplies
-    T/m and every column takes T/n. The solve starts from start and its
-    plan is checked by `_plan_cost`."""
+    S = T/m and every column takes D = T/n. start is (C, col_pot, tight,
+    row_pot), and `_plan_cost` checks the plan."""
     m = len(levels)
     T = lcm(m, n)
-    supplies = [T // m] * m
-    demands = [T // n] * n
-    flow = _min_cost_flow(supplies, demands, levels, *start)
-    return _plan_cost(flow, supplies, demands, levels), T
+    S, D = T // m, T // n
+    flow = _min_cost_flow(S, D, n, levels, *start)
+    return _plan_cost(flow, S, D, n, levels), T
 
 
-def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u: int):
-    """The starting dual of edge (u, v), from its structure alone: the
-    column potentials as {value: mask}, each row's tight columns and the
-    row potentials. It is the best dual in which every row but u's stays at
-    potential 0.
+def _edge_start(index: NeighborIndex, v: int, levels: list[tuple[int, ...]], at_u: int):
+    """The start of edge (u, v), from its structure alone: C, the largest
+    cost with a cell, then the starting dual: the column potentials as
+    {value: mask}, each row's tight columns and the row potentials. It is
+    the best dual in which every row but u's stays at potential 0.
 
     The rows are N_v, u's row (position at_u) among them, and the columns
     N_u. Every other row q is at potential 0, so column j can start at most
@@ -172,28 +178,28 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     columns whose other-row minimum is >= t by one each: the dual objective
     gains D k_t - S, D = T/n per column and S = T/m per row, which is
     positive exactly when m k_t > n. k_t falls as t grows, so h_u counts the
-    t that pass (the cost-2 OR is needed only once t = 2 passes). So every
-    column starts at min(its other-row minimum, 1 + h_u). A cell is tight
-    when its reduced cost is zero: on a row q its cost-c cells in the
-    columns at potential c, on row u the columns at the cap. On dense
-    edges h_u stays 0, so the columns are 0 on the common neighbours and 1
-    elsewhere.
+    t that pass, and every column starts at min(its other-row minimum,
+    1 + h_u). A cell is tight when its reduced cost is zero: on a row q its
+    cost-c cells in the columns at potential c, on row u the columns at the
+    cap. On dense edges h_u stays 0, so the columns are 0 on the common
+    neighbours and 1 elsewhere. The loop over the other rows ORs their
+    cost-3 masks too, so C comes free: 3 if any is set, else 2 if a cost-2
+    mask is, else 1, row u's cost everywhere.
     """
     common = index.near.get(v, 0)
-    # the other rows, told from u's by identity: each row is its own dict,
+    # the other rows, told from u's by identity: each row is its own tuple,
     # the index's entry for its q, so no copy of levels is needed
     u_row = levels[at_u]
-    ones = twos = 0
+    ones = twos = threes = 0
     for row in levels:
         if row is not u_row:
-            ones |= row.get(1, 0)
+            ones |= row[1]
+            twos |= row[2]
+            threes |= row[3]
     m, n = len(levels), index.full.bit_count()
     far = index.full & ~(common | ones)  # other-row minimum >= 2
     h_u = 0
     if m * far.bit_count() > n:
-        for row in levels:
-            if row is not u_row:
-                twos |= row.get(2, 0)
         h_u = 2 if m * (far & ~twos).bit_count() > n else 1
     cap = 1 + h_u
     # at_least[c] masks the columns whose other-row minimum is >= c, c <= cap
@@ -202,35 +208,37 @@ def _edge_start(index: NeighborIndex, v: int, levels: list[dict[int, int]], at_u
     col_pot[cap] = at_least[cap]  # never empty: v's own column, or the lift's k_t columns
     # each row's cost-c cells in the columns at potential c, for the costs 0-3
     g0, g1, g2, g3 = (col_pot.get(c, 0) for c in range(4))
-    tight = [row.get(0, 0) & g0 | row.get(1, 0) & g1 | row.get(2, 0) & g2 | row.get(3, 0) & g3 for row in levels]
+    tight = [d0 & g0 | d1 & g1 | d2 & g2 | d3 & g3 for d0, d1, d2, d3 in levels]
     tight[at_u] = col_pot[cap]
     row_pot = [0] * m
     row_pot[at_u] = h_u
-    return col_pot, tight, row_pot
+    return 3 if threes else 2 if twos else 1, col_pot, tight, row_pot
 
 
-def _plan_cost(
-    flow: list[dict[int, int]], supplies: list[int], demands: list[int], levels: list[dict[int, int]]
-) -> int:
-    """The integer cost of a plan, after checking in the same pass that its
-    entries are non-negative and its row and column sums are the supplies
-    and the demands; a plan that fails raises RuntimeError."""
-    cols = [0] * len(demands)
+def _plan_cost(flow: list[dict[int, int]], S: int, D: int, n: int, levels: list[tuple[int, ...]]) -> int:
+    """The integer cost of a plan, after checking in the same pass that it
+    has one row per row of levels, that its entries are non-negative, that
+    each row sends S and that each of the n columns gets D; a plan that
+    fails raises RuntimeError. A cell's cost is the index of the first mask
+    of its row that holds its column, so the masks of a row must not
+    overlap."""
+    cols = [0] * n
     total = 0
-    valid = len(flow) == len(supplies)
-    for row, supply, row_levels in zip(flow, supplies, levels):
+    valid = len(flow) == len(levels)
+    for row, row_levels in zip(flow, levels):
         sent = 0
         for j, amount in row.items():
             cols[j] += amount
             sent += amount
-            valid &= amount >= 0
-            bit = 1 << j
-            for c, mask in row_levels.items():
-                if mask & bit:
-                    total += c * amount
-                    break
-        valid &= sent == supply
-    if not valid or cols != demands:
+            if amount < 0:
+                valid = False
+            c = 0
+            while not row_levels[c] >> j & 1:
+                c += 1
+            total += c * amount
+        if sent != S:
+            valid = False
+    if not valid or cols != [D] * n:
         raise RuntimeError("transport plan marginals do not match the measures")
     return total
 
@@ -243,21 +251,20 @@ def _plan_cost(
 
 
 def _min_cost_flow(
-    supplies: list[int],
-    demands: list[int],
-    levels: list[dict[int, int]],
-    col_pot: dict[int, int],
-    tight: list[int],
-    row_pot: list[int],
+    S: int, D: int, n: int, levels: list[tuple[int, ...]], top: int,
+    col_pot: dict[int, int], tight: list[int], row_pot: list[int],
 ) -> list[dict[int, int]]:
-    """Min-cost transportation flow for non-negative integer costs.
+    """Min-cost transportation flow for non-negative integer costs between
+    uniform marginals: each of the m = len(levels) rows supplies S and each
+    of the n columns takes D, with S m = D n, so every row and column
+    starts with mass left and its mask bit set.
 
-    levels[i] maps each cost of row i to the mask of the columns at that
-    cost; the masks of a row cover every column once. col_pot, tight and
-    row_pot are the starting dual, the zero dual or `_edge_start`'s for an
-    edge; it must be feasible and tight must hold exactly its
-    zero-reduced-cost cells. All three are updated in place. The flow comes
-    back sparse: flow[i] maps column j to the amount on cell (i, j).
+    levels[i][c] masks the columns at cost c in row i; the masks of a row
+    cover every column once. top is C, the largest cost with a cell.
+    col_pot, tight and row_pot are the starting dual, the zero dual or
+    `_edge_start`'s for an edge; it must be feasible and tight must hold
+    exactly its zero-reduced-cost cells. All three are updated in place.
+    The flow comes back sparse: flow[i] maps column j to its amount.
 
     Arc i -> j (source to sink) is uncapacitated with cost c_ij; the residual
     arc j -> i carries flow[i][j] back at cost -c_ij. Potentials (row_pot per
@@ -275,8 +282,8 @@ def _min_cost_flow(
     row has a tight cell into an open column, and a dual step only adds
     tight cells to the rows that search reached.
 
-    At most C dual steps run, C = max c_ij, so at most C + 1 phases, four
-    for an edge's 0-3 distances:
+    At most C dual steps run, C = max c_ij, so at most C + 1 phases, at
+    most four for an edge's 0-3 distances:
     - The start is feasible: no reduced cost starts negative, and every
       sink starts at potential >= 0.
     - A source with supply left is a root of every search, so it is always
@@ -290,20 +297,18 @@ def _min_cost_flow(
       only if some column costs >= 1 + h_u in every other row. So there is
       room for at most C steps.
     """
-    m, n = len(supplies), len(demands)
-    left = sum(supplies)
-    if left != sum(demands):
+    m = len(levels)
+    left = S * m
+    if left != D * n:
         raise RuntimeError("unbalanced transportation problem")
     flow: list[dict[int, int]] = [{} for _ in range(m)]
-    if left == 0:
-        return flow
-    supply = list(supplies)
-    demand = list(demands)
+    supply = [S] * m
+    demand = [D] * n
     # rows with supply left, columns with demand left
-    supplied = sum(1 << i for i in range(m) if supply[i])
-    open_cols = sum(1 << j for j in range(n) if demand[j])
+    supplied = (1 << m) - 1
+    open_cols = (1 << n) - 1
     carriers = [0] * n
-    phases = max(map(max, levels)) + 1  # the bound argued above
+    phases = top + 1  # the bound argued above
     scan = supplied
     while True:
         # one-arc paths need no search; they appear only where tight grows.
@@ -319,20 +324,22 @@ def _min_cost_flow(
         order.sort()
         for _, i in order:
             hit = tight[i] & open_cols
-            while hit and supply[i]:
+            row, have, row_bit = flow[i], supply[i], 1 << i
+            while hit and have:
                 bit = hit & -hit
                 hit ^= bit
                 j = bit.bit_length() - 1
-                amount = min(supply[i], demand[j])
-                flow[i][j] = flow[i].get(j, 0) + amount
-                carriers[j] |= 1 << i
-                supply[i] -= amount
+                amount = min(have, demand[j])
+                row[j] = row.get(j, 0) + amount
+                carriers[j] |= row_bit
+                have -= amount
                 demand[j] -= amount
                 left -= amount
                 if demand[j] == 0:
                     open_cols ^= bit
-            if not supply[i]:
-                supplied ^= 1 << i
+            supply[i] = have
+            if not have:
+                supplied ^= row_bit
         while left > 0:
             via_col = [-1] * n  # the row each reached column was reached from
             via_row = [-1] * m  # likewise for rows; -1 marks a root
@@ -402,7 +409,7 @@ def _min_cost_flow(
         phases -= 1
         if phases == 0:
             raise RuntimeError("min-cost flow ran past its phase bound")
-        scan =_raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
+        scan = _raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
 
 
 def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
@@ -428,7 +435,7 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
         rows ^= low
         i = low.bit_length() - 1
         pot = row_pot[i]
-        for c, mask in levels[i].items():
+        for c, mask in enumerate(levels[i]):
             mask &= out
             if mask:
                 for value, group in out_groups:

@@ -18,17 +18,24 @@ from orckit.transport import _edge_start, _support_distances
 
 
 def decoded(levels, n):
-    """Per-row {cost: column mask} levels as a dense m x n matrix, after
-    checking that each row's masks split the n columns exactly."""
+    """Per-row levels, each a tuple of column masks indexed by cost, as a
+    dense m x n matrix, after checking that each row's masks split the n
+    columns exactly."""
     out = []
     for row in levels:
-        assert sum(mask.bit_count() for mask in row.values()) == n
+        assert isinstance(row, tuple)
+        assert sum(mask.bit_count() for mask in row) == n
         full = 0
-        for mask in row.values():
+        for mask in row:
             full |= mask
         assert full == (1 << n) - 1
-        out.append([next(c for c, mask in row.items() if mask >> j & 1) for j in range(n)])
+        out.append([next(c for c, mask in enumerate(row) if mask >> j & 1) for j in range(n)])
     return out
+
+
+def potentials(col_pot, n):
+    """The column potentials {value: mask} as a list of n values."""
+    return decoded([tuple(col_pot.get(c, 0) for c in range(max(col_pot) + 1))], n)[0]
 
 
 def edge_levels_match_bfs(g, u, v):
@@ -56,25 +63,26 @@ def dual_feasible(cost, row_pot, col_values):
 
 
 def edge_start_holds(g, u, v, dist):
-    """The starting dual that edge (u, v) reads from its structure (rows
-    N_v, columns N_u), held to the dense BFS cost matrix of those supports,
-    dist being `all_distances(g)`: it is dual-feasible on every cell, its
-    tight masks are exactly the cells of zero reduced cost, and its dual
-    value is at least that of the dual whose columns sit at their least
-    costs and whose rows all sit at 0."""
+    """The start that edge (u, v) reads from its structure (rows N_v,
+    columns N_u), held to the dense BFS cost matrix of those supports, dist
+    being `all_distances(g)`: its C is the matrix's largest cost, its dual
+    is feasible on every cell, its tight masks are exactly the cells of
+    zero reduced cost, and its dual value is at least that of the dual
+    whose columns sit at their least costs and whose rows all sit at 0."""
     index = NeighborIndex(g, u)
     rows, cols = g.adjacency[v], g.adjacency[u]
     m, n = len(rows), len(cols)
     levels = [index[q] for q in rows]
     cost = [[dist[q][p] for p in cols] for q in rows]
-    col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
-    col_values = decoded([col_pot], n)[0]
+    top, col_pot, tight, row_pot = _edge_start(index, v, levels, rows.index(u))
+    col_values = potentials(col_pot, n)
     zero = [sum(1 << j for j in range(n) if cost[i][j] + row_pot[i] == col_values[j]) for i in range(m)]
     T = lcm(m, n)
     supplies, demands = [T // m] * m, [T // n] * n
     minima = [min(column) for column in zip(*cost)]
     return (
-        dual_feasible(cost, row_pot, col_values)
+        top == max(map(max, cost))
+        and dual_feasible(cost, row_pot, col_values)
         and tight == zero
         and dual_value(supplies, demands, row_pot, col_values) >= dual_value(supplies, demands, [0] * m, minima)
     )
@@ -105,9 +113,9 @@ def edge_start_is_best_one_free_row(g, u, v, dist):
     index = NeighborIndex(g, u)
     rows, cols = g.adjacency[v], g.adjacency[u]
     m, n = len(rows), len(cols)
-    col_pot, _, row_pot = _edge_start(index, v, [index[q] for q in rows], rows.index(u))
+    _, col_pot, _, row_pot = _edge_start(index, v, [index[q] for q in rows], rows.index(u))
     T = lcm(m, n)
-    value = dual_value([T // m] * m, [T // n] * n, row_pot, decoded([col_pot], n)[0])
+    value = dual_value([T // m] * m, [T // n] * n, row_pot, potentials(col_pot, n))
     values = one_free_row_dual_values(g, u, v, dist)
     return value == max(values) and row_pot[rows.index(u)] == values.index(max(values))
 
