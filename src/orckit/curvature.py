@@ -191,9 +191,8 @@ def edge_curvatures(g: Graph, before: tuple[Graph, tuple[Fraction, ...]] | None 
         reached = _reached(old, g)
         kappas = list(map(dict(zip(old.edges, old_kappas)).get, edges))
         positions = [k for k, e in enumerate(edges) if e in reached]
-    adjacency = g.adjacency
     for k, u, v, index in _hub_edges(g, positions):
-        cost, T = edge_cost(index, u, v, list(map(index.__getitem__, adjacency[v])))
+        cost, T = edge_cost(index, u, v)
         kappas[k] = Fraction(T - cost, T)
     return tuple(kappas)
 

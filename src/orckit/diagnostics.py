@@ -13,19 +13,17 @@ floating-point feature norms carry an additive 1e-9 tolerance on the bound
 side; purely structural inequalities are checked in exact rational
 arithmetic. Feature gaps use the Euclidean norm.
 
-`suite_checks` checks its arguments at once and returns the suite as a lazy
-stream, so a caller that writes each check and drops it holds none:
-`emit.write_suite` renders any stream of checks as JSON and tallies it as
-it writes, through `suite_summary`, the one builder of the summary tallies.
-`run_suite` collects the same stream into a SuiteReport, which is data.
+`suite_checks` is the one way to run the suite: it checks its arguments at
+once and returns the suite as a lazy stream, so a caller that writes each
+check and drops it holds none. `emit.write_suite` renders any stream of
+checks as JSON and tallies it as it writes, through `suite_summary`, the
+one builder of the summary tallies.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -335,8 +333,8 @@ def _draw_multilayer(rng: np.random.Generator, layers: int) -> tuple[MpnnSpec, i
 
 def suite_summary(outcomes: Mapping[tuple[str, bool | None], int]) -> dict:
     """The summary tallies of a suite's checks from how many have each
-    (name, holds): the one place they are built, for `SuiteReport.summary`
-    and for `emit.write_suite`, which counts a stream as it writes it."""
+    (name, holds): the one place they are built, for `emit.write_suite`,
+    which counts a stream as it writes it."""
     by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
     for (name, holds), count in outcomes.items():
         row = by_name.setdefault(name, {"passed": 0, "violated": 0, "skipped": 0})
@@ -347,27 +345,6 @@ def suite_summary(outcomes: Mapping[tuple[str, bool | None], int]) -> dict:
         "skipped": sum(row["skipped"] for row in by_name.values()),
         "by_name": by_name,
     }
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    trials: int
-    seed: int
-    checks: tuple[BoundCheck, ...]
-
-    @property
-    def violations(self) -> tuple[BoundCheck, ...]:
-        return tuple(c for c in self.checks if c.violated)
-
-    @cached_property
-    def _outcomes(self) -> Counter:
-        """How many checks have each (name, holds): the one pass over the
-        checks that every tally of summary() is read from."""
-        return Counter((c.name, c.holds) for c in self.checks)
-
-    def summary(self) -> dict:
-        return suite_summary(self._outcomes)
 
 
 MULTILAYER_DEPTH = 6
@@ -463,14 +440,3 @@ def suite_checks(
     checks = (c for c in _corpus_walk(corpus, want, trials, seed) if c.name in want)
     return _through_first_violation(checks) if fail_fast else checks
 
-
-def run_suite(
-    corpus: Iterable[tuple[str, Graph]] | None = None,
-    trials: int = 200,
-    seed: int = 1,
-    suite: str = "all",
-    fail_fast: bool = False,
-) -> SuiteReport:
-    """The checks of `suite_checks`, collected into a report."""
-    checks = suite_checks(corpus, trials, seed, suite, fail_fast)
-    return SuiteReport(suite=suite, trials=trials, seed=seed, checks=tuple(checks))

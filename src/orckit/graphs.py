@@ -7,7 +7,8 @@ Vertices are dense 0-based integers. Graphs are simple, undirected,
 connected and have at least one edge; those invariants are enforced at
 construction time because the curvature definitions downstream are
 meaningless without them. `has_edge` bisects the sorted adjacency rows and
-refuses a vertex id outside 0..n-1.
+refuses a vertex id outside 0..n-1. `edit_edge` adds or removes one edge
+by editing those rows and the edge tuple, with no rebuild.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 
@@ -123,6 +124,26 @@ def _check_connected(g: Graph) -> None:
 def from_edges(vertex_count: int, edge_pairs) -> Graph:
     """Build a validated Graph from explicit edge pairs over 0..vertex_count-1."""
     return _build(vertex_count, edge_pairs)
+
+
+def edit_edge(g: Graph, edge: tuple[int, int], add: bool) -> Graph:
+    """g with the edge (a, b), a < b, added (add) or removed by one local
+    edit of a's and b's sorted adjacency rows and the sorted edges; the
+    result equals `from_edges` of the edited edges. Adding a present edge or
+    removing an absent one raises ValueError. A removal may disconnect g,
+    so a caller that needs a valid Graph tests that a still reaches b."""
+    a, b = edge
+    if g.has_edge(a, b) == add:
+        raise ValueError(f"({a},{b}) is {'already' if add else 'not'} an edge")
+    change = insort if add else list.remove
+    adjacency = list(g.adjacency)
+    for x, y in ((a, b), (b, a)):
+        row = list(adjacency[x])
+        change(row, y)
+        adjacency[x] = tuple(row)
+    edges = list(g.edges)
+    change(edges, edge)
+    return Graph(g.vertex_count, tuple(adjacency), tuple(edges), g.id_map)
 
 
 def parse_edge_list(text: str) -> Graph:

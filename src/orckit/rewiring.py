@@ -10,8 +10,8 @@ number of out-of-band edges, so the out-of-band count is non-increasing
 across accepted steps. After a step it hands `edge_curvatures` the graph
 before the step and its kappas, so only the edges whose local W1 problem
 the step's edits changed are solved again, found from the edits alone. A
-step adds each support edge by one local edit of the graph; a removal
-rebuilds it through `from_edges`, which checks connectivity. The returned
+step adds and removes each edge by one local edit (`graphs.edit_edge`), and
+skips a removal that would disconnect the graph. The returned
 RewireTrace is data; `emit.trace_obj` renders it as JSON.
 """
 
@@ -20,11 +20,10 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from bisect import insort
 from dataclasses import dataclass
 
 from .curvature import CurvatureProfile, _statement_loads, edge_curvatures
-from .graphs import Graph, GraphInvalid, NeighborIndex, _hub_first, from_edges
+from .graphs import UNREACHABLE, Graph, NeighborIndex, _hub_first, bfs_distances, edit_edge
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
 
@@ -142,23 +141,6 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     return None if best is None else best[1]
 
 
-def _with_edge(g: Graph, edge: tuple[int, int]) -> Graph:
-    """g plus the absent edge (a, b), a < b, by one local edit: b goes into
-    a's sorted adjacency row, a into b's, and the edge into the sorted
-    edges. Adding an edge cannot disconnect g, so nothing is rebuilt or
-    checked again; the result equals `from_edges` of the enlarged edges."""
-    a, b = edge
-    assert not g.has_edge(a, b), f"({a},{b}) is already an edge"
-    adjacency = list(g.adjacency)
-    for x, y in ((a, b), (b, a)):
-        row = list(adjacency[x])
-        insort(row, y)
-        adjacency[x] = tuple(row)
-    edges = list(g.edges)
-    insort(edges, edge)
-    return Graph(g.vertex_count, tuple(adjacency), tuple(edges))
-
-
 def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, RewireStep]:
     """Apply one round of removals and additions guided by kappas, the
     curvature of each edge in `g.edges` order.
@@ -180,12 +162,10 @@ def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Rewi
     trims = [(-kappas[k], edges[k]) for k in too_pos]
     bridges = [(kappas[k], edges[k]) for k in too_neg]
     for _, edge in heapq.nsmallest(cfg.removals_per_step, trims):
-        kept = [e for e in work.edges if e != edge]
-        try:
-            work = from_edges(work.vertex_count, kept)
-        except GraphInvalid:
-            # the graph type requires connectivity: skip a disconnecting removal
-            continue
+        cut = edit_edge(work, edge, add=False)
+        if bfs_distances(cut, edge[0])[edge[1]] == UNREACHABLE:
+            continue  # the graph type requires connectivity
+        work = cut
         removed.append(edge)
 
     added: list[tuple[int, int]] = []
@@ -193,7 +173,7 @@ def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Rewi
         candidate = _support_candidate(work, *edge)
         if candidate is None:
             continue
-        work = _with_edge(work, candidate)
+        work = edit_edge(work, candidate, add=True)
         added.append(candidate)
 
     return work, RewireStep(

@@ -12,10 +12,11 @@ floats anywhere.
 on N_u and N_v, and the checked entry point: it tests that the ids are in
 range, whether (u, v) is an edge, and that an index it is given is u's;
 with u's index the edge test reads the index and probes no adjacency.
-Every edge's solve is `edge_cost(index, u, v, levels)`, which checks
-nothing and returns the integer cost with its scale T, so a caller that
-already knows its pair is an edge and its index u's (`curvature`'s kappa
-walk) calls it directly and forms one Fraction from the two integers.
+Every edge's solve is `edge_cost(index, u, v)`, which reads the edge's
+rows from the index, checks nothing and returns the integer cost with its
+scale T, so a caller that already knows its pair is an edge and its index
+u's (`curvature`'s kappa walk) calls it directly and forms one Fraction
+from the two integers.
 
 Every problem the solver is given is between two uniform measures, so it
 takes its marginals as two numbers, S per row and D per column
@@ -65,9 +66,6 @@ class LocalMeasure:
             raise ValueError("masses must be strictly positive")
         if sum(self.mass) != 1:
             raise ValueError("masses must sum to exactly 1")
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(zip(self.support, self.mass))
 
 
 def local_measure(g: Graph, u: int) -> LocalMeasure:
@@ -127,26 +125,28 @@ def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -
         if index is None:
             u, v = _hub_first(g, u, v)
             index = NeighborIndex(g, u)
-        return Fraction(*edge_cost(index, u, v, list(map(index.__getitem__, g.adjacency[v]))))
+        return Fraction(*edge_cost(index, u, v))
     levels = _cost_levels(_support_distances(g, g.adjacency[u], g.adjacency[v]))
     n = g.degree(v)
     zero = len(levels[0]) - 1, {0: (1 << n) - 1}, [row[0] for row in levels], [0] * len(levels)
     return Fraction(*_uniform_cost(levels, n, zero))
 
 
-def edge_cost(index: NeighborIndex, u: int, v: int, levels: list[tuple[int, ...]]) -> tuple[int, int]:
+def edge_cost(index: NeighborIndex, u: int, v: int) -> tuple[int, int]:
     """The integer W1 of edge (u, v) and its scale: (cost, T) with
     W1 = cost / T, T = lcm(deg u, deg v).
 
-    index is u's `NeighborIndex` and levels the rows `index[q]` for q in
-    N_v, in order; the rows are N_v and the columns N_u (W1 is symmetric).
-    The solve starts from `_edge_start`, which also reads u's position in
-    N_v, and `_plan_cost` checks the plan it ends with. Nothing here checks
-    that (u, v) is an edge or that index is u's: `wasserstein1` does, and
-    `curvature.edge_curvatures` takes its edges from `g.edges` and passes
-    the index it built for the hub, so it skips those checks.
+    index is u's `NeighborIndex`; its rows `index[q]` for q in N_v, in
+    order, are the problem's levels: the rows are N_v and the columns N_u
+    (W1 is symmetric). The solve starts from `_edge_start`, which also
+    reads u's position in N_v, and `_plan_cost` checks the plan it ends
+    with. Nothing here checks that (u, v) is an edge or that index is u's:
+    `wasserstein1` does, and `curvature.edge_curvatures` takes its edges
+    from `g.edges` and passes the index it built for the hub.
     """
-    start = _edge_start(index, v, levels, bisect_left(index.adjacency[v], u))
+    rows = index.adjacency[v]
+    levels = list(map(index.__getitem__, rows))
+    start = _edge_start(index, v, levels, bisect_left(rows, u))
     return _uniform_cost(levels, len(index.adjacency[u]), start)
 
 

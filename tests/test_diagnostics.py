@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from emit_reference import suite_report_obj
+from emit_reference import suite_report_obj, summary_obj
 from hypothesis import given, settings, strategies as st
 from kernel_reference import dense_walk_counts
 
@@ -16,13 +16,12 @@ from orckit.diagnostics import (
     CHECK_NAMES,
     TOLERANCE,
     BoundCheck,
-    SuiteReport,
     _draw_one_layer,
     _one_layer_rhs,
     _skip,
-    run_suite,
     smoothing_metrics,
     suite_checks,
+    suite_summary,
     verify_bottleneck,
     verify_diameter,
     verify_jacobian_ratio,
@@ -109,13 +108,13 @@ class TestOneLayer:
 
     @pytest.mark.parametrize("agg_index, aggregator", [(0, "sum"), (1, "mean")])
     def test_suite_matches_per_edge_checks(self, corpus_entries, agg_index, aggregator):
-        # run_suite checks each trial's layer on every positively curved edge;
+        # the suite checks each trial's layer on every positively curved edge;
         # rebuilt here edge by edge from ricci_curvature, a separate
         # first-layer pass for the gap and C over the two closed neighbourhoods
         entries = list(corpus_entries)
         entries += [(f"er{s}", generate("erdos_renyi", n=15, p=0.3, seed=s)) for s in range(3)]
         name = f"one_layer_{aggregator}"
-        report = run_suite(corpus=entries, trials=len(entries), seed=3, suite=name)
+        checks = tuple(suite_checks(entries, trials=len(entries), seed=3, suite=name))
         expected = []
         for t, (graph_name, g) in enumerate(entries):
             rng = np.random.default_rng((3, agg_index, t))
@@ -123,7 +122,7 @@ class TestOneLayer:
             x = rng.standard_normal((g.vertex_count, channels))
             x1 = forward(g, x, spec)[1]
             layer = spec.layers[0]
-            checks = []
+            edge_checks = []
             for u, v in g.edges:
                 kappa = ricci_curvature(g, u, v)
                 if kappa <= 0:
@@ -137,13 +136,13 @@ class TestOneLayer:
                 context = f"trial={t} edge=({u},{v}) kappa={kappa.numerator}/{kappa.denominator}"
                 holds = gap <= rhs + TOLERANCE
                 slack = rhs - gap
-                checks.append(
+                edge_checks.append(
                     BoundCheck(name, graph_name, context, gap, rhs, holds, slack, TOLERANCE)
                 )
-            expected += checks or [
+            expected += edge_checks or [
                 _skip(name, graph_name, f"trial={t}", "no positively curved edge")
             ]
-        assert list(report.checks) == expected
+        assert list(checks) == expected
 
 
 class TestMultilayer:
@@ -216,12 +215,12 @@ class TestJacobianRatio:
         assert alpha.holds and alpha.slack > 0
 
     def test_suite_matches_per_edge_checks(self, corpus_entries, walk_count_ratios):
-        # run_suite checks alpha/beta on every edge; rebuilt here from rows of
+        # the suite checks alpha/beta on every edge; rebuilt here from rows of
         # the dense (A+I)^2 and ricci_curvature, the bound being
         # (n (kappa + 2) + 4) / (2 * row sum of the receiving vertex)
         entries = list(corpus_entries)
         entries += [(f"er{s}", generate("erdos_renyi", n=15, p=0.3, seed=s)) for s in range(3)]
-        report = run_suite(corpus=entries, trials=0, suite="jacobian_ratio")
+        checks = tuple(suite_checks(entries, trials=0, suite="jacobian_ratio"))
         expected = []
         for name, g in entries:
             counts = dense_walk_counts(g, 2)
@@ -235,7 +234,7 @@ class TestJacobianRatio:
                     expected.append(
                         BoundCheck("jacobian_ratio", name, context, lhs, rhs, holds, slack, 0.0)
                     )
-        assert list(report.checks) == expected
+        assert list(checks) == expected
 
 
 def fraction_formula_checks(g, r, graph_name):
@@ -275,7 +274,7 @@ class TestComputedOnce:
             return walk_row(g, depth, u)
 
         monkeypatch.setattr(mpnn, "_walk_row", counted)
-        run_suite(corpus=corpus_entries, trials=2, seed=1)
+        tuple(suite_checks(corpus_entries, trials=2, seed=1))
         assert len(built) == sum(g.vertex_count for _, g in corpus_entries)
         assert max(built.values()) == 1
 
@@ -402,16 +401,16 @@ class TestBottleneckBound:
         # e.g. the participation hypothesis holds on 412 of the corpus's
         # 3,551 edges; a change that narrows a bound's hypothesis would turn
         # its checks into skips without a failing check
-        row = run_suite(suite=name).summary()["by_name"][name]
+        row = summary_obj(tuple(suite_checks(suite=name)))["by_name"][name]
         assert row["passed"] + row["violated"] >= floor
 
 
 def written_check(check: BoundCheck) -> dict:
     """check as a one-check suite report renders it, after the report's bytes
     are checked against the reference shape."""
-    report = SuiteReport(suite="all", trials=0, seed=0, checks=(check,))
-    _assert_writes_as_dumps(report)
-    return json.loads(suite_text(report))["checks"][0]
+    report = ("all", 0, 0, (check,))
+    _assert_writes_as_dumps(*report)
+    return json.loads(streamed(*report)[0])["checks"][0]
 
 
 class TestBoundCheckShape:
@@ -431,87 +430,73 @@ class TestBoundCheckShape:
         assert obj["tolerance"] == 1e-9
 
 
-class TestRunSuite:
+class TestSuiteChecks:
     def test_empty_corpus(self):
-        report = run_suite(corpus=[], trials=5, seed=1)
-        assert report.checks == ()
-        assert report.summary()["total"] == 0
+        assert tuple(suite_checks([], trials=5, seed=1)) == ()
+        assert streamed("all", 5, 1, ())[1]["total"] == 0
 
     def test_single_triangle_coverage(self):
-        report = run_suite(corpus=[("k3", generate("complete", n=3))], trials=2, seed=1)
-        names = {c.name for c in report.checks}
-        assert {
-            "shared_neighbor",
-            "one_layer_sum",
-            "one_layer_mean",
-            "bottleneck_statement",
-            "bottleneck_strong",
-            "jacobian_ratio",
-            "diameter",
-            "multilayer",
-        } <= names
-        assert not report.violations
+        checks = tuple(suite_checks([("k3", generate("complete", n=3))], trials=2, seed=1))
+        assert {c.name for c in checks} == set(CHECK_NAMES)
+        assert not any(c.violated for c in checks)
         # the statement-side bottleneck hypothesis fails on K3, so those
         # entries must be skips, not passes
-        statement = [c for c in report.checks if c.name == "bottleneck_statement"]
+        statement = [c for c in checks if c.name == "bottleneck_statement"]
         assert statement and all(c.skipped and c.reason for c in statement)
 
     def test_skips_carry_reasons(self):
-        report = run_suite(corpus=[("p4", generate("path", n=4))], trials=1, seed=1)
-        diameter = [c for c in report.checks if c.name == "diameter"]
+        checks = suite_checks([("p4", generate("path", n=4))], trials=1, seed=1)
+        diameter = [c for c in checks if c.name == "diameter"]
         assert len(diameter) == 1 and diameter[0].skipped
         assert "not positive" in diameter[0].reason
 
     def test_named_suite_filters(self):
-        report = run_suite(corpus=[("k3", generate("complete", n=3))], trials=1, suite="diameter")
-        assert report.checks and all(c.name == "diameter" for c in report.checks)
+        checks = tuple(suite_checks([("k3", generate("complete", n=3))], trials=1, suite="diameter"))
+        assert checks and all(c.name == "diameter" for c in checks)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
-            run_suite(corpus=[], suite="bogus")
+            suite_checks([], suite="bogus")
 
     def test_deterministic(self):
         entries = [("k3", generate("complete", n=3)), ("b3", generate("barbell", k=3))]
-        a = run_suite(corpus=entries, trials=4, seed=5)
-        b = run_suite(corpus=entries, trials=4, seed=5)
-        assert suite_report_obj(a) == suite_report_obj(b)
-        assert suite_text(a) == suite_text(b)
+        a = tuple(suite_checks(entries, trials=4, seed=5))
+        b = tuple(suite_checks(entries, trials=4, seed=5))
+        assert suite_report_obj("all", 4, 5, a) == suite_report_obj("all", 4, 5, b)
+        assert streamed("all", 4, 5, a) == streamed("all", 4, 5, b)
 
     def test_summary_tallies_match(self):
-        report = run_suite(corpus=[("b3", generate("barbell", k=3))], trials=3, seed=2)
-        s = report.summary()
-        assert s["total"] == len(report.checks)
+        checks = tuple(suite_checks([("b3", generate("barbell", k=3))], trials=3, seed=2))
+        s = streamed("all", 3, 2, checks)[1]
+        assert s["total"] == len(checks)
         assert set(s["by_name"]) == set(CHECK_NAMES)
         tallied = sum(sum(row.values()) for row in s["by_name"].values())
         assert tallied == s["total"]
 
     def test_fail_fast_smoke(self):
         # nothing violates on this corpus; the flag must not change results
-        report = run_suite(corpus=[("k3", generate("complete", n=3))], trials=1, seed=1, fail_fast=True)
-        assert not report.violations
+        entries = [("k3", generate("complete", n=3))]
+        checks = tuple(suite_checks(entries, trials=1, seed=1, fail_fast=True))
+        assert checks == tuple(suite_checks(entries, trials=1, seed=1))
+        assert not any(c.violated for c in checks)
 
 
-def streamed(report: SuiteReport, checks=None) -> tuple[str, dict]:
-    """The text write_suite writes and the summary it returns, given
-    report's suite, trials and seed and, as a one-shot iterator, report's
-    checks or the stream checks."""
+def streamed(suite: str, trials: int, seed: int, checks) -> tuple[str, dict]:
+    """The text write_suite writes and the summary it returns, given a
+    suite's name, trials and seed and its checks, as a one-shot iterator."""
     parts = []
-    stream = iter(report.checks if checks is None else checks)
-    summary = write_suite(report.suite, report.trials, report.seed, stream, parts.append)
+    summary = write_suite(suite, trials, seed, iter(checks), parts.append)
     return "".join(parts), summary
 
 
-def suite_text(report: SuiteReport) -> str:
-    return streamed(report)[0]
-
-
-def _assert_writes_as_dumps(report: SuiteReport, checks=None) -> None:
-    """Streaming report's checks, or checks, a stream that yields the same
-    checks, writes json.dumps of report's reference shape and returns
-    report's summary."""
-    written, summary = streamed(report, checks)
-    assert summary == report.summary()
-    dumped = json.dumps(suite_report_obj(report), sort_keys=True, indent=2) + "\n"
+def _assert_writes_as_dumps(suite: str, trials: int, seed: int, checks, stream=None) -> None:
+    """Streaming checks, or stream, a stream that yields the same checks,
+    writes json.dumps of the report's reference shape and returns the
+    reference summary."""
+    written, summary = streamed(suite, trials, seed, checks if stream is None else stream)
+    obj = suite_report_obj(suite, trials, seed, checks)
+    assert summary == obj["summary"]
+    dumped = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if written != dumped:
         # a short window, not pytest's diff of two large strings, which
         # would make every failing example slow to shrink
@@ -573,55 +558,46 @@ _FILLER = BoundCheck("shared_neighbor", "g", "edge=(0,1)", F(1, 2), F(2, 3), Tru
 
 @st.composite
 def suite_reports(draw, checks=_CHECKS, max_drawn=6):
-    """A SuiteReport of a few drawn checks, padded with a fixed one up to a
-    drawn count: a failure in a drawn check then shrinks to a small report
-    quickly, and one at a batch boundary still shows."""
+    """A report's (suite, trials, seed, checks): a few drawn checks, padded
+    with a fixed one up to a drawn count, so a failure in a drawn check
+    shrinks to a small report quickly, and one at a batch boundary still
+    shows."""
     count = draw(_COUNTS)
     checks = draw(st.lists(checks, max_size=max_drawn))
     padding = max(0, count - len(checks))
-    return SuiteReport(
-        suite=draw(_TEXT),
-        trials=draw(st.integers(min_value=0)),
-        seed=draw(st.integers(min_value=0)),
-        checks=tuple(checks) + (_FILLER,) * padding,
-    )
+    suite, trials, seed = draw(_TEXT), draw(st.integers(min_value=0)), draw(st.integers(min_value=0))
+    return suite, trials, seed, tuple(checks) + (_FILLER,) * padding
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(suite_reports())
 def test_summary_tallies_each_check_once(report):
-    by_name = {name: {"passed": 0, "violated": 0, "skipped": 0} for name in CHECK_NAMES}
-    for c in report.checks:
-        row = by_name.setdefault(c.name, {"passed": 0, "violated": 0, "skipped": 0})
-        row["skipped" if c.skipped else "violated" if c.violated else "passed"] += 1
-    expected = {
-        "total": len(report.checks),
-        "violations": len(report.violations),
-        "skipped": sum(c.skipped for c in report.checks),
-        "by_name": by_name,
-    }
-    first = report.summary()
+    checks = report[3]
+    expected = summary_obj(checks)
+    outcomes = Counter((c.name, c.holds) for c in checks)
+    first = suite_summary(outcomes)
     assert first == expected
-    first["by_name"].clear()  # a caller's copy, not the report's tallies
-    assert report.summary() == expected
+    first["by_name"].clear()  # a caller's copy, not shared tallies
+    assert suite_summary(outcomes) == expected
+    assert streamed(*report)[1] == expected
 
 
 class TestWriteJson:
-    """The streamed writer must give json.dumps(suite_report_obj(report),
-    sort_keys=True, indent=2) + newline byte for byte; `verify`'s golden hash
-    rests on it."""
+    """The streamed writer must give json.dumps(suite_report_obj(suite,
+    trials, seed, checks), sort_keys=True, indent=2) + newline byte for
+    byte; `verify`'s golden hash rests on it."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(suite_reports())
     def test_drawn_reports_match_dumps(self, report):
-        _assert_writes_as_dumps(report)
+        _assert_writes_as_dumps(*report)
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.lists(suite_reports(_POOL_CHECKS, max_drawn=40), min_size=1, max_size=3))
     def test_reports_of_repeated_values_match_dumps(self, reports):
         # several reports in a row: nothing one call renders may reach the next
         for report in reports:
-            _assert_writes_as_dumps(report)
+            _assert_writes_as_dumps(*report)
 
     def test_every_cached_rendering_matches_dumps(self):
         third, other_third = F(1, 3), F(2, 6)
@@ -636,18 +612,17 @@ class TestWriteJson:
             BoundCheck(name, "h", "f", None, None, None, None, 0.0, reason),
             BoundCheck(name, "h", "g", -0.0, math.nan, True, math.inf, -0.0, reason),
         )
-        first = SuiteReport("all", 1, 0, checks)
-        text = suite_text(first)
+        text = streamed("all", 1, 0, checks)[0]
         assert '"tolerance": 0.0\n' in text and '"tolerance": -0.0\n' in text
         assert text.count('"exact": "1/3"') == 4
-        _assert_writes_as_dumps(first)
+        _assert_writes_as_dumps("all", 1, 0, checks)
         # the same frames and values in a second call, in the other order
-        _assert_writes_as_dumps(SuiteReport("all", 1, 0, checks[::-1]))
+        _assert_writes_as_dumps("all", 1, 0, checks[::-1])
 
     def test_corpus_report_matches_dumps(self, corpus_entries):
-        report = run_suite(corpus=corpus_entries, trials=200, seed=1)
-        assert len(report.checks) > 2 * _WRITE_BATCH
-        _assert_writes_as_dumps(report, suite_checks(corpus_entries, trials=200, seed=1))
+        checks = tuple(suite_checks(corpus_entries, trials=200, seed=1))
+        assert len(checks) > 2 * _WRITE_BATCH
+        _assert_writes_as_dumps("all", 200, 1, checks, suite_checks(corpus_entries, trials=200, seed=1))
 
     @pytest.mark.parametrize(
         "corpus, suite, names",
@@ -656,17 +631,17 @@ class TestWriteJson:
     def test_streamed_suite_matches_dumps(self, corpus_entries, corpus, suite, names):
         # the empty corpus and two named suites (None: the corpus fixture)
         corpus = corpus_entries if corpus is None else corpus
-        report = run_suite(corpus=corpus, trials=7, seed=4, suite=suite)
-        assert {c.name for c in report.checks} == names
-        _assert_writes_as_dumps(report, suite_checks(corpus, trials=7, seed=4, suite=suite))
+        checks = tuple(suite_checks(corpus, trials=7, seed=4, suite=suite))
+        assert {c.name for c in checks} == names
+        _assert_writes_as_dumps(suite, 7, 4, checks, suite_checks(corpus, trials=7, seed=4, suite=suite))
 
     def test_fail_fast_truncated_report_matches_dumps(self, corpus_entries, monkeypatch):
         # no corpus check violates, so make every one-layer bound negative
         monkeypatch.setattr(diagnostics, "_one_layer_rhs", lambda *args: -1.0)
-        report = run_suite(corpus=corpus_entries, trials=200, seed=1, fail_fast=True)
-        assert len(report.violations) == 1 and report.checks[-1].violated
+        checks = tuple(suite_checks(corpus_entries, trials=200, seed=1, fail_fast=True))
+        assert sum(c.violated for c in checks) == 1 and checks[-1].violated
         stream = suite_checks(corpus_entries, trials=200, seed=1, fail_fast=True)
-        _assert_writes_as_dumps(report, stream)
+        _assert_writes_as_dumps("all", 200, 1, checks, stream)
 
     def test_memory_does_not_grow_with_trials(self):
         """Streamed from suite_checks, no check outlives its written batch:
@@ -677,7 +652,7 @@ class TestWriteJson:
         freed tuples of each small size, so that neither traced run counts
         that bounded one-time growth."""
         corpus = [("k5", generate("complete", n=5)), ("k6", generate("complete", n=6))]
-        assert len(run_suite(corpus=corpus, trials=20, seed=1).checks) > _WRITE_BATCH
+        assert len(tuple(suite_checks(corpus, trials=20, seed=1))) > _WRITE_BATCH
 
         def run(trials: int, traced: bool = True) -> tuple[int, int]:
             size = 0

@@ -194,12 +194,12 @@ def calls(node):
 
 
 def test_verify_streams_and_one_function_tallies():
-    """cli holds no suite report: it imports neither run_suite nor
-    SuiteReport, and writes the stream of checks. The summary tallies are
-    built in one place, a diagnostics function that SuiteReport.summary and
-    emit.write_suite both call, so a held report and a written stream
-    cannot tally differently; emit builds no by_name of its own."""
-    assert not referenced_names(PACKAGE / "cli.py") & {"run_suite", "SuiteReport"}
+    """cli writes the stream of `suite_checks` through emit.write_suite and
+    holds no report of it. The summary tallies are built in one place, a
+    diagnostics function whose only caller in the package is
+    emit.write_suite, so every summary is the tally of a written stream;
+    emit builds no by_name of its own."""
+    assert {"suite_checks", "write_suite"} <= calls(ast.parse((PACKAGE / "cli.py").read_text()))
     builders = [
         (path.stem, name)
         for path in PACKAGE.glob("*.py")
@@ -208,7 +208,8 @@ def test_verify_streams_and_one_function_tallies():
     ]
     assert len(builders) == 1 and builders[0][0] == "diagnostics", builders
     tally = builders[0][1]
-    assert tally in calls(functions(PACKAGE / "diagnostics.py")["SuiteReport.summary"])
+    callers = {path.stem for path in PACKAGE.glob("*.py") if tally in calls(ast.parse(path.read_text()))}
+    assert callers == {"emit"}
     assert tally in calls(functions(PACKAGE / "emit.py")["write_suite"])
     assert not spells_by_name(ast.parse((PACKAGE / "emit.py").read_text()))
 

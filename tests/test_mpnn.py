@@ -491,7 +491,7 @@ class TestAlphaBeta:
 
     def test_structural_bound_uses_the_connecting_set(self):
         # alpha <= (|S_statement| + 2) / row sum: a proof step that tests
-        # assert and run_suite does not check
+        # assert and the suite does not check
         g = generate("path", n=3)
         ab = alpha_beta(g, 0, 1)
         s_size = bottleneck_sets(g, 0, 1).s_size

@@ -9,7 +9,7 @@ from kernel_reference import changed_edge_problems, participation, statement_edg
 from orckit import curvature, rewiring
 from orckit.curvature import curvature_profile, edge_curvatures
 from orckit.emit import trace_obj
-from orckit.graphs import NeighborIndex, from_edges, generate
+from orckit.graphs import UNREACHABLE, GraphInvalid, NeighborIndex, bfs_distances, from_edges, generate
 from orckit.rewiring import (
     HISTOGRAM_BINS,
     NoActionPossible,
@@ -186,6 +186,21 @@ class TestRewireStep:
         assert step.removed == ((0, 1),)
         assert step.added == ()
         assert len(new_g.edges) == 2
+
+    @pytest.mark.parametrize(
+        "g, kept",
+        [
+            (generate("path", n=5), ()),  # every edge is a bridge
+            # (0, 1) goes first; (0, 2), tied with (1, 2), would then isolate 0
+            (from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), ((0, 1),)),
+        ],
+        ids=["path_5", "triangle_pendant"],
+    )
+    def test_disconnecting_removal_is_skipped(self, g, kept):
+        cfg = RewireConfig(tau_neg=-1.5, tau_pos=-0.5, removals_per_step=2)
+        new_g, step = rewire_step(g, edge_curvatures(g), cfg)
+        assert step.removed == kept
+        assert new_g == from_edges(g.vertex_count, [e for e in g.edges if e not in kept])
 
     def test_picks_follow_the_sorted_order_on_tied_kappas(self, monkeypatch):
         # K5 (kappas 3/5 and 3/4) with two trees hung off it (-14/15, -2/3, 0)
@@ -366,9 +381,9 @@ def test_post_step_pass_solves_exactly_the_changed_edges(g, cfg, monkeypatch):
     passes = []  # (graph, before, the (hub, other) pairs solved, the hubs indexed)
     solve, walk = curvature.edge_cost, rewiring.edge_curvatures
 
-    def counted(index, u, v, levels):
+    def counted(index, u, v):
         passes[-1][2].append((u, v))
-        return solve(index, u, v, levels)
+        return solve(index, u, v)
 
     class Counted(NeighborIndex):
         def __init__(self, g, u):
@@ -393,24 +408,37 @@ def test_post_step_pass_solves_exactly_the_changed_edges(g, cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("g, cfg", LOOP_CASES, ids=LOOP_IDS)
-def test_local_addition_equals_a_rebuild(g, cfg, monkeypatch):
-    """Every support edge the loop adds by its local edit gives the graph
-    `from_edges` builds from the enlarged edge list; an edge already there
-    is refused."""
-    added = []
-    add = rewiring._with_edge
+def test_local_edit_equals_a_rebuild(g, cfg, monkeypatch):
+    """Every edge the loop adds or removes by its local edit gives the graph
+    `from_edges` builds from the edited edge list, and a removal that
+    `from_edges` refuses leaves its endpoints apart and is not kept; adding
+    an edge already there, or removing one that is not, is refused."""
+    edits = []
+    edit = rewiring.edit_edge
 
-    def checked(h, edge):
-        edited = add(h, edge)
-        assert edited == from_edges(h.vertex_count, [*h.edges, edge])
-        added.append(edge)
+    def checked(h, edge, add):
+        edited = edit(h, edge, add)
+        kept = [e for e in h.edges if e != edge]
+        try:
+            rebuilt = from_edges(h.vertex_count, [*kept, edge] if add else kept)
+        except GraphInvalid:
+            assert not add and bfs_distances(edited, edge[0])[edge[1]] == UNREACHABLE
+            return edited
+        assert edited == rebuilt
+        edits.append((edge, add))
         return edited
 
-    monkeypatch.setattr(rewiring, "_with_edge", checked)
+    monkeypatch.setattr(rewiring, "edit_edge", checked)
     _, trace = rewire_loop(g, cfg)
-    assert added == [edge for step in trace.steps for edge in step.added]
-    with pytest.raises(AssertionError, match="already an edge"):
-        add(g, g.edges[0])
+    expected = []
+    for step in trace.steps:  # a step removes first, then adds
+        expected += [(e, False) for e in step.removed] + [(e, True) for e in step.added]
+    assert edits == expected
+    with pytest.raises(ValueError, match="already an edge"):
+        edit(g, g.edges[0], add=True)
+    cut = edit(g, g.edges[0], add=False)
+    with pytest.raises(ValueError, match="not an edge"):
+        edit(cut, g.edges[0], add=False)
 
 
 @pytest.mark.parametrize(

@@ -74,15 +74,15 @@ def brute_force_w1(g, mu, mv):
 class TestLocalMeasure:
     def test_triangle_vertex(self):
         m = local_measure(generate("complete", n=3), 0)
-        assert m.as_dict() == {1: F(1, 2), 2: F(1, 2)}
+        assert m.support == (1, 2) and m.mass == (F(1, 2), F(1, 2))
 
     def test_path_leaf(self):
         m = local_measure(generate("path", n=3), 0)
-        assert m.as_dict() == {1: F(1)}
+        assert m.support == (1,) and m.mass == (F(1),)
 
     def test_star_center(self):
         m = local_measure(generate("star", n=4), 0)
-        assert m.as_dict() == {1: F(1, 4), 2: F(1, 4), 3: F(1, 4), 4: F(1, 4)}
+        assert m.support == (1, 2, 3, 4) and m.mass == (F(1, 4),) * 4
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -413,9 +413,9 @@ class TestPhaseBound:
         index = NeighborIndex(g, u)
         levels = [index[q] for q in g.adjacency[v]]
         assert max(map(max, decoded(levels, g.degree(u)))) == top
-        edge_cost(index, u, v, levels)
+        edge_cost(index, u, v)
         assert phases[0] >= 1  # the real solve needs a dual step
-        assert stalled_solve(lambda: edge_cost(index, u, v, levels), monkeypatch) == top
+        assert stalled_solve(lambda: edge_cost(index, u, v), monkeypatch) == top
 
     def test_far_pair(self, monkeypatch):
         g = generate("path", n=20)
