@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,8 +148,6 @@ def _cmd_rewire(args) -> int:
         removals_per_step=args.removals,
     )
     rewired, trace = rewire_loop(g, cfg)
-    # the input's labels, if sparse, so every output maps back to the input
-    rewired = replace(rewired, id_map=g.id_map)
     if args.out_graph:
         with _output(args.out_graph) as write:
             emit.write_graph(rewired, _is_json(args.out_graph, "auto"), write)

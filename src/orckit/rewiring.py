@@ -3,21 +3,20 @@
 Edges whose curvature exceeds tau_pos get trimmed (most positive first);
 edges below tau_neg get one extra support edge bridging their exclusive
 neighborhoods, placed to spread the load of `curvature._statement_loads`
-rather than concentrate it on one vertex. The loop reads only each edge's
-curvature: it takes `curvature.edge_curvatures` of every graph it makes, a
-tuple aligned with `g.edges`, and rolls back any step that increases the
-number of out-of-band edges, so the out-of-band count is non-increasing
-across accepted steps. After a step it hands `edge_curvatures` the graph
-before the step and its kappas, so only the edges whose local W1 problem
-the step's edits changed are solved again, found from the edits alone. A
-step adds and removes each edge by one local edit (`graphs.edit_edge`), and
-skips a removal that would disconnect the graph. The returned
-RewireTrace is data; `emit.trace_obj` renders it as JSON.
+rather than concentrate it on one vertex. A step (`rewire_step`) adds
+and removes each edge by a local edit (`graphs.edit_edge`) and skips a
+removal that would disconnect the graph. The loop reads only each edge's
+curvature, `curvature.edge_curvatures` of every graph it makes, and rolls
+back any step that increases the number of out-of-band edges, so that count
+is non-increasing across accepted steps. After a step it hands
+`edge_curvatures` the graph before the step and its kappas, so only the
+edges whose W1 problem the edits changed are solved again. The loop builds
+each step's record once, carrying each graph's out-of-band count and
+histogram into the next. RewireTrace is data; `emit.trace_obj` renders it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -26,10 +25,7 @@ from .curvature import CurvatureProfile, _statement_loads, edge_curvatures
 from .graphs import UNREACHABLE, Graph, NeighborIndex, _hub_first, bfs_distances, edit_edge
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
-
-
-class NoActionPossible(Exception):
-    """No edge crosses either threshold."""
+Edges = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,16 +51,17 @@ class RewireConfig:
 
 @dataclass(frozen=True)
 class RewireStep:
-    """One iteration's actions; after-fields are filled by the loop from the
-    new graph's kappas, and stay None for a standalone step."""
+    """One iteration of `rewire_loop`: the edges it added and removed, and
+    the out-of-band count and kappa histogram of the graph before and after
+    it. A rolled-back step's after-fields describe the graph it reverted."""
 
-    added: tuple[tuple[int, int], ...]
-    removed: tuple[tuple[int, int], ...]
+    added: Edges
+    removed: Edges
     out_of_band_before: int
     histogram_before: tuple[int, ...]
-    out_of_band_after: int | None = None
-    histogram_after: tuple[int, ...] | None = None
-    rolled_back: bool = False
+    out_of_band_after: int
+    histogram_after: tuple[int, ...]
+    rolled_back: bool
 
 
 @dataclass(frozen=True)
@@ -141,20 +138,16 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     return None if best is None else best[1]
 
 
-def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, RewireStep]:
-    """Apply one round of removals and additions guided by kappas, the
-    curvature of each edge in `g.edges` order.
+def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Edges, Edges]:
+    """One round of removals and additions guided by kappas, the curvature
+    of each edge in `g.edges` order: (the new graph, the edges added, the
+    edges removed), each in the order it was edited.
 
-    Raises NoActionPossible when no edge crosses either threshold. The
-    returned graph may equal the input when every action was skipped
-    (a removal that would disconnect the graph, no absent support pair).
+    The graph is `g` itself when no edge crosses either threshold. It may
+    also equal `g` when every action was skipped (a removal that would
+    disconnect the graph, no absent support pair).
     """
     too_neg, too_pos = _out_of_band(kappas, cfg)
-    if not too_pos and not too_neg:
-        raise NoActionPossible(
-            f"all edge curvatures lie inside [{cfg.tau_neg}, {cfg.tau_pos}]"
-        )
-
     work = g
     removed: list[tuple[int, int]] = []
     # the k most extreme, by the (-kappa, edge) and (kappa, edge) keys
@@ -175,13 +168,7 @@ def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Rewi
             continue
         work = edit_edge(work, candidate, add=True)
         added.append(candidate)
-
-    return work, RewireStep(
-        added=tuple(added),
-        removed=tuple(removed),
-        out_of_band_before=len(too_pos) + len(too_neg),
-        histogram_before=_histogram(kappas),
-    )
+    return work, tuple(added), tuple(removed)
 
 
 def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
@@ -190,33 +177,28 @@ def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
     changed an edge's problem, the rest carried from the graph before it
     (see `edge_curvatures`).
 
-    Stops at max_iterations, when no edge is out of band, when a step
-    cannot act, or after reverting a step that raised the out-of-band
-    count (that step is recorded with rolled_back set).
+    Stops after max_iterations steps; when a step leaves the edges as they
+    were (no edge out of band, or every action skipped), and records no
+    step for it; or after reverting a step that raised the out-of-band
+    count, recorded with rolled_back set. The returned graph is `g` or an
+    `edit_edge` of it, so it keeps `g.id_map`.
     """
     kappas = edge_curvatures(g)
     initial = out_of_band_count(kappas, cfg)
     steps: list[RewireStep] = []
-    current, current_kappas, current_oob = g, kappas, initial
+    current, current_kappas, current_oob, current_hist = g, kappas, initial, _histogram(kappas)
     for _ in range(cfg.max_iterations):
-        try:
-            candidate, record = rewire_step(current, current_kappas, cfg)
-        except NoActionPossible:
-            break
+        candidate, added, removed = rewire_step(current, current_kappas, cfg)
         if candidate.edges == current.edges:
             break
         new_kappas = edge_curvatures(candidate, (current, current_kappas))
         new_oob = out_of_band_count(new_kappas, cfg)
-        record = dataclasses.replace(
-            record,
-            out_of_band_after=new_oob,
-            histogram_after=_histogram(new_kappas),
-            rolled_back=new_oob > current_oob,
-        )
-        steps.append(record)
-        if record.rolled_back:
+        new_hist = _histogram(new_kappas)
+        rolled_back = new_oob > current_oob
+        steps.append(RewireStep(added, removed, current_oob, current_hist, new_oob, new_hist, rolled_back))
+        if rolled_back:
             break
-        current, current_kappas, current_oob = candidate, new_kappas, new_oob
+        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, new_hist
     return current, RewireTrace(
         config=cfg,
         steps=tuple(steps),

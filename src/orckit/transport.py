@@ -277,10 +277,10 @@ def _min_cost_flow(
     path is augmented, or fails; then the Hungarian dual step (Kuhn 1955,
     `_raise_potentials`) makes a new arc tight and the search runs again.
     Arcs without a search (a supplied row's tight cell into an open column)
-    are taken first, by every row at the start and after a dual step only
-    by the rows it gave new tight cells: after a failed search no supplied
-    row has a tight cell into an open column, and a dual step only adds
-    tight cells to the rows that search reached.
+    are taken first, by every supplied row in each phase. After a dual step
+    only the rows it gave new tight cells have such arcs: after a failed
+    search no supplied row has a tight cell into an open column, so the
+    others count 0, sort first and move nothing.
 
     At most C dual steps run, C = max c_ij, so at most C + 1 phases, at
     most four for an edge's 0-3 distances:
@@ -309,13 +309,12 @@ def _min_cost_flow(
     open_cols = (1 << n) - 1
     carriers = [0] * n
     phases = top + 1  # the bound argued above
-    scan = supplied
     while True:
-        # one-arc paths need no search; they appear only where tight grows.
-        # Rows with the fewest open tight columns go first, so fewer of them
-        # find those columns already full and need a search.
+        # one-arc paths need no search. Rows with the fewest open tight
+        # columns go first, so fewer of them find those columns already full
+        # and need a search.
         order = []
-        rows = supplied & scan
+        rows = supplied
         while rows:
             low = rows & -rows
             rows ^= low
@@ -409,12 +408,11 @@ def _min_cost_flow(
         phases -= 1
         if phases == 0:
             raise RuntimeError("min-cost flow ran past its phase bound")
-        scan = _raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
+        _raise_potentials(levels, row_pot, col_pot, tight, seen_rows, ((1 << n) - 1) & ~seen_cols)
 
 
-def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
-    """The dual step after a failed search, in place; returns the mask of
-    the rows that gained tight cells.
+def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> None:
+    """The dual step after a failed search, in place.
 
     reached masks the rows the search reached and out the columns it did
     not. delta is the least reduced cost from a reached row to an out
@@ -447,10 +445,8 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
                             best = [(i, cells)]
                         elif slack == delta:
                             best.append((i, cells))
-    grown = 0
     for i, cells in best:
         tight[i] |= cells
-        grown |= 1 << i
     rows = ((1 << len(row_pot)) - 1) & ~reached
     while rows:
         low = rows & -rows
@@ -465,7 +461,6 @@ def _raise_potentials(levels, row_pot, col_pot, tight, reached, out) -> int:
                 raised[pot] = raised.get(pot, 0) | part
     col_pot.clear()
     col_pot.update(raised)
-    return grown
 
 
 # ---------------------------------------------------------------------------

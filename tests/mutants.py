@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 TRANSPORT = "src/orckit/transport.py"
 CURVATURE = "src/orckit/curvature.py"
+REWIRING = "src/orckit/rewiring.py"
 
 MUTANTS = (
     Mutant(
@@ -132,13 +133,27 @@ MUTANTS = (
     ),
     Mutant(
         "removal-no-reachability-test",
-        "src/orckit/rewiring.py",
+        REWIRING,
         "        if bfs_distances(cut, edge[0])[edge[1]] == UNREACHABLE:\n",
         "        if False:\n",
         (
             "tests/test_rewiring.py::TestRewireStep::test_disconnecting_removal_is_skipped[path_5]",
             "tests/test_rewiring.py::TestRewireStep::test_disconnecting_removal_is_skipped[triangle_pendant]",
         ),
+    ),
+    Mutant(
+        "loop-no-unchanged-graph-stop",
+        REWIRING,
+        "        if candidate.edges == current.edges:\n",
+        "        if False:\n",
+        ("tests/test_rewiring.py::TestRewireLoop::test_in_band_graph_is_identity",),
+    ),
+    Mutant(
+        "loop-histogram-not-carried",
+        REWIRING,
+        "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, new_hist\n",
+        "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, current_hist\n",
+        ("tests/test_rewiring.py::test_loop_reusing_reports_matches_fresh_profiles[k4_removals]",),
     ),
 )
 

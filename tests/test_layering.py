@@ -251,3 +251,16 @@ def test_one_solve_path():
     users = {path.stem for path in PACKAGE.glob("*.py") if referenced_names(path) & SOLVER_PARTS}
     assert users == {"transport"}
     assert transport_imports(PACKAGE / "curvature.py") == {"edge_cost", "wasserstein1"}
+
+
+def test_one_step_record_builder():
+    """Only `rewiring.rewire_loop` builds a RewireStep, so each step record
+    is built once, by the one function that knows the graphs before and
+    after the step."""
+    builders = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name, node in functions(path).items()
+        if "RewireStep" in calls(node)
+    }
+    assert builders == {("rewiring", "rewire_loop")}

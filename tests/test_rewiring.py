@@ -9,11 +9,19 @@ from kernel_reference import changed_edge_problems, participation, statement_edg
 from orckit import curvature, rewiring
 from orckit.curvature import curvature_profile, edge_curvatures
 from orckit.emit import trace_obj
-from orckit.graphs import UNREACHABLE, GraphInvalid, NeighborIndex, bfs_distances, from_edges, generate
+from orckit.graphs import (
+    UNREACHABLE,
+    GraphInvalid,
+    NeighborIndex,
+    bfs_distances,
+    from_edges,
+    generate,
+    parse_edge_list,
+)
 from orckit.rewiring import (
     HISTOGRAM_BINS,
-    NoActionPossible,
     RewireConfig,
+    RewireStep,
     RewireTrace,
     _out_of_band,
     _support_candidate,
@@ -88,29 +96,34 @@ def test_out_of_band_count():
 BAND_THRESHOLDS = [(-0.5, 0.99), (-0.3, 0.99), (-1 / 3, 1 / 3), (-1.0, 0.5), (-0.25, 0.0), (-2.0, 1.0)]
 
 
-def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_profiles):
+def test_integer_bins_and_bands_match_fraction_formulas(corpus_entries, corpus_profiles, monkeypatch):
     """kappa_histogram and the out-of-band split against the Fraction
-    arithmetic and Fraction-vs-float comparisons they replaced."""
+    arithmetic and Fraction-vs-float comparisons they replaced; the loop,
+    handed the profile's kappas for its first graph, counts the same."""
     cases = [(g, corpus_profiles[name]) for name, g in corpus_entries]
     for seed in range(12):
         g = generate("erdos_renyi", n=100, p=0.08, seed=seed)
         cases.append((g, curvature_profile(g)))
+    walk = rewiring.edge_curvatures
     for g, profile in cases:
         expected = [0] * HISTOGRAM_BINS
         for r in profile.reports:
             expected[min(int((r.kappa + 2) * 4), HISTOGRAM_BINS - 1)] += 1
         assert kappa_histogram(profile) == tuple(expected)
         kappas = tuple(r.kappa for r in profile.reports)
+
+        def from_profile(h, before=None, kappas=kappas):
+            return kappas if before is None else walk(h, before)
+
+        monkeypatch.setattr(rewiring, "edge_curvatures", from_profile)
         for tau_neg, tau_pos in BAND_THRESHOLDS:
-            cfg = RewireConfig(tau_neg=tau_neg, tau_pos=tau_pos)
+            cfg = RewireConfig(tau_neg=tau_neg, tau_pos=tau_pos, max_iterations=1)
             below = [k for k, kappa in enumerate(kappas) if kappa < tau_neg]
             above = [k for k, kappa in enumerate(kappas) if kappa > tau_pos]
             assert _out_of_band(kappas, cfg) == (below, above)
             count = len(below) + len(above)
             assert out_of_band_count(kappas, cfg) == count
-            if count:
-                _, step = rewire_step(g, kappas, cfg)
-                assert step.out_of_band_before == count
+            assert rewire_loop(g, cfg)[1].initial_out_of_band == count
 
 
 def support_candidate_from_statement_edges(g, u, v):
@@ -165,9 +178,9 @@ def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
 class TestRewireStep:
     def test_barbell_adds_a_support_edge(self):
         g = generate("barbell", k=3)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
-        assert step.added == ((0, 4),)
-        assert step.removed == ()
+        new_g, added, removed = rewire_step(g, edge_curvatures(g), RewireConfig())
+        assert added == ((0, 4),)
+        assert removed == ()
         assert new_g.has_edge(0, 4)
         assert len(new_g.edges) == 8
 
@@ -175,16 +188,16 @@ class TestRewireStep:
         # additions must connect a neighbor of one endpoint to a neighbor
         # of the other, never arbitrary pairs
         g = generate("barbell", k=4)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig())
-        assert len(step.added) == 1
-        p, q = step.added[0]
+        _, added, _ = rewire_step(g, edge_curvatures(g), RewireConfig())
+        assert len(added) == 1
+        p, q = added[0]
         assert p in g.adjacency[3] and q in g.adjacency[4]
 
     def test_triangle_removal(self):
         g = generate("complete", n=3)
-        new_g, step = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
-        assert step.removed == ((0, 1),)
-        assert step.added == ()
+        new_g, added, removed = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
+        assert removed == ((0, 1),)
+        assert added == ()
         assert len(new_g.edges) == 2
 
     @pytest.mark.parametrize(
@@ -198,8 +211,8 @@ class TestRewireStep:
     )
     def test_disconnecting_removal_is_skipped(self, g, kept):
         cfg = RewireConfig(tau_neg=-1.5, tau_pos=-0.5, removals_per_step=2)
-        new_g, step = rewire_step(g, edge_curvatures(g), cfg)
-        assert step.removed == kept
+        new_g, _, removed = rewire_step(g, edge_curvatures(g), cfg)
+        assert removed == kept
         assert new_g == from_edges(g.vertex_count, [e for e in g.edges if e not in kept])
 
     def test_picks_follow_the_sorted_order_on_tied_kappas(self, monkeypatch):
@@ -214,14 +227,13 @@ class TestRewireStep:
         picked = []
         monkeypatch.setattr(rewiring, "_support_candidate", lambda work, u, v: picked.append((u, v)))
         cfg = RewireConfig(tau_neg=-0.5, tau_pos=0.5, additions_per_step=3, removals_per_step=4)
-        _, step = rewire_step(g, tuple(r.kappa for r in profile.reports), cfg)
-        assert step.removed == tuple(r.edge for r in above[:4])
+        _, _, removed = rewire_step(g, tuple(r.kappa for r in profile.reports), cfg)
+        assert removed == tuple(r.edge for r in above[:4])
         assert picked == [r.edge for r in below[:3]]
 
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)
-        with pytest.raises(NoActionPossible):
-            rewire_step(g, edge_curvatures(g), RewireConfig())
+        assert rewire_step(g, edge_curvatures(g), RewireConfig()) == (g, (), ())
 
 
 class TestRewireLoop:
@@ -247,6 +259,21 @@ class TestRewireLoop:
         assert final.edges == g.edges
         assert trace.steps == ()
         assert trace.initial_out_of_band == trace.final_out_of_band == 0
+
+    @pytest.mark.parametrize(
+        "g, cfg, action",
+        [
+            (generate("barbell", k=3), RewireConfig(), "added"),
+            (generate("complete", n=4), RewireConfig(tau_pos=0.5), "removed"),
+        ],
+        ids=["addition", "removal"],
+    )
+    def test_sparse_labels_survive_an_accepted_step(self, g, cfg, action):
+        labelled = parse_edge_list("".join(f"{10 * u + 7} {10 * v + 7}\n" for u, v in g.edges))
+        final, trace = rewire_loop(labelled, cfg)
+        assert getattr(trace.steps[0], action) and not trace.steps[0].rolled_back
+        assert final.edges != labelled.edges
+        assert final.id_map == labelled.id_map == tuple(10 * x + 7 for x in range(g.vertex_count))
 
     def test_k4_trimming_keeps_connectivity(self):
         g = generate("complete", n=4)
@@ -291,23 +318,26 @@ def rewire_loop_fresh(g, cfg):
     initial = current_oob = out_of_band_count(kappas, cfg)
     steps = []
     for _ in range(cfg.max_iterations):
-        try:
-            candidate, record = rewire_step(g, kappas, cfg)
-        except NoActionPossible:
-            break
+        candidate, added, removed = rewire_step(g, kappas, cfg)
         if candidate.edges == g.edges:
             break
         new_profile = curvature_profile(candidate)
         new_kappas = tuple(r.kappa for r in new_profile.reports)
         new_oob = out_of_band_count(new_kappas, cfg)
-        record = dataclasses.replace(
-            record, out_of_band_after=new_oob, histogram_after=kappa_histogram(new_profile)
+        steps.append(
+            RewireStep(
+                added=added,
+                removed=removed,
+                out_of_band_before=current_oob,
+                histogram_before=kappa_histogram(profile),
+                out_of_band_after=new_oob,
+                histogram_after=kappa_histogram(new_profile),
+                rolled_back=new_oob > current_oob,
+            )
         )
         if new_oob > current_oob:
-            steps.append(dataclasses.replace(record, rolled_back=True))
             break
-        steps.append(record)
-        g, kappas, current_oob = candidate, new_kappas, new_oob
+        g, profile, kappas, current_oob = candidate, new_profile, new_kappas, new_oob
     return g, RewireTrace(cfg, tuple(steps), initial, current_oob)
 
 
@@ -352,7 +382,7 @@ def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     """On the golden rewire input, the loop's first kappas solve every edge
     and the post-step ones only the edges whose problem the step changed."""
     g = generate("erdos_renyi", n=100, p=0.08, seed=0)
-    after, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
+    after, _, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
     solve = curvature.edge_cost

@@ -393,7 +393,6 @@ def stalled_solve(solve, monkeypatch):
 
     def stalled(*args):
         calls[0] += 1
-        return 0
 
     monkeypatch.setattr(transport, "_raise_potentials", stalled)
     with pytest.raises(RuntimeError, match="phase bound"):
