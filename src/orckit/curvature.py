@@ -7,11 +7,12 @@ support distance is 0-3 and follows from adjacency, because any p in N_u
 reaches any q in N_v through p-u-v-q.
 
 The per-edge calls, `wasserstein1`, `edge_report` and `bottleneck_sets`,
-check that (u, v) is an edge (NotAnEdge, or ValueError for an id out of
-range) and that an index they are given is u's on g (ValueError). Given
-u's index, the edge test reads it (`NeighborIndex.has_edge`), so neither
-walk probes adjacency: `curvature_profile` hands each edge of `g.edges`
-to `edge_report` with its hub's index, and `edge_curvatures` calls the
+go through one front door, `graphs._edge_index`, which tests the edge
+(NotAnEdge here, or ValueError for an id out of range), checks that an
+index they are given is u's on g (ValueError) and otherwise builds the
+hub's. Given u's index, the edge test reads it, so neither walk probes
+adjacency: `curvature_profile` hands each edge of `g.edges` to
+`edge_report` with its hub's index, and `edge_curvatures` calls the
 unchecked `transport.edge_cost` and builds kappa once, as the Fraction
 (T - cost)/T of its integer cost and scale.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, NeighborIndex, _hub_first, bfs_distances
+from .graphs import Graph, NeighborIndex, _edge_index, _hub_first, bfs_distances
 from .transport import edge_cost, wasserstein1
 
 
@@ -118,8 +119,9 @@ def edge_report(
 ) -> EdgeCurvatureReport:
     """The report of edge (u, v), checked by `_checked`. index is u's
     NeighborIndex, shared by the W1 solve and the bottleneck counts;
-    without one, `_hub_first`'s is built."""
-    u, v, index = _checked(g, u, v, index)
+    without one, the hub's is built."""
+    index, v = _checked(g, u, v, index)
+    u = index.hub
     return EdgeCurvatureReport(
         edge=(min(u, v), max(u, v)),
         kappa=1 - wasserstein1(g, u, v, index=index),
@@ -129,26 +131,21 @@ def edge_report(
     )
 
 
-def _checked(g: Graph, u: int, v: int, index: NeighborIndex | None) -> tuple[int, int, NeighborIndex]:
-    """(u, v, index) for a per-edge call: a non-edge raises NotAnEdge and an
-    index that is not u's on g ValueError; with no index, the edge hub
-    first with its own."""
-    edge = g.has_edge(u, v) if index is None else index.has_edge(g, u, v)
-    if not edge:
+def _checked(g: Graph, u: int, v: int, index: NeighborIndex | None) -> tuple[NeighborIndex, int]:
+    """`graphs._edge_index` of a per-edge call, or NotAnEdge."""
+    edge = _edge_index(g, u, v, index)
+    if edge is None:
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    if index is None:
-        u, v = _hub_first(g, u, v)
-        index = NeighborIndex(g, u)
-    return u, v, index
+    return edge
 
 
 def _hub_edges(g: Graph, positions=None):
-    """(k, u, v, index) for each edge g.edges[k], k in positions (every
-    position when None), grouped under its endpoint u of higher degree (the
-    smaller id on a tie), so the rows of its W1 problem are the smaller
-    neighbourhood. A group's edges come together and share one
-    NeighborIndex of u, built when the group comes up and dropped when it
-    ends; a hub with no edge among positions gets none."""
+    """(k, v, index) for each edge g.edges[k], k in positions (every
+    position when None): v is its other endpoint and index the NeighborIndex
+    of its hub u, the endpoint of higher degree (the smaller id on a tie),
+    so the rows of its W1 problem are the smaller neighbourhood. A hub's
+    edges come together and share its index, built when the group comes up
+    and dropped when it ends; a hub with no edge among positions gets none."""
     groups: dict[int, list[int]] = {}
     edges = g.edges
     for k in range(len(edges)) if positions is None else positions:
@@ -158,7 +155,7 @@ def _hub_edges(g: Graph, positions=None):
         index = NeighborIndex(g, u)
         for k in ks:
             a, b = edges[k]
-            yield k, u, b if a == u else a, index
+            yield k, b if a == u else a, index
 
 
 def curvature_profile(g: Graph) -> CurvatureProfile:
@@ -166,8 +163,8 @@ def curvature_profile(g: Graph) -> CurvatureProfile:
     group share one index of their hub (see `_hub_edges`), so checking
     them probes no adjacency."""
     reports: list[EdgeCurvatureReport | None] = [None] * len(g.edges)
-    for k, u, v, index in _hub_edges(g):
-        reports[k] = edge_report(g, u, v, index=index)
+    for k, v, index in _hub_edges(g):
+        reports[k] = edge_report(g, index.hub, v, index=index)
     return CurvatureProfile(reports=tuple(reports))
 
 
@@ -191,8 +188,8 @@ def edge_curvatures(g: Graph, before: tuple[Graph, tuple[Fraction, ...]] | None 
         reached = _reached(old, g)
         kappas = list(map(dict(zip(old.edges, old_kappas)).get, edges))
         positions = [k for k, e in enumerate(edges) if e in reached]
-    for k, u, v, index in _hub_edges(g, positions):
-        cost, T = edge_cost(index, u, v)
+    for k, v, index in _hub_edges(g, positions):
+        cost, T = edge_cost(index, v)
         kappas[k] = Fraction(T - cost, T)
     return tuple(kappas)
 
@@ -285,9 +282,9 @@ def _max_matching(options: list[int]) -> int:
     return count
 
 
-def _statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[dict, list, int]:
-    """The load of S_statement at each vertex of edge (u, v), from u's
-    NeighborIndex as in the W1 solve: columns N_u, rows q in N_v as their
+def _statement_loads(index: NeighborIndex, v: int) -> tuple[dict, list, int]:
+    """The load of S_statement at each vertex of edge (u, v), u the hub of
+    index, read as in the W1 solve: columns N_u, rows q in N_v as their
     cached `index[q]` (a cost-0 cell marks one of the n0 common neighbours,
     cost-1 cells are q's neighbours in N_u). With N~ the closed
     neighbourhood, S_statement holds every edge between N~_u - {v} and
@@ -298,12 +295,13 @@ def _statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[di
     edge inside the common set is a cell of both rows. Returns load
     (vertices without any left out), the exclusive rows N_v - N~_u as
     (q, its cost-1 mask off column v) and the mask of the common columns."""
-    cols = g.adjacency[u]
+    u = index.hub
+    cols = index.adjacency[u]
     skip_v = ~index.pos[v]
     common = index.near.get(v, 0)
     load = dict.fromkeys((u, v), 1 + common.bit_count())
     exclusive = []
-    for q in g.adjacency[v]:
+    for q in index.adjacency[v]:
         if q == u:
             continue
         row = index[q]
@@ -324,10 +322,9 @@ def _statement_loads(g: Graph, u: int, v: int, index: NeighborIndex) -> tuple[di
 
 def bottleneck_sets(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> BottleneckSets:
     """The counts of edge (u, v), checked by `_checked`, from its
-    `_statement_loads` (u's index, or `_hub_first`'s when None) plus n1, a
+    `_statement_loads` (u's index, or the hub's when None) plus n1, a
     maximum matching of the exclusive rows to the exclusive columns
     N_u - N~_v over their cost-1 cells. All of it is symmetric in u and v."""
-    u, v, index = _checked(g, u, v, index)
-    load, exclusive, common = _statement_loads(g, u, v, index)
+    load, exclusive, common = _statement_loads(*_checked(g, u, v, index))
     n1 = _max_matching([ones & ~common for _, ones in exclusive if ones & ~common])
     return BottleneckSets(sum(load.values()) // 2, max(load.values()), common.bit_count(), n1)

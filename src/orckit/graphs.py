@@ -8,7 +8,9 @@ connected and have at least one edge; those invariants are enforced at
 construction time because the curvature definitions downstream are
 meaningless without them. `has_edge` bisects the sorted adjacency rows and
 refuses a vertex id outside 0..n-1. `edit_edge` adds or removes one edge
-by editing those rows and the edge tuple, with no rebuild.
+by editing those rows and the edge tuple, with no rebuild. `_edge_index`
+is the one front door of a per-edge call: it tests the edge, puts its hub
+first and builds the hub's `NeighborIndex`, or checks a caller's.
 """
 
 from __future__ import annotations
@@ -268,8 +270,8 @@ class NeighborIndex(dict):
     overlap, so each q is worked out once, on its first lookup. An index
     starts with no rows, so it is falsy: test it with `is None`.
 
-    hub is u and adjacency g's rows; `has_edge` holds a caller's index to
-    them.
+    hub is u and adjacency g's rows: the per-edge kernels read u from the
+    index, and `_edge_index` holds a caller's index to both.
     """
 
     __slots__ = ("adjacency", "hub", "pos", "near", "full")
@@ -288,19 +290,6 @@ class NeighborIndex(dict):
         self.pos, self.near = pos, near
         self.full = (1 << len(adjacency[u])) - 1
 
-    def has_edge(self, g: Graph, u: int, v: int) -> bool:
-        """Whether (u, v) is an edge, read from pos, so a v among u's
-        neighbours needs no adjacency probe; any other v goes to
-        `Graph.has_edge` for its range check. Raises ValueError unless this
-        is u's index on g: any other index poses another vertex's or another
-        graph's problem, and W1 or the counts come out wrong or fail at
-        random."""
-        if self.hub != u:
-            raise ValueError(f"index is vertex {self.hub}'s, not vertex {u}'s")
-        if self.adjacency is not g.adjacency:
-            raise ValueError("index was built on another graph")
-        return v in self.pos or g.has_edge(u, v)
-
     def __missing__(self, q: int) -> tuple[int, int, int, int]:
         near = self.near.get
         d0 = self.pos.get(q, 0)
@@ -310,6 +299,26 @@ class NeighborIndex(dict):
             shared |= near(w, 0)
         row = self[q] = d0, d1, shared & ~(d0 | d1), self.full & ~(d0 | d1 | shared)
         return row
+
+
+def _edge_index(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> tuple[NeighborIndex, int] | None:
+    """(the hub's NeighborIndex, the other endpoint) of edge (u, v), None
+    for a non-edge; an id outside 0..n-1 raises ValueError. With no index
+    the hub is `_hub_first`'s and its index is built. A given index must be
+    u's on g, or ValueError: any other poses another vertex's or another
+    graph's problem, and W1 or the counts come out wrong or fail at random.
+    Its pos answers the edge test, so a v among u's neighbours needs no
+    adjacency probe; any other v goes to `Graph.has_edge` for its range check."""
+    if index is None:
+        if not g.has_edge(u, v):
+            return None
+        u, v = _hub_first(g, u, v)
+        return NeighborIndex(g, u), v
+    if index.hub != u:
+        raise ValueError(f"index is vertex {index.hub}'s, not vertex {u}'s")
+    if index.adjacency is not g.adjacency:
+        raise ValueError("index was built on another graph")
+    return (index, v) if v in index.pos or g.has_edge(u, v) else None
 
 
 # ---------------------------------------------------------------------------

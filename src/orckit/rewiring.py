@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .curvature import CurvatureProfile, _statement_loads, edge_curvatures
-from .graphs import UNREACHABLE, Graph, NeighborIndex, _hub_first, bfs_distances, edit_edge
+from .graphs import UNREACHABLE, Graph, _edge_index, bfs_distances, edit_edge
 
 HISTOGRAM_BINS = 12  # width 1/4 over [-2, 1], last bin closed
 Edges = tuple[tuple[int, int], ...]
@@ -119,10 +119,9 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     max_load), (min(p, q), max(p, q))); the absent pairs are the exclusive
     columns off an exclusive row's cost-1 mask.
     """
-    u, v = _hub_first(g, u, v)
-    index = NeighborIndex(g, u)
-    load, exclusive, common = _statement_loads(g, u, v, index)
-    cols = g.adjacency[u]
+    index, v = _edge_index(g, u, v)
+    load, exclusive, common = _statement_loads(index, v)
+    cols = g.adjacency[index.hub]
     left = index.full & ~common & ~index.pos[v]
     max_load = max(load.values())
     best = None

@@ -9,14 +9,13 @@ MODI pivots). Every number in either path is an int or a Fraction; no
 floats anywhere.
 
 `wasserstein1(g, u, v)` is the production W1 between the uniform measures
-on N_u and N_v, and the checked entry point: it tests that the ids are in
-range, whether (u, v) is an edge, and that an index it is given is u's;
-with u's index the edge test reads the index and probes no adjacency.
-Every edge's solve is `edge_cost(index, u, v)`, which reads the edge's
-rows from the index, checks nothing and returns the integer cost with its
-scale T, so a caller that already knows its pair is an edge and its index
-u's (`curvature`'s kappa walk) calls it directly and forms one Fraction
-from the two integers.
+on N_u and N_v, and the checked entry point: its edge test, hub and index
+come from the front door `graphs._edge_index`. Every edge's solve is
+`edge_cost(index, v)`, which reads the hub u and the edge's rows from the
+index, checks nothing and returns the integer cost with its scale T, so a
+caller that already holds its hub's index and an edge of it
+(`curvature`'s kappa walk) calls it directly and forms one Fraction from
+the two integers.
 
 Every problem the solver is given is between two uniform measures, so it
 takes its marginals as two numbers, S per row and D per column
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, NeighborIndex, _hub_first, bfs_distances
+from .graphs import Graph, NeighborIndex, _edge_index, bfs_distances
 
 
 class TooLarge(Exception):
@@ -110,44 +109,40 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
 def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
-    This is the checked entry point: ids out of range raise ValueError (from
-    `has_edge`), and so does an index that is not u's on g. Given u's index,
-    whether (u, v) is an edge is read from it (`NeighborIndex.has_edge`),
-    with no adjacency probe. For an edge (u, v) the integer cost comes from
-    `edge_cost` on u's index and its rows for N_v; a call without one
-    builds `_hub_first`'s, since every per-row step of the solver scales
-    with the row count and the rows are N_v. Any other pair takes its
-    distances from BFS and starts from the zero dual: every potential 0,
-    each row tight on its cost-0 cells.
+    This is the checked entry point, through `graphs._edge_index`: ids out
+    of range raise ValueError, and so does an index that is not u's on g.
+    For an edge the integer cost comes from `edge_cost` on the hub's index
+    (u's when given), whose rows are the other endpoint's neighbours; the
+    front door puts the endpoint of higher degree first, since every
+    per-row step of the solver scales with the row count. Any other pair
+    takes its distances from BFS and starts from the zero dual: every
+    potential 0, each row tight on its cost-0 cells.
     """
-    edge = g.has_edge(u, v) if index is None else index.has_edge(g, u, v)
+    edge = _edge_index(g, u, v, index)
     if edge:
-        if index is None:
-            u, v = _hub_first(g, u, v)
-            index = NeighborIndex(g, u)
-        return Fraction(*edge_cost(index, u, v))
+        return Fraction(*edge_cost(*edge))
     levels = _cost_levels(_support_distances(g, g.adjacency[u], g.adjacency[v]))
     n = g.degree(v)
     zero = len(levels[0]) - 1, {0: (1 << n) - 1}, [row[0] for row in levels], [0] * len(levels)
     return Fraction(*_uniform_cost(levels, n, zero))
 
 
-def edge_cost(index: NeighborIndex, u: int, v: int) -> tuple[int, int]:
-    """The integer W1 of edge (u, v) and its scale: (cost, T) with
-    W1 = cost / T, T = lcm(deg u, deg v).
+def edge_cost(index: NeighborIndex, v: int) -> tuple[int, int]:
+    """The integer W1 of edge (u, v), u the hub of index, and its scale:
+    (cost, T) with W1 = cost / T, T = lcm(deg u, deg v).
 
-    index is u's `NeighborIndex`; its rows `index[q]` for q in N_v, in
-    order, are the problem's levels: the rows are N_v and the columns N_u
-    (W1 is symmetric). The solve starts from `_edge_start`, which also
-    reads u's position in N_v, and `_plan_cost` checks the plan it ends
-    with. Nothing here checks that (u, v) is an edge or that index is u's:
-    `wasserstein1` does, and `curvature.edge_curvatures` takes its edges
-    from `g.edges` and passes the index it built for the hub.
+    The rows `index[q]` for q in N_v, in order, are the problem's levels:
+    the rows are N_v and the columns N_u (W1 is symmetric). The solve starts
+    from `_edge_start`, which also reads u's position in N_v, and
+    `_plan_cost` checks the plan it ends with. Nothing here checks that v
+    is a neighbour of u: `wasserstein1` does, and
+    `curvature.edge_curvatures` takes its edges from `g.edges`, grouped
+    under the hub whose index it built.
     """
     rows = index.adjacency[v]
     levels = list(map(index.__getitem__, rows))
-    start = _edge_start(index, v, levels, bisect_left(rows, u))
-    return _uniform_cost(levels, len(index.adjacency[u]), start)
+    start = _edge_start(index, v, levels, bisect_left(rows, index.hub))
+    return _uniform_cost(levels, len(index.pos), start)
 
 
 def _uniform_cost(levels: list[tuple[int, ...]], n: int, start) -> tuple[int, int]:

@@ -29,17 +29,21 @@ def profile_to_json_obj(profile) -> dict:
 
 
 def _summary_obj(profile) -> dict:
-    s = profile.summary()
+    """The summary worked out from the reports' kappas, not read from
+    `CurvatureProfile.summary`, the code under test: the mean is a plain
+    Fraction sum divided by the count."""
+    ks = [r.kappa for r in profile.reports]
+    low, high, mean = min(ks), max(ks), sum(ks, Fraction(0)) / len(ks)
     return {
-        "edge_count": s["edge_count"],
-        "kappa_min": frac_str(s["kappa_min"]),
-        "kappa_min_float": float(s["kappa_min"]),
-        "kappa_max": frac_str(s["kappa_max"]),
-        "kappa_max_float": float(s["kappa_max"]),
-        "kappa_mean": frac_str(s["kappa_mean"]),
-        "kappa_mean_float": float(s["kappa_mean"]),
-        "negative_count": s["negative_count"],
-        "positive_count": s["positive_count"],
+        "edge_count": len(ks),
+        "kappa_min": frac_str(low),
+        "kappa_min_float": float(low),
+        "kappa_max": frac_str(high),
+        "kappa_max_float": float(high),
+        "kappa_mean": frac_str(mean),
+        "kappa_mean_float": float(mean),
+        "negative_count": sum(k < 0 for k in ks),
+        "positive_count": sum(k > 0 for k in ks),
     }
 
 

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 TRANSPORT = "src/orckit/transport.py"
 CURVATURE = "src/orckit/curvature.py"
 REWIRING = "src/orckit/rewiring.py"
+GRAPHS = "src/orckit/graphs.py"
 
 MUTANTS = (
     Mutant(
@@ -86,7 +87,7 @@ MUTANTS = (
     ),
     Mutant(
         "index-cost-2-overlaps-cost-1",
-        "src/orckit/graphs.py",
+        GRAPHS,
         "        row = self[q] = d0, d1, shared & ~(d0 | d1), self.full & ~(d0 | d1 | shared)\n",
         "        row = self[q] = d0, d1, shared & ~d0, self.full & ~(d0 | d1 | shared)\n",
         (
@@ -154,6 +155,38 @@ MUTANTS = (
         "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, new_hist\n",
         "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, current_hist\n",
         ("tests/test_rewiring.py::test_loop_reusing_reports_matches_fresh_profiles[k4_removals]",),
+    ),
+    Mutant(
+        "edge-index-no-hub-check",
+        GRAPHS,
+        "    if index.hub != u:\n",
+        "    if False:\n",
+        (
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[wasserstein1]",
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[edge_report]",
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[bottleneck_sets]",
+        ),
+    ),
+    Mutant(
+        "edge-index-no-graph-check",
+        GRAPHS,
+        "    if index.adjacency is not g.adjacency:\n",
+        "    if False:\n",
+        (
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[wasserstein1]",
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[edge_report]",
+            "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[bottleneck_sets]",
+        ),
+    ),
+    Mutant(
+        "profile-mean-not-divided-by-count",
+        CURVATURE,
+        "    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs), den * len(xs))\n",
+        "    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs), den)\n",
+        (
+            "tests/test_curvature.py::TestCurvatureProfile::test_summary",
+            "tests/test_curvature.py::test_profile_json_matches_json_dumps",
+        ),
     ),
 )
 

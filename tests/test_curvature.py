@@ -13,7 +13,7 @@ from kernel_reference import (
     statement_edges,
 )
 
-from orckit import curvature, transport
+from orckit import curvature, graphs
 from orckit.curvature import (
     BottleneckSets,
     CurvatureProfile,
@@ -225,7 +225,8 @@ class TestBottleneckSets:
 
     def test_standalone_calls_index_the_higher_degree_endpoint(self, monkeypatch):
         # double_star(3, 3): leaf 2 hangs off centre 0, and the centres 0
-        # and 1 tie on degree 3, which goes to the smaller id
+        # and 1 tie on degree 3, which goes to the smaller id; every
+        # standalone call builds its index in the front door
         g = generate("double_star", a=3, b=3)
         built = []
 
@@ -234,8 +235,7 @@ class TestBottleneckSets:
                 built.append(u)
                 super().__init__(g, u)
 
-        monkeypatch.setattr(curvature, "NeighborIndex", Recorded)
-        monkeypatch.setattr(transport, "NeighborIndex", Recorded)
+        monkeypatch.setattr(graphs, "NeighborIndex", Recorded)
         for a, b in ((2, 0), (1, 0)):
             wasserstein1(g, a, b)
             ricci_curvature(g, a, b)
@@ -417,6 +417,7 @@ class TestCurvatureProfile:
         assert s["edge_count"] == 7
         assert s["kappa_min"] == F(-2, 3)
         assert s["kappa_max"] == F(1, 2)
+        assert s["kappa_mean"] == F(5, 21)
         assert s["negative_count"] == 1
         assert s["positive_count"] == 6
 

@@ -264,3 +264,17 @@ def test_one_step_record_builder():
         if "RewireStep" in calls(node)
     }
     assert builders == {("rewiring", "rewire_loop")}
+
+
+def test_one_edge_front_door():
+    """Only `graphs._edge_index`, the front door of every checked per-edge
+    call, and `curvature._hub_edges`, the walks' grouping, build a
+    NeighborIndex or put an edge's hub first, so an edge's hub is chosen,
+    and a caller's index checked, in one place."""
+    makers = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name, node in functions(path).items()
+        if calls(node) & {"NeighborIndex", "_hub_first"}
+    }
+    assert makers == {("graphs", "_edge_index"), ("curvature", "_hub_edges")}

@@ -411,9 +411,9 @@ def test_post_step_pass_solves_exactly_the_changed_edges(g, cfg, monkeypatch):
     passes = []  # (graph, before, the (hub, other) pairs solved, the hubs indexed)
     solve, walk = curvature.edge_cost, rewiring.edge_curvatures
 
-    def counted(index, u, v):
-        passes[-1][2].append((u, v))
-        return solve(index, u, v)
+    def counted(index, v):
+        passes[-1][2].append((index.hub, v))
+        return solve(index, v)
 
     class Counted(NeighborIndex):
         def __init__(self, g, u):

@@ -16,7 +16,7 @@ from kernel_reference import (
 
 from orckit import transport
 from orckit.curvature import curvature_profile
-from orckit.graphs import NeighborIndex, _hub_first, bfs_distances, generate
+from orckit.graphs import NeighborIndex, _edge_index, _hub_first, bfs_distances, generate
 from orckit.transport import (
     LocalMeasure,
     TooLarge,
@@ -408,13 +408,12 @@ class TestPhaseBound:
     @pytest.mark.parametrize("a, b, top", [(1, 19, 2), (0, 1, 3)])
     def test_edge(self, a, b, top, phases, monkeypatch):
         g = generate("erdos_renyi", n=20, p=0.3, seed=0)
-        u, v = _hub_first(g, a, b)
-        index = NeighborIndex(g, u)
+        index, v = _edge_index(g, a, b)
         levels = [index[q] for q in g.adjacency[v]]
-        assert max(map(max, decoded(levels, g.degree(u)))) == top
-        edge_cost(index, u, v)
+        assert max(map(max, decoded(levels, g.degree(index.hub)))) == top
+        edge_cost(index, v)
         assert phases[0] >= 1  # the real solve needs a dual step
-        assert stalled_solve(lambda: edge_cost(index, u, v), monkeypatch) == top
+        assert stalled_solve(lambda: edge_cost(index, v), monkeypatch) == top
 
     def test_far_pair(self, monkeypatch):
         g = generate("path", n=20)
