@@ -2,7 +2,8 @@
 bottleneck inequalities.
 
 kappa(u,v) = 1 - W1(m_u, m_v)/d(u,v), exact rationals throughout, with W1
-from `transport.wasserstein1`. For adjacent pairs that solve is local: every
+from `transport.wasserstein1`, or for an edge from its integer kernel
+`transport.edge_cost`. For adjacent pairs that solve is local: every
 support distance is 0-3 and follows from adjacency, because any p in N_u
 reaches any q in N_v through p-u-v-q.
 
@@ -11,10 +12,12 @@ go through one front door, `graphs._edge_index`, which tests the edge
 (NotAnEdge here, or ValueError for an id out of range), checks that an
 index they are given is u's on g (ValueError) and otherwise builds the
 hub's. Given u's index, the edge test reads it, so neither walk probes
-adjacency: `curvature_profile` hands each edge of `g.edges` to
-`edge_report` with its hub's index, and `edge_curvatures` calls the
-unchecked `transport.edge_cost` and builds kappa once, as the Fraction
-(T - cost)/T of its integer cost and scale.
+adjacency. Behind the door, each edge's facts come from the unchecked
+kernels on the hub's index: its integer cost and scale from
+`transport.edge_cost`, with kappa built once as the Fraction (T - cost)/T,
+and its counts from `_counts`. `curvature_profile` calls `edge_report`
+once per edge of `g.edges` with its hub's index, and that one check is all
+the checking an edge gets; `edge_curvatures` calls `edge_cost` alone.
 
 `curvature_profile` groups the edges under their endpoint of higher degree
 u (the smaller id on a tie; standalone calls orient the same way) and builds
@@ -117,17 +120,22 @@ def ricci_curvature(g: Graph, u: int, v: int) -> Fraction:
 def edge_report(
     g: Graph, u: int, v: int, index: NeighborIndex | None = None
 ) -> EdgeCurvatureReport:
-    """The report of edge (u, v), checked by `_checked`. index is u's
-    NeighborIndex, shared by the W1 solve and the bottleneck counts;
-    without one, the hub's is built."""
+    """The report of edge (u, v), checked once by `_checked`. index is u's
+    NeighborIndex; without one, the hub's is built. The kernels behind
+    the check share it: kappa = (T - cost)/T from `edge_cost`, the counts
+    from `_counts`, the degrees from its adjacency. The same kappa as
+    `1 - wasserstein1(g, u, v)`, the same counts as `bottleneck_sets`."""
     index, v = _checked(g, u, v, index)
+    cost, T = edge_cost(index, v)
     u = index.hub
+    a, b = (u, v) if u < v else (v, u)
+    adjacency = index.adjacency
     return EdgeCurvatureReport(
-        edge=(min(u, v), max(u, v)),
-        kappa=1 - wasserstein1(g, u, v, index=index),
-        deg_u=g.degree(min(u, v)),
-        deg_v=g.degree(max(u, v)),
-        sets=bottleneck_sets(g, u, v, index=index),
+        edge=(a, b),
+        kappa=Fraction(T - cost, T),
+        deg_u=len(adjacency[a]),
+        deg_v=len(adjacency[b]),
+        sets=_counts(index, v),
     )
 
 
@@ -321,10 +329,17 @@ def _statement_loads(index: NeighborIndex, v: int) -> tuple[dict, list, int]:
 
 
 def bottleneck_sets(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> BottleneckSets:
-    """The counts of edge (u, v), checked by `_checked`, from its
-    `_statement_loads` (u's index, or the hub's when None) plus n1, a
-    maximum matching of the exclusive rows to the exclusive columns
-    N_u - N~_v over their cost-1 cells. All of it is symmetric in u and v."""
-    load, exclusive, common = _statement_loads(*_checked(g, u, v, index))
+    """The counts of edge (u, v), checked by `_checked`, from `_counts`
+    on u's index, or the hub's when None: the standalone form of a
+    report's `sets`."""
+    return _counts(*_checked(g, u, v, index))
+
+
+def _counts(index: NeighborIndex, v: int) -> BottleneckSets:
+    """The counts of edge (u, v), u the hub of index, unchecked: its
+    `_statement_loads` plus n1, a maximum matching of the exclusive rows
+    to the exclusive columns N_u - N~_v over their cost-1 cells. All of it
+    is symmetric in u and v."""
+    load, exclusive, common = _statement_loads(index, v)
     n1 = _max_matching([ones & ~common for _, ones in exclusive if ones & ~common])
     return BottleneckSets(sum(load.values()) // 2, max(load.values()), common.bit_count(), n1)

@@ -12,7 +12,9 @@ is non-increasing across accepted steps. After a step it hands
 `edge_curvatures` the graph before the step and its kappas, so only the
 edges whose W1 problem the edits changed are solved again. The loop builds
 each step's record once, carrying each graph's out-of-band count and
-histogram into the next. RewireTrace is data; `emit.trace_obj` renders it.
+histogram into the next; it splits each graph's kappas against the
+thresholds once, and the split gives both the count and the next step's
+edges. RewireTrace is data; `emit.trace_obj` renders it.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ def _out_of_band(kappas: tuple, cfg: RewireConfig) -> tuple[list[int], list[int]
     return below, above
 
 
-def out_of_band_count(kappas: tuple, cfg: RewireConfig) -> int:
-    return sum(map(len, _out_of_band(kappas, cfg)))
-
-
 def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     """Best absent edge bridging the exclusive neighborhoods of (u, v).
 
@@ -137,16 +135,19 @@ def _support_candidate(g: Graph, u: int, v: int) -> tuple[int, int] | None:
     return None if best is None else best[1]
 
 
-def rewire_step(g: Graph, kappas: tuple, cfg: RewireConfig) -> tuple[Graph, Edges, Edges]:
+def rewire_step(
+    g: Graph, kappas: tuple, out_of_band: tuple[list[int], list[int]], cfg: RewireConfig
+) -> tuple[Graph, Edges, Edges]:
     """One round of removals and additions guided by kappas, the curvature
-    of each edge in `g.edges` order: (the new graph, the edges added, the
-    edges removed), each in the order it was edited.
+    of each edge in `g.edges` order, and out_of_band, their split
+    `_out_of_band(kappas, cfg)`: (the new graph, the edges added, the edges
+    removed), each in the order it was edited.
 
     The graph is `g` itself when no edge crosses either threshold. It may
     also equal `g` when every action was skipped (a removal that would
     disconnect the graph, no absent support pair).
     """
-    too_neg, too_pos = _out_of_band(kappas, cfg)
+    too_neg, too_pos = out_of_band
     work = g
     removed: list[tuple[int, int]] = []
     # the k most extreme, by the (-kappa, edge) and (kappa, edge) keys
@@ -183,21 +184,25 @@ def rewire_loop(g: Graph, cfg: RewireConfig) -> tuple[Graph, RewireTrace]:
     `edit_edge` of it, so it keeps `g.id_map`.
     """
     kappas = edge_curvatures(g)
-    initial = out_of_band_count(kappas, cfg)
+    split = _out_of_band(kappas, cfg)
+    initial = len(split[0]) + len(split[1])
     steps: list[RewireStep] = []
-    current, current_kappas, current_oob, current_hist = g, kappas, initial, _histogram(kappas)
+    current, current_kappas, current_split = g, kappas, split
+    current_oob, current_hist = initial, _histogram(kappas)
     for _ in range(cfg.max_iterations):
-        candidate, added, removed = rewire_step(current, current_kappas, cfg)
+        candidate, added, removed = rewire_step(current, current_kappas, current_split, cfg)
         if candidate.edges == current.edges:
             break
         new_kappas = edge_curvatures(candidate, (current, current_kappas))
-        new_oob = out_of_band_count(new_kappas, cfg)
+        new_split = _out_of_band(new_kappas, cfg)
+        new_oob = len(new_split[0]) + len(new_split[1])
         new_hist = _histogram(new_kappas)
         rolled_back = new_oob > current_oob
         steps.append(RewireStep(added, removed, current_oob, current_hist, new_oob, new_hist, rolled_back))
         if rolled_back:
             break
-        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, new_hist
+        current, current_kappas, current_split = candidate, new_kappas, new_split
+        current_oob, current_hist = new_oob, new_hist
     return current, RewireTrace(
         config=cfg,
         steps=tuple(steps),

@@ -14,8 +14,8 @@ come from the front door `graphs._edge_index`. Every edge's solve is
 `edge_cost(index, v)`, which reads the hub u and the edge's rows from the
 index, checks nothing and returns the integer cost with its scale T, so a
 caller that already holds its hub's index and an edge of it
-(`curvature`'s kappa walk) calls it directly and forms one Fraction from
-the two integers.
+(`curvature`'s edge reports and kappa walk) calls it directly and forms
+one Fraction from the two integers.
 
 Every problem the solver is given is between two uniform measures, so it
 takes its marginals as two numbers, S per row and D per column
@@ -109,8 +109,11 @@ def _integer_problem(mu: LocalMeasure, mv: LocalMeasure) -> tuple[int, list[int]
 def wasserstein1(g: Graph, u: int, v: int, index: NeighborIndex | None = None) -> Fraction:
     """W1 between the uniform measures on N_u and N_v, hop-count ground distance.
 
-    This is the checked entry point, through `graphs._edge_index`: ids out
-    of range raise ValueError, and so does an index that is not u's on g.
+    This is the checked entry point for any pair, through
+    `graphs._edge_index`: ids out of range raise ValueError, and so does an
+    index that is not u's on g. The profile walk does not come through
+    here: `curvature.edge_report` checks its edge once and calls
+    `edge_cost` itself, so this is W1 for non-edges and standalone calls.
     For an edge the integer cost comes from `edge_cost` on the hub's index
     (u's when given), whose rows are the other endpoint's neighbours; the
     front door puts the endpoint of higher degree first, since every
@@ -135,9 +138,9 @@ def edge_cost(index: NeighborIndex, v: int) -> tuple[int, int]:
     the rows are N_v and the columns N_u (W1 is symmetric). The solve starts
     from `_edge_start`, which also reads u's position in N_v, and
     `_plan_cost` checks the plan it ends with. Nothing here checks that v
-    is a neighbour of u: `wasserstein1` does, and
-    `curvature.edge_curvatures` takes its edges from `g.edges`, grouped
-    under the hub whose index it built.
+    is a neighbour of u: `wasserstein1` and `curvature.edge_report` do,
+    and `curvature.edge_curvatures` takes its edges from `g.edges`,
+    grouped under the hub whose index it built.
     """
     rows = index.adjacency[v]
     levels = list(map(index.__getitem__, rows))

@@ -152,8 +152,8 @@ MUTANTS = (
     Mutant(
         "loop-histogram-not-carried",
         REWIRING,
-        "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, new_hist\n",
-        "        current, current_kappas, current_oob, current_hist = candidate, new_kappas, new_oob, current_hist\n",
+        "        current_oob, current_hist = new_oob, new_hist\n",
+        "        current_oob, current_hist = new_oob, current_hist\n",
         ("tests/test_rewiring.py::test_loop_reusing_reports_matches_fresh_profiles[k4_removals]",),
     ),
     Mutant(
@@ -177,6 +177,23 @@ MUTANTS = (
             "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[edge_report]",
             "tests/test_curvature.py::test_an_index_not_of_u_on_g_is_rejected[bottleneck_sets]",
         ),
+    ),
+    Mutant(
+        "report-kappa-is-w1",
+        CURVATURE,
+        "        kappa=Fraction(T - cost, T),\n",
+        "        kappa=Fraction(cost, T),\n",
+        (
+            "tests/test_curvature.py::TestEdgeReport::test_fields",
+            "tests/test_curvature.py::test_kappa_equals_one_minus_w1_on_the_corpus",
+        ),
+    ),
+    Mutant(
+        "report-degrees-swapped",
+        CURVATURE,
+        "        deg_u=len(adjacency[a]),\n        deg_v=len(adjacency[b]),\n",
+        "        deg_u=len(adjacency[b]),\n        deg_v=len(adjacency[a]),\n",
+        ("tests/test_curvature.py::TestEdgeReport::test_fields_on_irregular_edges[centres]",),
     ),
     Mutant(
         "profile-mean-not-divided-by-count",

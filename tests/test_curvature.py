@@ -13,7 +13,7 @@ from kernel_reference import (
     statement_edges,
 )
 
-from orckit import curvature, graphs
+from orckit import curvature, graphs, transport
 from orckit.curvature import (
     BottleneckSets,
     CurvatureProfile,
@@ -116,6 +116,22 @@ class TestEdgeReport:
         assert r.kappa == 1 - wasserstein1(g, 2, 3)
         assert (r.deg_u, r.deg_v) == (3, 3)
         assert r.sets.n0 == 0
+
+    @pytest.mark.parametrize(
+        "edge, kappa, degrees",
+        [((0, 1), F(-1, 2), (4, 2)), ((0, 2), F(0), (4, 1)), ((1, 5), F(0), (2, 1))],
+        ids=["centres", "leaf_of_0", "leaf_of_1"],
+    )
+    def test_fields_on_irregular_edges(self, edge, kappa, degrees):
+        # double_star(4, 2): centre 0 of degree 4 with leaves 2-4, centre 1
+        # of degree 2 with leaf 5; deg_u is the smaller id's degree, from
+        # either orientation
+        g = generate("double_star", a=4, b=2)
+        for a, b in (edge, edge[::-1]):
+            r = edge_report(g, a, b)
+            assert r.edge == edge
+            assert r.kappa == kappa
+            assert (r.deg_u, r.deg_v) == degrees
 
     def test_not_an_edge(self):
         with pytest.raises(NotAnEdge):
@@ -304,25 +320,51 @@ def test_walks_make_no_adjacency_probe(corpus_entries, monkeypatch):
     assert probes == [(u, v), (u, v), g.edges[0]]
 
 
+def counted_as(name, fn, calls):
+    """fn, appending name to calls on each call."""
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def test_profile_reports_through_the_public_entry_points(monkeypatch):
     """Each report of `curvature_profile` comes from one `edge_report` call,
-    with one `wasserstein1` and one `bottleneck_sets` call under it, each
-    looked up by name in `curvature`: per-layer counters that wrap those
-    names see every profiled edge."""
+    looked up by name in `curvature`, so a per-layer counter that wraps that
+    name sees every profiled edge. Under it no `wasserstein1` or
+    `bottleneck_sets` call is made: the report reads the kernels behind
+    them."""
     g = generate("erdos_renyi", n=60, p=0.1, seed=0)
     calls = []
-    for name in ("edge_report", "wasserstein1", "bottleneck_sets"):
-        fn = getattr(curvature, name)
-
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(curvature, name, counted)
+    for module, name in (
+        (curvature, "edge_report"),
+        (curvature, "wasserstein1"),
+        (curvature, "bottleneck_sets"),
+        (transport, "wasserstein1"),
+    ):
+        monkeypatch.setattr(module, name, counted_as(name, getattr(module, name), calls))
     profile = curvature_profile(g)
     m = len(g.edges)
     assert len(profile.reports) == m
-    assert sorted(calls) == ["bottleneck_sets"] * m + ["edge_report"] * m + ["wasserstein1"] * m
+    assert calls == ["edge_report"] * m
+
+
+def test_profile_checks_and_solves_each_edge_once(corpus_entries, monkeypatch):
+    """`curvature_profile` passes each edge through the front door
+    `_edge_index` once and solves it with one `edge_cost` call, wherever
+    those names are looked up."""
+    graphs = [dict(corpus_entries)["barbell_5"], generate("erdos_renyi", n=60, p=0.1, seed=0)]
+    calls = []
+    for module in (curvature, transport):
+        for name in ("_edge_index", "edge_cost"):
+            monkeypatch.setattr(module, name, counted_as(name, getattr(module, name), calls))
+    for g in graphs:
+        calls.clear()
+        curvature_profile(g)
+        m = len(g.edges)
+        assert sorted(calls) == ["_edge_index"] * m + ["edge_cost"] * m
 
 
 def ladder(k):
@@ -471,7 +513,21 @@ def test_edge_spellings_match_the_reference_past_two_to_the_53():
         assert profile_text(profile, g) == expected + "\n", kappa
 
 
-def test_kappa_equals_one_minus_w1_on_a_corpus_slice(corpus_entries, corpus_profiles):
-    for name, g in corpus_entries[:30]:
+def test_kappa_equals_one_minus_w1_on_the_corpus(corpus_entries, corpus_profiles):
+    # a report's kappa comes from `edge_cost` directly; the checked W1 must
+    # agree with it
+    for name, g in corpus_entries:
         for r in corpus_profiles[name].reports:
             assert r.kappa == 1 - wasserstein1(g, *r.edge)
+
+
+def test_sets_equal_standalone_bottleneck_sets(corpus_entries, corpus_profiles):
+    # a report's sets come from `_counts` directly; the checked counts from
+    # either endpoint must agree with them
+    cases = [(g, corpus_profiles[name]) for name, g in corpus_entries]
+    g = generate("erdos_renyi", n=60, p=0.3, seed=0)
+    cases.append((g, curvature_profile(g)))
+    for g, profile in cases:
+        for r in profile.reports:
+            u, v = r.edge
+            assert bottleneck_sets(g, u, v) == r.sets == bottleneck_sets(g, v, u)

@@ -26,7 +26,6 @@ from orckit.rewiring import (
     _out_of_band,
     _support_candidate,
     kappa_histogram,
-    out_of_band_count,
     rewire_loop,
     rewire_step,
 )
@@ -83,6 +82,20 @@ def test_kappa_histogram():
     hist = kappa_histogram(profile)
     assert sum(hist) == 7
     assert hist[5] == 1  # the bridge at -2/3
+
+
+def out_of_band_count(kappas, cfg):
+    """The out-of-band count, as the loop takes it: the two lengths of the
+    split."""
+    below, above = _out_of_band(kappas, cfg)
+    return len(below) + len(above)
+
+
+def step(g, cfg, kappas=None):
+    """`rewire_step` on g with kappas (g's fresh ones when None) and their
+    split against cfg's thresholds, as the loop hands them over."""
+    kappas = edge_curvatures(g) if kappas is None else kappas
+    return rewire_step(g, kappas, _out_of_band(kappas, cfg), cfg)
 
 
 def test_out_of_band_count():
@@ -178,7 +191,7 @@ def test_support_candidate_builds_no_matching(corpus_entries, monkeypatch):
 class TestRewireStep:
     def test_barbell_adds_a_support_edge(self):
         g = generate("barbell", k=3)
-        new_g, added, removed = rewire_step(g, edge_curvatures(g), RewireConfig())
+        new_g, added, removed = step(g, RewireConfig())
         assert added == ((0, 4),)
         assert removed == ()
         assert new_g.has_edge(0, 4)
@@ -188,14 +201,14 @@ class TestRewireStep:
         # additions must connect a neighbor of one endpoint to a neighbor
         # of the other, never arbitrary pairs
         g = generate("barbell", k=4)
-        _, added, _ = rewire_step(g, edge_curvatures(g), RewireConfig())
+        _, added, _ = step(g, RewireConfig())
         assert len(added) == 1
         p, q = added[0]
         assert p in g.adjacency[3] and q in g.adjacency[4]
 
     def test_triangle_removal(self):
         g = generate("complete", n=3)
-        new_g, added, removed = rewire_step(g, edge_curvatures(g), RewireConfig(tau_pos=0.4))
+        new_g, added, removed = step(g, RewireConfig(tau_pos=0.4))
         assert removed == ((0, 1),)
         assert added == ()
         assert len(new_g.edges) == 2
@@ -211,7 +224,7 @@ class TestRewireStep:
     )
     def test_disconnecting_removal_is_skipped(self, g, kept):
         cfg = RewireConfig(tau_neg=-1.5, tau_pos=-0.5, removals_per_step=2)
-        new_g, _, removed = rewire_step(g, edge_curvatures(g), cfg)
+        new_g, _, removed = step(g, cfg)
         assert removed == kept
         assert new_g == from_edges(g.vertex_count, [e for e in g.edges if e not in kept])
 
@@ -227,13 +240,13 @@ class TestRewireStep:
         picked = []
         monkeypatch.setattr(rewiring, "_support_candidate", lambda work, u, v: picked.append((u, v)))
         cfg = RewireConfig(tau_neg=-0.5, tau_pos=0.5, additions_per_step=3, removals_per_step=4)
-        _, _, removed = rewire_step(g, tuple(r.kappa for r in profile.reports), cfg)
+        _, _, removed = step(g, cfg, tuple(r.kappa for r in profile.reports))
         assert removed == tuple(r.edge for r in above[:4])
         assert picked == [r.edge for r in below[:3]]
 
     def test_in_band_graph_has_no_action(self):
         g = generate("path", n=4)
-        assert rewire_step(g, edge_curvatures(g), RewireConfig()) == (g, (), ())
+        assert step(g, RewireConfig()) == (g, (), ())
 
 
 class TestRewireLoop:
@@ -318,7 +331,7 @@ def rewire_loop_fresh(g, cfg):
     initial = current_oob = out_of_band_count(kappas, cfg)
     steps = []
     for _ in range(cfg.max_iterations):
-        candidate, added, removed = rewire_step(g, kappas, cfg)
+        candidate, added, removed = step(g, cfg, kappas)
         if candidate.edges == g.edges:
             break
         new_profile = curvature_profile(candidate)
@@ -378,11 +391,29 @@ def test_loop_reusing_reports_matches_fresh_profiles(g, cfg):
     assert trace.steps  # every case acts at least once
 
 
+def test_loop_splits_each_graph_once(monkeypatch):
+    """The loop splits the kappas of each graph it makes against the
+    thresholds once, the first graph and every stepped one, a rolled-back
+    step's included, and hands the split to the next step."""
+    split = rewiring._out_of_band
+    calls = []
+
+    def counted(kappas, cfg):
+        calls.append(kappas)
+        return split(kappas, cfg)
+
+    monkeypatch.setattr(rewiring, "_out_of_band", counted)
+    for g, cfg in LOOP_CASES[:5]:
+        calls.clear()
+        _, trace = rewire_loop(g, cfg)
+        assert len(calls) == 1 + len(trace.steps)
+
+
 def test_post_step_profile_solves_only_the_changed_edges(monkeypatch):
     """On the golden rewire input, the loop's first kappas solve every edge
     and the post-step ones only the edges whose problem the step changed."""
     g = generate("erdos_renyi", n=100, p=0.08, seed=0)
-    after, _, _ = rewire_step(g, edge_curvatures(g), GOLDEN_CONFIG)
+    after, _, _ = step(g, GOLDEN_CONFIG)
     changed = changed_edge_problems(g, after)
     calls = []
     solve = curvature.edge_cost
